@@ -5,35 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def operator_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 20000, seed: int = 0) -> float:
-    """Spectral norm by power iteration on M* M with a seeded start vector.
-
-    Deterministic for fixed seed; the eigenvalue estimate converges even when
-    the top singular value is (nearly) degenerate.
-    """
+def operator_norm(mat: np.ndarray) -> float:
+    """Spectral norm (largest singular value); 0.0 for an empty matrix."""
     mat = np.asarray(mat)
     if mat.size == 0:
         return 0.0
-    gram = mat.conj().T @ mat
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(gram.shape[0]) + 1j * rng.standard_normal(gram.shape[0])
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    v = v / nv
-    lam = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        lam_new = float(np.real(np.vdot(v, w)))
-        v = w / nw
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.linalg.norm(mat, 2))
 
 
 def unitarity_defect(mat: np.ndarray) -> float:

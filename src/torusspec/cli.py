@@ -21,11 +21,11 @@ import scipy
 
 from . import __version__
 from .effective import (CellConvergenceError, CellParams, cell_problem_solve,
-                        effective_grid, write_effective_csv)
+                        effective_grid, write_effective_csv, write_hbar_csv)
 from .isospectral import (bs_reconstruct, make_pair, theorem2_check, write_bs_csv)
 from .potentials import load_potential, potential_extrema
 from .propagation import egorov_scaling
-from .spectra import (FLOAT_FMT, assemble_hamiltonian, auto_cutoff,
+from .spectra import (assemble_hamiltonian, auto_cutoff,
                       eigen_spectrum, weyl_count_report, write_report_json,
                       write_spectrum_csv)
 from .symbols import bump_profile, mechanical_symbol, product_symbol
@@ -141,12 +141,7 @@ def _cmd_cell_solve(args, outdir: Path):
         sol = cell_problem_solve(H, P, args.grid or 256)
         rows.append((P, sol.value, sol.corrector.residual))
     out = outdir / "cell.csv"
-    head = ",".join(f"P{i+1}" for i in range(pot.dim)) if pot.dim > 1 else "P"
-    lines = [f"{head},Hbar,method,residual"]
-    for P, val, res in rows:
-        pcols = ",".join(FLOAT_FMT % v for v in P)
-        lines.append(f"{pcols},{FLOAT_FMT % val},cell-problem,{FLOAT_FMT % res}")
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_hbar_csv(out, pot.dim, "cell-problem", rows)
     return [out]
 
 
@@ -240,8 +235,6 @@ def _build_parser():
                        help="energy scale for the automatic cutoff")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="reserved for worker fan-out; runs are serial")
 
     p = add_parser("spectrum", help="eigenvalues to CSV")
     common(p)

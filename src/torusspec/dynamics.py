@@ -225,15 +225,12 @@ def symplectic_defect(phi: SymplecticMap, probes: int = 32, seed: int = 42,
     X = np.repeat(x0, reps, axis=0)
     P = np.repeat(p0, reps, axis=0)
     for c in range(2 * n):
-        sl = slice(2 * c, None, reps)
         if c < n:
             X[2 * c::reps, c] += fd_step
             X[2 * c + 1::reps, c] -= fd_step
         else:
             P[2 * c::reps, c - n] += fd_step
             P[2 * c + 1::reps, c - n] -= fd_step
-        del sl
-    FX, FP = phi.generator, None  # noqa: F841 - keep reference alive for clarity
     # disable wrapping: use the raw flow so differences across 2 pi stay smooth
     XF, PF = _flow_batch(phi.generator, X, P, phi.time, phi.h)
 

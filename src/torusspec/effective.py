@@ -25,6 +25,7 @@ from scipy import integrate, interpolate, optimize, sparse
 from scipy.sparse.linalg import splu
 
 from .potentials import TWO_PI, FourierPotential, potential_extrema
+from .spectra import write_csv
 from .symbols import PhaseSpaceFunction, mechanical_symbol
 
 _MIN_GRID = 32
@@ -575,8 +576,10 @@ def cell_table(pot: FourierPotential, p_max: float, dp: float, grid: int,
                params: Optional[CellParams] = None) -> EffectiveTable:
     """Table from the cell-problem solver on a mechanical symbol.
 
-    Mechanical Hamiltonians are even in P, so each |P| is solved once and
-    mirrored; the certificates then check convexity and bounds honestly.
+    Mechanical Hbar is even under P -> -P (and under nothing more in
+    general), so each pair {P, -P} is solved once, at the member whose first
+    nonzero component is positive, and mirrored; the certificates then check
+    convexity and bounds honestly.
     """
     H = mechanical_symbol(pot)
     axis = _p_axis(p_max, dp)
@@ -588,10 +591,12 @@ def cell_table(pot: FourierPotential, p_max: float, dp: float, grid: int,
     cache: dict = {}
     for idx in itertools.product(range(axis.size), repeat=n):
         P = np.array([axis[i] for i in idx])
-        key = tuple(sorted(np.abs(P)))
-        key = tuple(round(v, 12) for v in np.abs(P))
+        lead = P[np.flatnonzero(P)[:1]]
+        if lead.size and lead[0] < 0:
+            P = 0.0 - P     # not -P: zero components stay +0.0
+        key = tuple(round(v, 12) for v in P)
         if key not in cache:
-            sol = cell_problem_solve(H, np.abs(P), grid, params)
+            sol = cell_problem_solve(H, P, grid, params)
             cache[key] = (sol.value, sol.corrector.residual)
         values[idx], residuals[idx] = cache[key]
     certs = compute_certificates((axis,) * n, values, vmax)
@@ -662,7 +667,7 @@ def sublevel_set(table: EffectiveTable, energy: float) -> SublevelSet:
 
 
 def infsup_upper(H: PhaseSpaceFunction, P, bandwidth: int = 3,
-                 iterations: int = 400, res: int = 128, seed: int = 42) -> float:
+                 iterations: int = 400, res: int = 128) -> float:
     """Upper bound inf_v sup_x H(x, P + grad v) over trig polynomials v.
 
     Derivative-free coordinate descent with a shrinking step over the
@@ -698,8 +703,6 @@ def infsup_upper(H: PhaseSpaceFunction, P, bandwidth: int = 3,
         vals = np.asarray(H.fn(pts, g + P[None, :]))
         return float(np.max(vals))
 
-    rng = np.random.default_rng(seed)
-    del rng  # descent is deterministic; the seed is kept in the signature
     theta = np.zeros(2 * len(qs))
     best = objective(theta)
     step = 0.5
@@ -774,17 +777,14 @@ def invariance_check(H: PhaseSpaceFunction, phi, p_values: Sequence[float],
 # export
 # ---------------------------------------------------------------------------
 
-FLOAT_FMT = "%.12e"
+def write_hbar_csv(path, dim: int, method: str, rows) -> None:
+    """CSV of (P, Hbar, residual) rows in the effective.csv layout."""
+    head = ",".join(f"P{i+1}" for i in range(dim)) if dim > 1 else "P"
+    write_csv(path, f"{head},Hbar,method,residual",
+              ((*P, value, method, res) for P, value, res in rows))
 
 
 def write_effective_csv(path, table: EffectiveTable) -> None:
-    head = ",".join(f"P{i+1}" for i in range(table.dim)) if table.dim > 1 else "P"
-    lines = [f"{head},Hbar,method,residual"]
-    pts = table.points()
     flat = table.values.reshape(-1)
     res = table.residuals.reshape(-1) if table.residuals is not None else np.zeros(flat.size)
-    for i in range(flat.size):
-        pcols = ",".join(FLOAT_FMT % v for v in pts[i])
-        lines.append(f"{pcols},{FLOAT_FMT % flat[i]},{table.method},{FLOAT_FMT % res[i]}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_hbar_csv(path, table.dim, table.method, zip(table.points(), flat, res))

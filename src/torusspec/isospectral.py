@@ -18,7 +18,7 @@ import numpy as np
 
 from .effective import action_J, effective_1d
 from .potentials import TWO_PI, FourierPotential, potential_extrema
-from .spectra import SpectrumResult, assemble_hamiltonian, eigen_spectrum
+from .spectra import SpectrumResult, assemble_hamiltonian, eigen_spectrum, write_csv
 
 _PROBE_TOL = 1e-10
 _MATCH_TOL = 1e-8
@@ -293,14 +293,6 @@ def bs_reconstruct(spec: SpectrumResult, pot: FourierPotential,
                             reference=tuple(reference), misfits=tuple(misfits))
 
 
-FLOAT_FMT = "%.12e"
-
-
 def write_bs_csv(path, rec: BSReconstruction) -> None:
-    lines = ["ell,P,E,Hbar_closed_form,misfit"]
-    for i in range(len(rec.ells)):
-        lines.append(",".join([str(rec.ells[i])] +
-                              [FLOAT_FMT % v for v in (rec.momenta[i], rec.energies[i],
-                                                       rec.reference[i], rec.misfits[i])]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "ell,P,E,Hbar_closed_form,misfit",
+              zip(rec.ells, rec.momenta, rec.energies, rec.reference, rec.misfits))

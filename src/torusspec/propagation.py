@@ -19,7 +19,7 @@ import numpy as np
 from ._linalg import operator_norm, unitarity_defect
 from .dynamics import _flow_batch
 from .potentials import FourierPotential, wrap_angles
-from .spectra import HamiltonianMatrix, assemble_hamiltonian
+from .spectra import HamiltonianMatrix, PlaneWaveBasis, assemble_hamiltonian
 from .symbols import PhaseSpaceFunction, mechanical_symbol
 from .weylquant import weyl_matrix
 
@@ -63,14 +63,7 @@ def flowed_symbol(a: PhaseSpaceFunction, generator: PhaseSpaceFunction,
 
 def interior_indices(dim: int, cutoff: int) -> np.ndarray:
     """Positions of the frequencies with |k|_inf <= cutoff//2 in the basis."""
-    from .spectra import PlaneWaveBasis
-
-    basis = PlaneWaveBasis(dim, cutoff)
-    keep = []
-    for i, k in enumerate(basis.frequencies()):
-        if max(abs(v) for v in k) <= cutoff // 2:
-            keep.append(i)
-    return np.asarray(keep, dtype=int)
+    return PlaneWaveBasis(dim, cutoff).rows(PlaneWaveBasis(dim, cutoff // 2).frequencies())
 
 
 def egorov_residual(a: PhaseSpaceFunction, pot: FourierPotential, t: float,

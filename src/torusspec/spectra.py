@@ -47,18 +47,47 @@ class PlaneWaveBasis:
         """Map frequency tuple -> row index."""
         return {tuple(k): i for i, k in enumerate(self.frequencies())}
 
+    def rows(self, ks) -> np.ndarray:
+        """Row indices of in-box frequency vectors ks, shape (m, dim).
+
+        row(k) = sum_i (k_i + K) (2K+1)^(n-1-i), the position in frequencies().
+        """
+        strides = (2 * self.cutoff + 1) ** np.arange(self.dim - 1, -1, -1)
+        return (np.asarray(ks, dtype=int) + self.cutoff) @ strides
+
+    def band_matrix(self, shifts, entry) -> np.ndarray:
+        """Dense matrix with entry(q, k) at rows row(k + q) and columns row(k).
+
+        For each shift q, k runs in ascending row order over the frequencies
+        whose k + q stays in the box; entry returns one value per k (or a
+        scalar).  Entries on no shift's band are zero.
+        """
+        freqs = self.frequencies()
+        mat = np.zeros((self.size, self.size), dtype=complex)
+        for q in shifts:
+            shifted = freqs + np.asarray(q, dtype=int)
+            cols = np.flatnonzero(np.all(np.abs(shifted) <= self.cutoff, axis=1))
+            mat[self.rows(shifted[cols]), cols] = entry(q, freqs[cols])
+        return mat
+
 
 @dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Assembled plane-wave matrix together with its provenance."""
+class PlaneWaveMatrix:
+    """A dense operator on a plane-wave basis at one hbar."""
 
     hbar: float
     basis: PlaneWaveBasis
     matrix: np.ndarray
-    potential: FourierPotential
 
     def hermitian_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+
+
+@dataclass(frozen=True)
+class HamiltonianMatrix(PlaneWaveMatrix):
+    """Assembled plane-wave matrix together with its provenance."""
+
+    potential: FourierPotential
 
 
 @dataclass(frozen=True)
@@ -87,19 +116,9 @@ def assemble_hamiltonian(pot: FourierPotential, hbar: float, K: int) -> Hamilton
         raise ValueError(
             f"cutoff K={K} below potential bandwidth {pot.max_frequency}")
     basis = PlaneWaveBasis(pot.dim, K)
-    freqs = basis.frequencies()
-    size = basis.size
-    mat = np.zeros((size, size), dtype=complex)
-    kin = 0.5 * hbar * hbar * np.sum(freqs.astype(float) ** 2, axis=1)
-    mat[np.arange(size), np.arange(size)] = kin
-    index = basis.index()
-    for q, c in pot.items():
-        qa = np.array(q, dtype=int)
-        for m, km in enumerate(freqs):
-            kj = tuple(km + qa)
-            j = index.get(kj)
-            if j is not None:
-                mat[j, m] += c
+    mat = basis.band_matrix(pot.coeffs, lambda q, k: pot.coeffs[q])
+    kin = 0.5 * hbar * hbar * np.sum(basis.frequencies().astype(float) ** 2, axis=1)
+    mat[np.diag_indices(basis.size)] += kin
     return HamiltonianMatrix(hbar=hbar, basis=basis, matrix=mat, potential=pot)
 
 
@@ -404,14 +423,29 @@ def weyl_count_report(pot: FourierPotential, hbars, window, K,
 FLOAT_FMT = "%.12e"
 
 
-def write_spectrum_csv(path, results) -> None:
-    """CSV columns hbar,index,eigenvalue with a pinned float format."""
-    lines = ["hbar,index,eigenvalue"]
-    for spec in results:
-        for i, ev in enumerate(spec.eigenvalues):
-            lines.append(f"{FLOAT_FMT % spec.hbar},{i},{FLOAT_FMT % ev}")
+def write_csv(path, header: str, rows) -> None:
+    """Header line plus one line per row of cells.
+
+    String cells are written as they are, integer cells with str() and every
+    other cell with FLOAT_FMT, so the artifacts are byte-deterministic.
+    """
+    def cell(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return str(v)
+        return FLOAT_FMT % v
+
+    lines = [header] + [",".join(cell(v) for v in row) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_spectrum_csv(path, results) -> None:
+    """CSV columns hbar,index,eigenvalue with a pinned float format."""
+    write_csv(path, "hbar,index,eigenvalue",
+              ((spec.hbar, i, ev) for spec in results
+               for i, ev in enumerate(spec.eigenvalues)))
 
 
 def spectrum_to_dict(spec: SpectrumResult) -> dict:

@@ -10,7 +10,6 @@ solvers know to build an interpolation table first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -35,19 +34,6 @@ class PhaseSpaceFunction:
 
     def __call__(self, x, eta):
         return self.fn(np.asarray(x, dtype=float), np.asarray(eta, dtype=float))
-
-    def periodicity_defect(self, probes: int = 16, seed: int = 7) -> float:
-        """max |b(x + 2 pi e_i, eta) - b(x, eta)| over random probes."""
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(0.0, 2.0 * math.pi, size=(probes, self.dim))
-        eta = rng.uniform(-2.0, 2.0, size=(probes, self.dim))
-        base = self(x, eta)
-        worst = 0.0
-        for i in range(self.dim):
-            shifted = x.copy()
-            shifted[:, i] += 2.0 * math.pi
-            worst = max(worst, float(np.max(np.abs(self(shifted, eta) - base))))
-        return worst
 
 
 def _batch(x, eta, dim):
@@ -122,27 +108,6 @@ def potential_symbol(pot: FourierPotential) -> PhaseSpaceFunction:
                               x_fourier=xf, grad_x=gx, grad_eta=ge)
 
 
-def constant_symbol(value: float, dim: int = 1) -> PhaseSpaceFunction:
-    value = float(value)
-
-    def fn(x, eta):
-        x, _ = _batch(x, eta, dim)
-        return np.full(x.shape[0], value)
-
-    def xf(q, eta):
-        eta = np.asarray(eta, dtype=float)
-        m = eta.shape[0] if eta.ndim > 0 else 1
-        c = value if all(v == 0 for v in q) else 0.0
-        return np.full(m, c, dtype=complex)
-
-    def gzero(x, eta):
-        x, eta = _batch(x, eta, dim)
-        return np.zeros_like(x)
-
-    return PhaseSpaceFunction(dim=dim, fn=fn, x_bandwidth=0, x_fourier=xf,
-                              grad_x=gzero, grad_eta=gzero)
-
-
 def product_symbol(pot: FourierPotential, eta_fn: Callable,
                    eta_grad: Optional[Callable] = None) -> PhaseSpaceFunction:
     """b(x, eta) = W(x) * g(|eta| profile), W a trig polynomial, g scalar.
@@ -187,26 +152,6 @@ def product_symbol(pot: FourierPotential, eta_fn: Callable,
                               x_fourier=xf, grad_x=gx, grad_eta=ge)
 
 
-def add_symbols(a: PhaseSpaceFunction, b: PhaseSpaceFunction) -> PhaseSpaceFunction:
-    if a.dim != b.dim:
-        raise ValueError("symbol dimensions differ")
-    bw = None
-    if a.x_bandwidth is not None and b.x_bandwidth is not None:
-        bw = max(a.x_bandwidth, b.x_bandwidth)
-    xf = None
-    if a.x_fourier is not None and b.x_fourier is not None:
-        def xf(q, eta):
-            return a.x_fourier(q, eta) + b.x_fourier(q, eta)
-    return PhaseSpaceFunction(
-        dim=a.dim,
-        fn=lambda x, eta: a.fn(x, eta) + b.fn(x, eta),
-        x_bandwidth=bw,
-        x_fourier=xf,
-        is_real=a.is_real and b.is_real,
-        expensive=a.expensive or b.expensive,
-    )
-
-
 def bump_profile(plateau: float, support: float) -> Callable:
     """Smooth radial cutoff in eta: 1 for |eta| <= plateau, 0 beyond support.
 
@@ -234,69 +179,3 @@ def bump_profile(plateau: float, support: float) -> Callable:
         return smooth_step((r - r0) / (r1 - r0))
 
     return profile
-
-
-def symbol_from_terms(data: dict, dim: Optional[int] = None) -> PhaseSpaceFunction:
-    """Build a symbol from the term-list form.
-
-    Each term is {"q": [...], "eta_powers": [...], "re": r, "im": s} meaning
-    (r + i s) exp(i q.x) prod_i eta_i^p_i.  Reality is not forced; the
-    is_real flag records whether the terms pair up Hermitianly.
-    """
-    terms = data.get("terms")
-    if terms is None:
-        raise ValueError("symbol specification must carry 'terms'")
-    parsed = []
-    for t in terms:
-        q = tuple(int(v) for v in t["q"])
-        powers = tuple(int(v) for v in t["eta_powers"])
-        if dim is None:
-            dim = len(q)
-        if len(q) != dim or len(powers) != dim:
-            raise ValueError("inconsistent dimensions in symbol terms")
-        if any(p < 0 for p in powers):
-            raise ValueError("eta powers must be non-negative")
-        parsed.append((q, powers, complex(float(t["re"]), float(t.get("im", 0.0)))))
-    if dim is None:
-        raise ValueError("cannot infer dimension from an empty term list")
-
-    table = {}
-    for q, powers, c in parsed:
-        table.setdefault(q, []).append((powers, c))
-
-    hermitian = True
-    for q, plist in table.items():
-        mirror = {p: c for p, c in table.get(tuple(-v for v in q), [])}
-        for powers, c in plist:
-            if abs(mirror.get(powers, 0.0j) - c.conjugate()) > 1e-12 * max(1.0, abs(c)):
-                hermitian = False
-
-    bandwidth = max((max(abs(v) for v in q) for q, _, _ in parsed), default=0)
-
-    def eta_poly(powers, eta):
-        out = np.ones(eta.shape[0])
-        for i, p in enumerate(powers):
-            if p:
-                out = out * eta[:, i] ** p
-        return out
-
-    def fn(x, eta):
-        x, eta = _batch(x, eta, dim)
-        acc = np.zeros(x.shape[0], dtype=complex)
-        for q, powers, c in parsed:
-            acc += c * np.exp(1j * (x @ np.asarray(q, dtype=float))) * eta_poly(powers, eta)
-        if hermitian:
-            return acc.real
-        return acc
-
-    def xf(q, eta):
-        eta = np.asarray(eta, dtype=float)
-        if eta.ndim == 1 and dim == 1:
-            eta = eta[:, None]
-        acc = np.zeros(eta.shape[0], dtype=complex)
-        for powers, c in table.get(tuple(q), []):
-            acc += c * eta_poly(powers, eta)
-        return acc
-
-    return PhaseSpaceFunction(dim=dim, fn=fn, x_bandwidth=bandwidth,
-                              x_fourier=xf, is_real=hermitian)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._linalg import operator_norm
 from .potentials import TWO_PI, FourierPotential, potential_extrema
-from .spectra import PlaneWaveBasis
+from .spectra import PlaneWaveBasis, PlaneWaveMatrix
 from .symbols import PhaseSpaceFunction
 
 __all__ = [
@@ -28,14 +28,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeylMatrix:
-    hbar: float
-    basis: PlaneWaveBasis
-    matrix: np.ndarray
-
-    def hermitian_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+class WeylMatrix(PlaneWaveMatrix):
+    """Weyl quantization of a symbol on a plane-wave basis."""
 
 
 def weyl_matrix(b: PhaseSpaceFunction, hbar: float, K: int,
@@ -53,30 +47,17 @@ def weyl_matrix(b: PhaseSpaceFunction, hbar: float, K: int,
     if b.x_bandwidth is not None and K < b.x_bandwidth:
         raise ValueError(f"cutoff K={K} below symbol bandwidth {b.x_bandwidth}")
     basis = PlaneWaveBasis(b.dim, K)
-    freqs = basis.frequencies()
-    size = basis.size
     n = b.dim
-    mat = np.zeros((size, size), dtype=complex)
 
     if b.x_fourier is not None:
         bw = b.x_bandwidth if b.x_bandwidth is not None else 2 * K
         bw = min(bw, 2 * K)
-        index = basis.index()
-        for q in itertools.product(range(-bw, bw + 1), repeat=n):
-            qa = np.array(q, dtype=int)
-            m_idx = []
-            j_idx = []
-            for m, km in enumerate(freqs):
-                j = index.get(tuple(km + qa))
-                if j is not None:
-                    m_idx.append(m)
-                    j_idx.append(j)
-            if not m_idx:
-                continue
-            m_idx = np.array(m_idx)
-            j_idx = np.array(j_idx)
-            eta = hbar * (freqs[m_idx].astype(float) + 0.5 * qa[None, :])
-            mat[j_idx, m_idx] = b.x_fourier(q, eta)
+
+        def entry(q, k):
+            eta = hbar * (k.astype(float) + 0.5 * np.array(q, dtype=int)[None, :])
+            return b.x_fourier(q, eta)
+
+        mat = basis.band_matrix(itertools.product(range(-bw, bw + 1), repeat=n), entry)
         return WeylMatrix(hbar=hbar, basis=basis, matrix=mat)
 
     # numeric path: FFT in x at every needed lattice momentum
@@ -96,11 +77,8 @@ def weyl_matrix(b: PhaseSpaceFunction, hbar: float, K: int,
     spec = np.fft.fftn(vals.reshape((S,) + (G,) * n), axes=tuple(range(1, n + 1))) / (G ** n)
     spec = spec.reshape(S, -1)
 
-    sum_base = 4 * K + 1
-    sum_code = sums + 2 * K
-    s_index = {tuple(s): i for i, s in enumerate(sums)}
-    del sum_code, sum_base
-
+    freqs = basis.frequencies()
+    size = basis.size
     jj = freqs[:, None, :] + freqs[None, :, :]
     qq = freqs[:, None, :] - freqs[None, :, :]
     s_flat = np.zeros((size, size), dtype=int)
@@ -287,8 +265,7 @@ def projector_check(phi: np.ndarray, psi: np.ndarray, basis: PlaneWaveBasis,
     # keep the block between the original modes; entries only depend on the
     # mode pair, not on the box
     big = weyl_matrix(sym, hbar, 2 * basis.cutoff)
-    big_index = big.basis.index()
-    keep = np.array([big_index[tuple(k)] for k in basis.frequencies()])
+    keep = big.basis.rows(basis.frequencies())
     lhs = big.matrix[np.ix_(keep, keep)] @ psi
     rhs = np.vdot(phi, psi) * phi
     return float(np.linalg.norm(lhs - rhs))

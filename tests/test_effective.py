@@ -170,6 +170,17 @@ def test_invariance_under_momentum_shear():
     assert rep.base_values[0] == pytest.approx(HBAR_COS[2.0], abs=1e-4)
 
 
+def test_cell_table_mirrors_only_under_p_to_minus_p():
+    # cos(x1 + x2) is even under P -> -P but not under P2 -> -P2 alone:
+    # Hbar(1, -1) = 2 exactly, while Hbar(1, 1) sits on the plateau
+    pot = cosine((1, 1))
+    H = mechanical_symbol(pot)
+    table = cell_table(pot, 1.0, 1.0, 48)
+    direct = cell_problem_solve(H, (1, -1), 48).value
+    assert table.values[2, 0] == direct
+    assert table.values[0, 2] == table.values[2, 0]
+
+
 def test_cell_2d_separable_potential():
     pot = cosine((1, 0)) + cosine((0, 1))
     sol = cell_problem_solve(mechanical_symbol(pot), (1.5, 1.5), 48)

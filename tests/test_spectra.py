@@ -47,6 +47,21 @@ def test_matrix_is_hermitian_and_banded():
                 assert m[j, k] == 0
 
 
+@pytest.mark.parametrize("hbar", [0.1, 0.3])
+def test_assembly_matches_matrix_element_rule(hbar):
+    # entry(k, mu) = (hbar^2/2)|mu|^2 delta_{k,mu} + c_{k-mu}, entry by entry
+    pot = (cosine((1, 1)) + cosine((2, -1)).translate((0.0, 0.7)) * 0.5
+           + FourierPotential(2, {(0, 0): 0.2, (1, 0): 0.1 - 0.2j, (-1, 0): 0.1 + 0.2j}))
+    mat = assemble_hamiltonian(pot, hbar, 4)
+    freqs = mat.basis.frequencies()
+    for j, k in enumerate(freqs):
+        for m, mu in enumerate(freqs):
+            expect = pot.coefficient(tuple(k - mu))
+            if j == m:
+                expect = 0.5 * hbar * hbar * float(np.sum(mu.astype(float) ** 2)) + expect
+            assert mat.matrix[j, m] == expect
+
+
 def test_spectrum_against_mathieu_characteristic_values():
     """Independent check: with V = cos x the 2 pi periodic eigenvalues are
     (hbar^2/8) times the even-order Mathieu characteristic values at

@@ -15,21 +15,28 @@ from torusspec.weylquant import (cv_bound, cv_derivative_order, operator_norm,
                                  x_derivative_sup_norms)
 
 
+# off-axis and sine terms, complex coefficients: exercises the 2D row strides
+POT_2D = (cosine((1, 1)) + cosine((1, -2)).translate((0.3, 0.0)) * 0.4
+          + FourierPotential(2, {(0, 1): 0.3j, (0, -1): -0.3j}))
+
+
 def test_mechanical_symbol_quantizes_to_schrodinger_matrix():
-    pot = cosine((1,)) + cosine((2,)) * 0.3
-    a = weyl_matrix(mechanical_symbol(pot), 0.5, 8).matrix
-    b = assemble_hamiltonian(pot, 0.5, 8).matrix
-    assert np.max(np.abs(a - b)) == 0.0
+    # bit for bit at dyadic hbar: 0.5 (hbar k)^2 and 0.5 hbar^2 k^2 agree
+    for pot, K in ((cosine((1,)) + cosine((2,)) * 0.3, 8), (POT_2D, 5)):
+        a = weyl_matrix(mechanical_symbol(pot), 0.5, K).matrix
+        b = assemble_hamiltonian(pot, 0.5, K).matrix
+        assert np.max(np.abs(a - b)) == 0.0
 
 
 def test_numeric_fft_path_matches_closed_form():
     prof = lambda eta: np.exp(-0.5 * np.sum(eta ** 2, axis=-1))
-    closed = product_symbol(cosine((1,)), prof)
-    # same evaluator with the Fourier data stripped forces the FFT path
-    numeric = PhaseSpaceFunction(dim=1, fn=closed.fn)
-    a = weyl_matrix(closed, 0.5, 6).matrix
-    b = weyl_matrix(numeric, 0.5, 6).matrix
-    assert np.max(np.abs(a - b)) < 1e-12
+    for pot, K in ((cosine((1,)), 6), (POT_2D, 4)):
+        closed = product_symbol(pot, prof)
+        # same evaluator with the Fourier data stripped forces the FFT path
+        numeric = PhaseSpaceFunction(dim=pot.dim, fn=closed.fn)
+        a = weyl_matrix(closed, 0.5, K).matrix
+        b = weyl_matrix(numeric, 0.5, K).matrix
+        assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_midpoint_rule_entries_first_principles():
@@ -158,3 +165,5 @@ def test_weyl_matrix_validation():
 
 def test_operator_norm_on_known_matrix():
     assert operator_norm(np.diag([1.0, -3.0, 2.0])) == pytest.approx(3.0, abs=1e-9)
+    # nearly degenerate top pair: a power iteration stops short, below 1
+    assert operator_norm(np.diag([1.0, 1.0 - 1e-6, 0.5, 0.25])) == pytest.approx(1.0, rel=1e-12)
