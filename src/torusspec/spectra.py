@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -55,6 +56,15 @@ class PlaneWaveBasis:
         strides = (2 * self.cutoff + 1) ** np.arange(self.dim - 1, -1, -1)
         return (np.asarray(ks, dtype=int) + self.cutoff) @ strides
 
+    def require_dense(self) -> None:
+        """Refuse a dense size x size complex matrix larger than physical memory."""
+        nbytes = 16 * self.size ** 2
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if nbytes > physical:
+            raise ValueError(
+                f"dense matrix of size N={self.size} needs {nbytes} bytes, "
+                f"more than the {physical} bytes of physical memory")
+
     def band_matrix(self, shifts, entry) -> np.ndarray:
         """Dense matrix with entry(q, k) at rows row(k + q) and columns row(k).
 
@@ -62,6 +72,7 @@ class PlaneWaveBasis:
         whose k + q stays in the box; entry returns one value per k (or a
         scalar).  Entries on no shift's band are zero.
         """
+        self.require_dense()
         freqs = self.frequencies()
         mat = np.zeros((self.size, self.size), dtype=complex)
         for q in shifts:

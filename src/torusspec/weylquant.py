@@ -28,8 +28,37 @@ __all__ = [
 ]
 
 
+# Points per symbol call when a symbol is evaluated over many momentum rows.
+# A flowed symbol keeps about twenty RK4 temporaries of the batch size alive,
+# so one call for all rows would grow memory with the whole lattice.  On a
+# 2-core Xeon (one BLAS thread) a 2D flow cost 5% more per point in batches
+# of 2^13 points and 15% more in batches of 2^16 than in batches of 2^12.  A
+# 1D row of about 100 points is dominated by per-call overhead instead,
+# which 40 rows per call remove.
+_CHUNK_POINTS = 2 ** 12
+
+
 class WeylMatrix(PlaneWaveMatrix):
     """Weyl quantization of a symbol on a plane-wave basis."""
+
+
+def _symbol_rows(b: PhaseSpaceFunction, xg: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """b(x, eta) for every momentum row eta in etas and every point x in xg.
+
+    Returns an (S, P) array, S rows and P points, real unless b returns
+    complex values (numpy sums real and complex rows in different orders).
+    Whole rows go to b.fn together, at most _CHUNK_POINTS points per call.
+    """
+    S, P = etas.shape[0], xg.shape[0]
+    step = max(1, _CHUNK_POINTS // P)
+    vals = np.empty((S, P))
+    for lo in range(0, S, step):
+        hi = min(lo + step, S)
+        chunk = np.asarray(b.fn(np.tile(xg, (hi - lo, 1)), np.repeat(etas[lo:hi], P, axis=0)))
+        if np.iscomplexobj(chunk) and not np.iscomplexobj(vals):
+            vals = vals.astype(complex)
+        vals[lo:hi] = chunk.reshape(hi - lo, P)
+    return vals
 
 
 def weyl_matrix(b: PhaseSpaceFunction, hbar: float, K: int,
@@ -38,7 +67,10 @@ def weyl_matrix(b: PhaseSpaceFunction, hbar: float, K: int,
 
     Band-limited symbols with a closed-form x-Fourier transform are filled
     exactly; otherwise the transform is taken by FFT on a periodic grid
-    (spectrally accurate for smooth symbols).
+    (spectrally accurate for smooth symbols).  That numeric path evaluates
+    the symbol on the grid at every lattice momentum (hbar/2) s, |s|_inf <=
+    2K, in chunks of whole momentum rows, so a flowed symbol runs a few
+    large flows instead of one small flow per row.
     """
     hbar = float(hbar)
     if not (0.0 < hbar <= 1.0):
@@ -61,19 +93,16 @@ def weyl_matrix(b: PhaseSpaceFunction, hbar: float, K: int,
         return WeylMatrix(hbar=hbar, basis=basis, matrix=mat)
 
     # numeric path: FFT in x at every needed lattice momentum
+    basis.require_dense()
     bw_hint = b.x_bandwidth or 0
     G = int(quad_points or max(4 * K + 4, 4 * bw_hint + 4, 64))
     if G < 4 * K + 1:
         raise ValueError("quadrature grid too coarse to separate frequencies")
     axis = np.arange(G) * (TWO_PI / G)
     xg = np.stack([g.reshape(-1) for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=-1)
-    sums = np.array(list(itertools.product(range(-2 * K, 2 * K + 1), repeat=n)), dtype=int)
+    sums = PlaneWaveBasis(n, 2 * K).frequencies()
     S = sums.shape[0]
-    P = xg.shape[0]
-    vals = np.empty((S, P), dtype=complex)
-    for si, s in enumerate(sums):
-        eta = np.repeat((0.5 * hbar * s.astype(float))[None, :], P, axis=0)
-        vals[si] = b.fn(xg, eta)
+    vals = _symbol_rows(b, xg, 0.5 * hbar * sums.astype(float))
     spec = np.fft.fftn(vals.reshape((S,) + (G,) * n), axes=tuple(range(1, n + 1))) / (G ** n)
     spec = spec.reshape(S, -1)
 
@@ -128,7 +157,10 @@ def wigner_transform(psi: np.ndarray, basis: PlaneWaveBasis, hbar: float,
     """Wigner transform of a plane-wave state, exact in Fourier space.
 
     With psi = sum_k c_k e_k the transform at kappa = k + l is
-    (2 pi)^(-n) sum_{k+l=kappa} c_k conj(c_l) exp(i (k-l).x).
+    (2 pi)^(-n) sum_{k+l=kappa} c_k conj(c_l) exp(i (k-l).x).  Each pair
+    (k, l) lands on its own row kappa and x-frequency k - l, and one inverse
+    FFT per row sums them on the grid; |k - l|_inf <= 2K < res/2 keeps the
+    frequencies apart.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (basis.size,):
@@ -143,37 +175,26 @@ def wigner_transform(psi: np.ndarray, basis: PlaneWaveBasis, hbar: float,
     if res < 4 * K + 2:
         raise ValueError("resolution too coarse for the 2K spatial band")
     freqs = basis.frequencies()
-    index = basis.index()
-    axis = np.arange(res) * (TWO_PI / res)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    lattice = PlaneWaveBasis(n, 2 * K)
+    kappas = lattice.frequencies()
 
-    kappas = np.array(list(itertools.product(range(-2 * K, 2 * K + 1), repeat=n)), dtype=int)
-    values = np.zeros((kappas.shape[0], pts.shape[0]), dtype=complex)
-    pref = (TWO_PI) ** (-n)
-    for ki, kap in enumerate(kappas):
-        for mk, k in enumerate(freqs):
-            l = tuple(kap - k)
-            ml = index.get(l)
-            if ml is None:
-                continue
-            c = psi[mk] * np.conj(psi[ml])
-            if c == 0:
-                continue
-            d = k - np.asarray(l)
-            values[ki] += c * np.exp(1j * (pts @ d.astype(float)))
-    values *= pref
+    k, l = freqs[:, None, :], freqs[None, :, :]
+    spec = np.zeros((kappas.shape[0],) + (res,) * n, dtype=complex)
+    spec[(lattice.rows(k + l),) + tuple(np.moveaxis(np.mod(k - l, res), -1, 0))] = \
+        np.outer(psi, np.conj(psi))
+    values = np.fft.ifftn(spec, axes=tuple(range(1, n + 1)), norm="forward")
+    values *= TWO_PI ** (-n)
     if values.size and np.max(np.abs(values.imag)) > 1e-10:
         raise ArithmeticError("Wigner values failed to be real")
-    shaped = values.real.reshape((kappas.shape[0],) + (res,) * n)
-    return WignerTable(hbar=hbar, cutoff=K, res=res, kappas=kappas, values=shaped)
+    return WignerTable(hbar=hbar, cutoff=K, res=res, kappas=kappas, values=values.real)
 
 
 def wigner_pairing(b: PhaseSpaceFunction, table: WignerTable) -> float:
     """sum_eta integral b(x, eta) W(x, eta) dx by trapezoid in x.
 
     Equals the quadratic form <Op(b) psi, psi> when the grids resolve the
-    combined spatial band.
+    combined spatial band.  Only momentum rows where W is not identically
+    zero are evaluated.
     """
     if b.dim != table.dim:
         raise ValueError("symbol and table dimensions differ")
@@ -182,14 +203,12 @@ def wigner_pairing(b: PhaseSpaceFunction, table: WignerTable) -> float:
     grids = np.meshgrid(*([axis] * n), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
     cell = (TWO_PI / table.res) ** n
+    w = table.values.reshape(table.kappas.shape[0], -1)
+    live = np.flatnonzero(np.any(w, axis=1))
+    vals = _symbol_rows(b, pts, table.momenta()[live])
     total = 0.0 + 0.0j
-    momenta = table.momenta()
-    for ki in range(table.kappas.shape[0]):
-        w = table.values[ki].reshape(-1)
-        if not np.any(w):
-            continue
-        eta = np.repeat(momenta[ki][None, :], pts.shape[0], axis=0)
-        total += np.sum(np.asarray(b.fn(pts, eta)) * w) * cell
+    for row, wr in zip(vals, w[live]):
+        total += np.sum(row * wr) * cell
     if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
         raise ArithmeticError("pairing failed to be real")
     return float(total.real)
@@ -204,7 +223,7 @@ def symbol_from_wigner(table: WignerTable, scale: float = 1.0) -> PhaseSpaceFunc
     spec = np.fft.fftn(table.values.astype(complex),
                        axes=tuple(range(1, n + 1))) / (res ** n)
     spec = spec.reshape(table.kappas.shape[0], -1) * float(scale)
-    kap_index = {tuple(k): i for i, k in enumerate(table.kappas)}
+    lattice = PlaneWaveBasis(n, 2 * K)
 
     def lattice_rows(eta):
         eta = np.asarray(eta, dtype=float)
@@ -214,8 +233,7 @@ def symbol_from_wigner(table: WignerTable, scale: float = 1.0) -> PhaseSpaceFunc
         kr = np.rint(kf).astype(int)
         on = np.all(np.abs(kf - kr) <= 1e-8, axis=1) & np.all(np.abs(kr) <= 2 * K, axis=1)
         rows = np.full(eta.shape[0], -1, dtype=int)
-        for i in np.nonzero(on)[0]:
-            rows[i] = kap_index[tuple(kr[i])]
+        rows[on] = lattice.rows(kr[on])
         return rows
 
     def xf(q, eta):

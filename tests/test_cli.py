@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,20 @@ def test_missing_input_exits_2(pots, tmp_path):
     assert rc == 2
     err = json.loads((out / "error.json").read_text())
     assert set(err) == {"error", "message"}
+
+
+def test_oversized_dense_matrix_exits_2(tmp_path):
+    # the auto cutoff at hbar 0.01 is K = 347: N = 695^2, a 3.7 TB matrix
+    pot = tmp_path / "cos2d.json"
+    save_potential(cosine((1, 1)), pot)
+    out = tmp_path / "run"
+    t0 = time.monotonic()
+    rc = main(["spectrum", "--potential", str(pot), "--hbar", "0.01", "--out", str(out)])
+    assert rc == 2
+    assert time.monotonic() - t0 < 10.0
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError"
+    assert "N=483025" in err["message"] and "3733010410000 bytes" in err["message"]
 
 
 def test_unknown_flag_exits_2(pots, tmp_path):

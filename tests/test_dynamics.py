@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from torusspec.dynamics import (FlowEscapeError, PhasePoint, SymplecticMap,
-                                compose_hamiltonian, energy_drift, flow,
+                                _flow_batch, compose_hamiltonian, energy_drift, flow,
                                 map_diagnostics, symplectic_defect, time_one_map,
                                 trajectory)
 from torusspec.potentials import FourierPotential, TWO_PI, cosine
@@ -100,6 +100,28 @@ def test_composed_hamiltonian_matches_shear_closed_form():
 
 def test_symplectic_defect_of_shear():
     assert symplectic_defect(_shear_map(), probes=8, p_box=2.0) < 1e-8
+
+
+def test_symplectic_defect_matches_per_probe_loop():
+    # 2D, non-separable generator; each probe's 4x4 Jacobian from its own flows
+    phi = time_one_map(product_symbol(cosine((1, 2)) * 0.2, bump_profile(3.0, 6.0)), 1e-2)
+    probes, fd = 2, 1e-5
+    rng = np.random.default_rng(42)
+    x0 = rng.uniform(0.0, TWO_PI, size=(probes, 2))
+    p0 = rng.uniform(-3.0, 3.0, size=(probes, 2))
+    worst = 0.0
+    for z in np.concatenate([x0, p0], axis=1):
+        jac = np.empty((4, 4))
+        for c in range(4):
+            e = np.zeros(4)
+            e[c] = fd
+            plus = np.concatenate(_flow_batch(phi.generator, (z + e)[None, :2], (z + e)[None, 2:],
+                                              phi.time, phi.h), axis=1)[0]
+            minus = np.concatenate(_flow_batch(phi.generator, (z - e)[None, :2], (z - e)[None, 2:],
+                                               phi.time, phi.h), axis=1)[0]
+            jac[:, c] = (plus - minus) / (2 * fd)
+        worst = max(worst, abs(float(np.linalg.det(jac)) - 1.0))
+    assert symplectic_defect(phi, probes=probes) == worst
 
 
 def test_flow_escape_detected():

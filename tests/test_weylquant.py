@@ -1,5 +1,6 @@
 """Midpoint quantization, Wigner duality, and the uniform norm bound."""
 
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +38,62 @@ def test_numeric_fft_path_matches_closed_form():
         a = weyl_matrix(closed, 0.5, K).matrix
         b = weyl_matrix(numeric, 0.5, K).matrix
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+def _weyl_matrix_per_row(b, hbar, K):
+    """The numeric path with one symbol call per lattice momentum row."""
+    n = b.dim
+    G = max(4 * K + 4, 4 * (b.x_bandwidth or 0) + 4, 64)
+    axis = np.arange(G) * (TWO_PI / G)
+    xg = np.stack([g.reshape(-1) for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=-1)
+    sums = np.array(list(itertools.product(range(-2 * K, 2 * K + 1), repeat=n)), dtype=int)
+    S, P = sums.shape[0], xg.shape[0]
+    vals = np.empty((S, P), dtype=complex)
+    for si, s in enumerate(sums):
+        eta = np.repeat((0.5 * hbar * s.astype(float))[None, :], P, axis=0)
+        vals[si] = b.fn(xg, eta)
+    spec = np.fft.fftn(vals.reshape((S,) + (G,) * n), axes=tuple(range(1, n + 1))) / (G ** n)
+    spec = spec.reshape(S, -1)
+    freqs = PlaneWaveBasis(n, K).frequencies()
+    jj = freqs[:, None, :] + freqs[None, :, :]
+    qq = freqs[:, None, :] - freqs[None, :, :]
+    s_flat = np.zeros(jj.shape[:2], dtype=int)
+    q_flat = np.zeros(jj.shape[:2], dtype=int)
+    for i in range(n):
+        s_flat = s_flat * (4 * K + 1) + (jj[:, :, i] + 2 * K)
+        q_flat = q_flat * G + np.mod(qq[:, :, i], G)
+    return spec[s_flat, q_flat]
+
+
+def _numeric_symbol(pot):
+    """A product symbol with its Fourier data stripped, and a call counter."""
+    fn = product_symbol(pot, lambda eta: np.exp(-0.5 * np.sum(eta ** 2, axis=-1))).fn
+    calls = []
+
+    def counted(x, eta):
+        calls.append(x.shape[0])
+        return fn(x, eta)
+
+    return PhaseSpaceFunction(dim=pot.dim, fn=counted), calls
+
+
+def test_numeric_path_matches_per_row_reference():
+    # 1D K = 24: 97 rows of 100 points in chunks of 40, 40 and 17 rows
+    for pot, K in ((cosine((1,)), 24), (POT_2D, 4)):
+        b, _ = _numeric_symbol(pot)
+        assert np.array_equal(weyl_matrix(b, 0.5, K).matrix, _weyl_matrix_per_row(b, 0.5, K))
+
+
+def test_numeric_path_calls_symbol_once_per_chunk_of_rows():
+    # at most 2^12 points per call, in whole rows: 3 calls for 97 rows of 100
+    # points, one call per row of 64^2 points in 2D
+    for pot, K, G, expect in ((cosine((1,)), 24, 100, 3), (cosine((1,)), 64, 260, 18),
+                              (POT_2D, 2, 64, 81)):
+        b, calls = _numeric_symbol(pot)
+        weyl_matrix(b, 0.5, K)
+        S, P = (4 * K + 1) ** pot.dim, G ** pot.dim
+        assert len(calls) == math.ceil(S / max(1, 2 ** 12 // P)) == expect
+        assert sum(calls) == S * P
 
 
 def test_midpoint_rule_entries_first_principles():
@@ -91,6 +148,56 @@ def test_wigner_validation():
         wigner_transform(psi, basis, 0.5, res=4 * 3)
 
 
+def _wigner_per_pair(psi, basis, res):
+    """Brute-force transform: one complex exponential per pair (k, l)."""
+    K, n = basis.cutoff, basis.dim
+    axis = np.arange(res) * (TWO_PI / res)
+    pts = np.stack([g.reshape(-1) for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=-1)
+    kappas = list(itertools.product(range(-2 * K, 2 * K + 1), repeat=n))
+    index = basis.index()
+    values = np.zeros((len(kappas), pts.shape[0]), dtype=complex)
+    for ki, kap in enumerate(kappas):
+        for k, mk in index.items():
+            ml = index.get(tuple(np.subtract(kap, k)))
+            if ml is not None:
+                d = 2 * np.asarray(k) - np.asarray(kap)
+                values[ki] += psi[mk] * np.conj(psi[ml]) * np.exp(1j * (pts @ d.astype(float)))
+    return values.reshape((len(kappas),) + (res,) * n) / TWO_PI ** n
+
+
+def _random_state(basis, rng):
+    psi = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    return psi / np.linalg.norm(psi)
+
+
+def test_wigner_transform_matches_brute_force():
+    rng = np.random.default_rng(17)
+    for basis, res in ((PlaneWaveBasis(1, 6), None), (PlaneWaveBasis(1, 3), 15),
+                       (PlaneWaveBasis(2, 3), None)):
+        psi = _random_state(basis, rng)
+        table = wigner_transform(psi, basis, 0.5, res=res)
+        ref = _wigner_per_pair(psi, basis, table.res)
+        assert np.max(np.abs(table.values - ref)) <= 1e-13
+        assert np.array_equal(table.kappas, PlaneWaveBasis(basis.dim, 2 * basis.cutoff).frequencies())
+
+
+def test_pairing_matches_per_row_reference():
+    rng = np.random.default_rng(29)
+    for basis, pot in ((PlaneWaveBasis(1, 6), cosine((1,))), (PlaneWaveBasis(2, 3), POT_2D)):
+        table = wigner_transform(_random_state(basis, rng), basis, 0.5)
+        axis = table.x_axis()
+        pts = np.stack([g.reshape(-1) for g in np.meshgrid(*([axis] * basis.dim),
+                                                           indexing="ij")], axis=-1)
+        cell = (TWO_PI / table.res) ** basis.dim
+        for b in (mechanical_symbol(pot), _numeric_symbol(pot)[0]):
+            total = 0.0 + 0.0j
+            for eta_row, w in zip(table.momenta(), table.values.reshape(len(table.kappas), -1)):
+                if np.any(w):
+                    eta = np.repeat(eta_row[None, :], pts.shape[0], axis=0)
+                    total += np.sum(np.asarray(b.fn(pts, eta)) * w) * cell
+            assert wigner_pairing(b, table) == total.real
+
+
 def test_pairing_equals_quadratic_form():
     basis = PlaneWaveBasis(1, 6)
     hbar = 0.5
@@ -115,6 +222,9 @@ def test_projector_identity():
             phi /= np.linalg.norm(phi)
             psi /= np.linalg.norm(psi)
             assert projector_check(phi, psi, basis, hbar) < 1e-9
+    basis = PlaneWaveBasis(2, 4)
+    phi, psi = _random_state(basis, rng), _random_state(basis, rng)
+    assert projector_check(phi, psi, basis, 0.5) <= 1e-9
 
 
 def test_symbol_from_wigner_lattice_support():
@@ -161,6 +271,13 @@ def test_weyl_matrix_validation():
         weyl_matrix(mechanical_symbol(cosine((1,))), 0.0, 8)
     with pytest.raises(ValueError):
         weyl_matrix(mechanical_symbol(cosine((3,))), 0.5, 2)
+
+    # a dense matrix beyond physical memory is refused before any symbol call
+    def never(x, eta):
+        raise AssertionError("symbol evaluated before the size check")
+
+    with pytest.raises(ValueError, match="N=641601"):
+        weyl_matrix(PhaseSpaceFunction(dim=2, fn=never), 0.5, 400)
 
 
 def test_operator_norm_on_known_matrix():
