@@ -48,12 +48,11 @@ class CellConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _level_points(pot: FourierPotential, level: float, res: int = 4096):
-    xs = np.arange(res) * (TWO_PI / res)
-    vals = pot.evaluate(xs) - level
-    pts = list(xs[np.nonzero(np.diff(np.sign(vals)) != 0)[0]])
-    rep = potential_extrema(pot, res=res)
-    pts.append(float(rep.argmax[0]))
+def _level_points(xs: np.ndarray, vals: np.ndarray, level: float, imax: int):
+    """Quadrature break points from one grid scan: the grid points where
+    V - level changes sign, and the argmax of V."""
+    pts = list(xs[np.nonzero(np.diff(np.sign(vals - level)) != 0)[0]])
+    pts.append(float(xs[imax]))
     return sorted(p for p in set(pts) if 1e-9 < p < TWO_PI - 1e-9)[:40]
 
 
@@ -66,8 +65,11 @@ def action_J(pot: FourierPotential, energy: float) -> float:
     """
     if pot.dim != 1:
         raise ValueError("action integral is one-dimensional")
-    rep = potential_extrema(pot, res=4096)
-    vmax = rep.max_value
+    # the grid of potential_extrema(pot, res=4096), scanned once
+    xs = np.arange(4096) * (TWO_PI / 4096)
+    vals = pot.evaluate(xs)
+    imax = int(np.argmax(vals))
+    vmax = float(vals[imax])
     energy = float(energy)
     if energy < vmax - 1e-12:
         raise ValueError(f"energy {energy} below max V = {vmax}")
@@ -77,7 +79,7 @@ def action_J(pot: FourierPotential, energy: float) -> float:
         v = pot.evaluate(np.atleast_1d(x))[0]
         return math.sqrt(max(2.0 * (energy - v), 0.0))
 
-    pts = _level_points(pot, energy)
+    pts = _level_points(xs, vals, energy, imax)
     val, _ = integrate.quad(integrand, 0.0, TWO_PI, limit=300,
                             epsabs=1e-12, epsrel=1e-12,
                             points=pts if pts else None)

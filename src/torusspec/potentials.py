@@ -5,13 +5,20 @@ vectors q, V(x) = sum_q c_q exp(i q.x), with the reality constraint
 c_{-q} = conj(c_q).  All transforms that preserve the spectrum of the
 associated Schrodinger operator (translations, reflection) act on the
 coefficients exactly, without touching any grid.
+
+Evaluation runs in real arithmetic on the half spectrum fixed at
+construction: one q of each +-q pair and the weight w_q = A_q + i B_q with
+A_q = Re(c_q + c_{-q}), B_q = Im(c_q - c_{-q}), so that
+V(x) = c_0 + sum_q A_q cos(q.x) - B_q sin(q.x).  Values, gradients and
+x-derivatives of any order are all sums of this form (`_trig_sum`): one
+matmul, one cos and one sin per block of points.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -24,10 +31,31 @@ MAX_FILE_FREQUENCY = 64
 _HERMITIAN_TOL = 1e-12
 _IMAG_TOL = 1e-12
 
+# Entries of the (points, frequencies) phase array per block of _trig_sum.
+# A 2D file potential may carry ~8000 half-spectrum frequencies, so one
+# block for a 256^2 grid would take three 4 GiB temporaries; flows and cell
+# grids of a few frequencies stay one block.
+_TRIG_BLOCK = 2 ** 20
+
 
 def wrap_angles(x):
     """Reduce torus coordinates modulo 2*pi into [0, 2*pi)."""
     return np.mod(np.asarray(x, dtype=float), TWO_PI)
+
+
+def _trig_sum(pts, freqs, w):
+    """Re sum_j w_j exp(i q_j.x) at each row x of pts, q_j = freqs[j].
+
+    That is sum_j Re(w_j) cos(q_j.x) - Im(w_j) sin(q_j.x): one matmul, one
+    cos and one sin per block of points.  Weights with a trailing axis give
+    one output column per weight column.
+    """
+    out = np.empty(pts.shape[:1] + w.shape[1:])
+    step = max(1, _TRIG_BLOCK // max(1, freqs.shape[0]))
+    for lo in range(0, pts.shape[0], step):
+        t = pts[lo:lo + step] @ freqs.T
+        out[lo:lo + step] = np.cos(t) @ w.real - np.sin(t) @ w.imag
+    return out
 
 
 def _as_freq(q, dim: int) -> tuple:
@@ -44,12 +72,23 @@ def _as_freq(q, dim: int) -> tuple:
 class FourierPotential:
     """V(x) = sum_q c_q exp(i q.x) with c_{-q} = conj(c_q).
 
-    The coefficient table is validated at construction; evaluation is real
-    by symmetry and the residual imaginary part (roundoff only) is dropped.
+    The coefficient table is validated at construction, and its half
+    spectrum fixed: half_freqs, shape (h, dim), the q of each +-q pair whose
+    first nonzero component is positive, sorted, and the complex
+    half_weights w_q of the module docstring.  Coefficients that pass the
+    Hermitian check without being exact conjugates leave an imaginary part,
+    which evaluate refuses past _IMAG_TOL.
     """
 
     dim: int
     coeffs: Mapping[tuple, complex]
+    half_freqs: np.ndarray = field(init=False, repr=False, compare=False)
+    half_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    # _trig_sum weights of V and of grad V; V's carry a second column, for
+    # Im V, only when some c_{-q} != conj(c_q)
+    _value_w: np.ndarray = field(init=False, repr=False, compare=False)
+    _grad_w: np.ndarray = field(init=False, repr=False, compare=False)
+    _c0: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.dim) < 1:
@@ -66,6 +105,23 @@ class FourierPotential:
             if abs(clean.get(mq, 0.0j) - c.conjugate()) > _HERMITIAN_TOL * max(1.0, abs(c)):
                 raise ValueError(f"coefficients violate Hermitian symmetry at q={q}")
         object.__setattr__(self, "coeffs", clean)
+
+        half = sorted({max(q, tuple(-v for v in q)) for q in clean if any(q)})
+        cp = np.array([clean.get(q, 0.0j) for q in half], dtype=complex)
+        cm = np.array([clean.get(tuple(-v for v in q), 0.0j) for q in half], dtype=complex)
+        freqs = np.array(half, dtype=float).reshape(-1, self.dim)
+        w = (cp + cm).real + 1j * (cp - cm).imag
+        wi = (cp + cm).imag - 1j * (cp - cm).real      # Im V - Im c_0 = Re sum wi e^{iq.x}
+        c0 = clean.get((0,) * self.dim, 0.0j)
+        if c0.imag == 0.0 and not np.any(wi):
+            value_w, c0 = w, c0.real
+        else:
+            value_w, c0 = np.stack([w, wi], axis=1), np.array([c0.real, c0.imag])
+        object.__setattr__(self, "half_freqs", freqs)
+        object.__setattr__(self, "half_weights", w)
+        object.__setattr__(self, "_value_w", value_w)
+        object.__setattr__(self, "_grad_w", 1j * w[:, None] * freqs)   # d/dx e^{iq.x} = iq e^{iq.x}
+        object.__setattr__(self, "_c0", c0)
 
     # -- basic queries ---------------------------------------------------
 
@@ -103,12 +159,12 @@ class FourierPotential:
     def evaluate(self, x):
         """V(x), vectorised; real output."""
         pts, shape = self._points(x)
-        acc = np.zeros(pts.shape[0], dtype=complex)
-        for q, c in self.items():
-            acc += c * np.exp(1j * (pts @ np.asarray(q, dtype=float)))
-        if acc.size and np.max(np.abs(acc.imag)) > _IMAG_TOL * max(1.0, np.max(np.abs(acc.real)) if acc.size else 1.0):
-            raise ArithmeticError("potential evaluation produced a non-real value")
-        out = acc.real.reshape(shape)
+        vals = self._c0 + _trig_sum(pts, self.half_freqs, self._value_w)
+        if vals.ndim == 2:
+            vals, imag = vals[:, 0], vals[:, 1]
+            if vals.size and np.max(np.abs(imag)) > _IMAG_TOL * max(1.0, np.max(np.abs(vals))):
+                raise ArithmeticError("potential evaluation produced a non-real value")
+        out = vals.reshape(shape)
         return out if out.shape else float(out)
 
     def __call__(self, x):
@@ -118,11 +174,7 @@ class FourierPotential:
         """grad V(x).  Batched input (m, dim) gives (m, dim); for dim 1 a bare
         array gives the elementwise derivative with the same shape."""
         pts, shape = self._points(x)
-        acc = np.zeros((pts.shape[0], self.dim), dtype=complex)
-        for q, c in self.items():
-            qa = np.asarray(q, dtype=float)
-            acc += (1j * c) * np.exp(1j * (pts @ qa))[:, None] * qa[None, :]
-        grad = acc.real
+        grad = _trig_sum(pts, self.half_freqs, self._grad_w)
         if self.dim == 1 and shape == np.asarray(x).shape:
             return grad[:, 0].reshape(shape)
         return grad.reshape(shape + (self.dim,))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import operator_norm
-from .potentials import TWO_PI, FourierPotential, potential_extrema
+from .potentials import TWO_PI, FourierPotential, _trig_sum
 from .spectra import PlaneWaveBasis, PlaneWaveMatrix
 from .symbols import PhaseSpaceFunction
 
@@ -31,10 +31,11 @@ __all__ = [
 # Points per symbol call when a symbol is evaluated over many momentum rows.
 # A flowed symbol keeps about twenty RK4 temporaries of the batch size alive,
 # so one call for all rows would grow memory with the whole lattice.  On a
-# 2-core Xeon (one BLAS thread) a 2D flow cost 5% more per point in batches
-# of 2^13 points and 15% more in batches of 2^16 than in batches of 2^12.  A
-# 1D row of about 100 points is dominated by per-call overhead instead,
-# which 40 rows per call remove.
+# 2-core Xeon (one BLAS thread, 10 interleaved repetitions) a 2D RK4 flow
+# cost 9% more per point in batches of 2^16 points than in batches of 2^12
+# (8 of 10 slower) and 2% less in batches of 2^13 (6 of 10 faster, within
+# the spread).  A 1D row of about 100 points is dominated by per-call
+# overhead instead, which 40 rows per call remove.
 _CHUNK_POINTS = 2 ** 12
 
 
@@ -323,31 +324,20 @@ def x_derivative_sup_norms(pot: FourierPotential, order: int, res: int = 2048,
     """Sup-norms of d^alpha_x [W(x) g(eta)] for |alpha| <= order.
 
     Valid for product symbols with sup|g| = eta_sup; derivatives act on the
-    trigonometric factor only, so they stay trig polynomials.
+    trigonometric factor only: on W's half spectrum, d^alpha W carries the
+    weights w_q i^|alpha| q^alpha (plus W's mean when alpha = 0).  All
+    orders are scanned on one grid by one trig sum.
     """
-    out = {}
-    for alpha in itertools.product(range(order + 1), repeat=pot.dim):
-        if sum(alpha) > order:
-            continue
-        # (i q)^alpha multiplies each coefficient
-        coeffs = {}
-        for q, c in pot.coeffs.items():
-            fac = 1.0 + 0.0j
-            for qi, ai in zip(q, alpha):
-                fac *= (1j * qi) ** ai
-            if fac != 0:
-                coeffs[q] = c * fac
-        if not coeffs:
-            out[alpha] = 0.0
-            continue
-        # derivative of a real V need not be Hermitian-symmetric-safe to
-        # build as a potential when odd; scan the trig sum directly
-        grid_res = res if pot.dim == 1 else min(res, 128)
-        axis = np.arange(grid_res) * (TWO_PI / grid_res)
-        grids = np.meshgrid(*([axis] * pot.dim), indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        acc = np.zeros(pts.shape[0], dtype=complex)
-        for q, c in sorted(coeffs.items()):
-            acc += c * np.exp(1j * (pts @ np.asarray(q, dtype=float)))
-        out[alpha] = float(np.max(np.abs(acc))) * float(eta_sup)
-    return out
+    alphas = [a for a in itertools.product(range(order + 1), repeat=pot.dim)
+              if sum(a) <= order]
+    grid_res = res if pot.dim == 1 else min(res, 128)
+    axis = np.arange(grid_res) * (TWO_PI / grid_res)
+    grids = np.meshgrid(*([axis] * pot.dim), indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    q = pot.half_freqs
+    w = pot.half_weights[:, None] * np.stack(
+        [(1, 1j, -1, -1j)[sum(a) % 4] * np.prod(q ** np.array(a), axis=1) for a in alphas], axis=1)
+    vals = _trig_sum(pts, q, w)
+    vals[:, 0] += pot.mean                     # alphas[0] is alpha = 0
+    return {a: float(np.max(np.abs(vals[:, j]))) * float(eta_sup)
+            for j, a in enumerate(alphas)}

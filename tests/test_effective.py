@@ -11,7 +11,8 @@ from torusspec.effective import (CellConvergenceError, CellParams, EffectiveTabl
                                  cell_table, closed_form_table, compute_certificates,
                                  effective_1d, effective_grid, infsup_upper,
                                  invariance_check, sublevel_set, write_effective_csv)
-from torusspec.potentials import FourierPotential, TWO_PI, cosine, zero_potential
+from torusspec.potentials import (FourierPotential, TWO_PI, cosine, potential_extrema,
+                                  zero_potential)
 from torusspec.symbols import (PhaseSpaceFunction, bump_profile, kinetic_symbol,
                                mechanical_symbol, product_symbol)
 
@@ -201,3 +202,21 @@ def test_effective_csv_golden_bytes(tmp_path):
         "1.000000000000e+00,5.000000000000e-01,closed-form,0.000000000000e+00\n"
     )
     assert out.read_text() == golden
+
+
+def test_action_J_scans_its_grid_once(monkeypatch):
+    calls = []
+    evaluate = FourierPotential.evaluate
+
+    def counting(self, x):
+        if np.size(x) == 4096:
+            calls.append(np.size(x))
+        return evaluate(self, x)
+
+    pot = COS + FourierPotential(1, {(2,): 0.1j, (-2,): -0.1j})
+    vmax = potential_extrema(pot, res=4096).max_value
+    monkeypatch.setattr(FourierPotential, "evaluate", counting)
+    for energy in (vmax, vmax + 0.7):
+        action_J(pot, energy)
+        assert len(calls) == 1
+        calls.clear()

@@ -284,3 +284,48 @@ def test_operator_norm_on_known_matrix():
     assert operator_norm(np.diag([1.0, -3.0, 2.0])) == pytest.approx(3.0, abs=1e-9)
     # nearly degenerate top pair: a power iteration stops short, below 1
     assert operator_norm(np.diag([1.0, 1.0 - 1e-6, 0.5, 0.25])) == pytest.approx(1.0, rel=1e-12)
+
+
+def _derivative_norms_loop(pot, order, res=2048):
+    """Reference: one complex exponential per coefficient and multi-index."""
+    grid_res = res if pot.dim == 1 else min(res, 128)
+    axis = np.arange(grid_res) * (TWO_PI / grid_res)
+    grids = np.meshgrid(*([axis] * pot.dim), indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    out = {}
+    for alpha in itertools.product(range(order + 1), repeat=pot.dim):
+        if sum(alpha) > order:
+            continue
+        acc = np.zeros(pts.shape[0], dtype=complex)
+        for q, c in sorted(pot.coeffs.items()):
+            fac = 1.0 + 0.0j
+            for qi, ai in zip(q, alpha):
+                fac *= (1j * qi) ** ai
+            acc += c * fac * np.exp(1j * (pts @ np.asarray(q, dtype=float)))
+        out[alpha] = float(np.max(np.abs(acc)))
+    return out
+
+
+def test_x_derivative_sup_norms_match_exp_loop():
+    rng = np.random.default_rng(29)
+    pot1 = {(0,): 0.4}
+    pot2 = {(0, 0): -0.2}
+    for q in ((1,), (2,), (5,)):
+        c = complex(*rng.uniform(-1, 1, size=2))
+        pot1[q], pot1[(-q[0],)] = c, c.conjugate()
+    for q in ((1, 0), (0, 2), (1, 1), (2, -1)):
+        c = complex(*rng.uniform(-1, 1, size=2))
+        pot2[q], pot2[(-q[0], -q[1])] = c, c.conjugate()
+    # c_{-16} = conj(c_16) + 9e-13 i passes the Hermitian check, but the
+    # order-4 coefficients (iq)^4 c_q would not: the scan must not build them
+    asym = {(16,): 1e-3, (-16,): 1e-3 + 9e-13j}
+    with pytest.raises(ValueError):
+        FourierPotential(1, {q: c * q[0] ** 4 for q, c in asym.items()})
+    for dim, coeffs in ((1, pot1), (2, pot2), (1, asym)):
+        pot = FourierPotential(dim, coeffs)
+        for order in range(5):
+            got = x_derivative_sup_norms(pot, order)
+            ref = _derivative_norms_loop(pot, order)
+            assert list(got) == list(ref)
+            for alpha, val in ref.items():
+                assert got[alpha] == pytest.approx(val, rel=1e-12)
