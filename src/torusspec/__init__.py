@@ -17,7 +17,7 @@ from .spectra import (HamiltonianMatrix, PlaneWaveBasis, SpectrumResult,
                       cutoff_certificate, eigen_spectrum, eigen_system,
                       truncation_tail_bound, weyl_count_report, weyl_volume)
 from .symbols import (PhaseSpaceFunction, bump_profile, kinetic_symbol,
-                      mechanical_symbol, potential_symbol, product_symbol)
+                      mechanical_symbol, product_symbol)
 from .weylquant import (WeylMatrix, cv_bound, projector_check, weyl_matrix,
                         wigner_pairing, wigner_transform)
 from .dynamics import (PhasePoint, SymplecticMap, energy_drift, flow,

@@ -65,7 +65,7 @@ def _resolve_cutoff(spec_text, pot, hbar, energy):
     return int(spec_text)
 
 
-def _write_manifest(outdir: Path, argv, inputs, outputs, seed, t0) -> None:
+def _write_manifest(outdir: Path, argv, inputs, outputs, seed, t0, extra) -> None:
     manifest = {
         "command": list(argv),
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
@@ -78,6 +78,7 @@ def _write_manifest(outdir: Path, argv, inputs, outputs, seed, t0) -> None:
         },
         "seed": seed,
         "wall_time_s": round(time.monotonic() - t0, 3),
+        **extra,
     }
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -134,15 +135,20 @@ def _cmd_cell_solve(args, outdir: Path):
     if not args.p:
         raise ValueError("give at least one --p point")
     rows = []
+    diagnostics = []
     for ptxt in args.p:
         P = _float_list(ptxt)
         if len(P) != pot.dim:
             raise ValueError(f"P {ptxt!r} does not match dimension {pot.dim}")
         sol = cell_problem_solve(H, P, args.grid or 256)
         rows.append((P, sol.value, sol.corrector.residual))
+        diagnostics.append({"P": P, "iterations": sol.iterations,
+                            "factorizations": sol.factorizations,
+                            "alphas": list(sol.alphas),
+                            "discount_values": list(sol.discount_values)})
     out = outdir / "cell.csv"
     write_hbar_csv(out, pot.dim, "cell-problem", rows)
-    return [out]
+    return [out], {"diagnostics": diagnostics}
 
 
 def _cmd_egorov(args, outdir: Path):
@@ -195,7 +201,7 @@ def _cmd_isospectral(args, outdir: Path):
                             grid=args.grid or 64)
     out = outdir / "theorem2.json"
     write_report_json(out, report.to_dict())
-    return [out], inputs
+    return [out], {"inputs": inputs}
 
 
 def _cmd_bs(args, outdir: Path):
@@ -323,12 +329,12 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     try:
+        # a subcommand returns its outputs, optionally with extra manifest
+        # fields; "inputs" overrides the default --potential input
         produced = _DISPATCH[args.command](args, outdir)
-        if isinstance(produced, tuple):
-            produced, inputs = produced
-        else:
-            inputs = [args.potential] if getattr(args, "potential", None) else []
-        _write_manifest(outdir, argv, inputs, produced, args.seed, t0)
+        produced, extra = produced if isinstance(produced, tuple) else (produced, {})
+        inputs = extra.pop("inputs", [args.potential] if getattr(args, "potential", None) else [])
+        _write_manifest(outdir, argv, inputs, produced, args.seed, t0, extra)
         return 0
     except (CellConvergenceError, ArithmeticError, np.linalg.LinAlgError) as exc:
         _write_error(outdir, exc)

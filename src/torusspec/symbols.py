@@ -83,31 +83,6 @@ def kinetic_symbol(dim: int = 1) -> PhaseSpaceFunction:
     return mechanical_symbol(zero_potential(dim))
 
 
-def potential_symbol(pot: FourierPotential) -> PhaseSpaceFunction:
-    """b(x, eta) = V(x) (multiplication operator symbol)."""
-    dim = pot.dim
-
-    def fn(x, eta):
-        x, _ = _batch(x, eta, dim)
-        return pot.evaluate(x)
-
-    def xf(q, eta):
-        eta = np.asarray(eta, dtype=float)
-        m = eta.shape[0] if eta.ndim > 0 else 1
-        return np.full(m, pot.coefficient(q), dtype=complex)
-
-    def gx(x, eta):
-        x, _ = _batch(x, eta, dim)
-        return pot.gradient(x).reshape(x.shape)
-
-    def ge(x, eta):
-        x, eta = _batch(x, eta, dim)
-        return np.zeros_like(eta)
-
-    return PhaseSpaceFunction(dim=dim, fn=fn, x_bandwidth=pot.max_frequency,
-                              x_fourier=xf, grad_x=gx, grad_eta=ge)
-
-
 def product_symbol(pot: FourierPotential, eta_fn: Callable,
                    eta_grad: Optional[Callable] = None) -> PhaseSpaceFunction:
     """b(x, eta) = W(x) * g(|eta| profile), W a trig polynomial, g scalar.

@@ -137,6 +137,22 @@ def test_effective_subcommand(pots, tmp_path):
     assert certs["convex"] is True
 
 
+def test_cell_solve_manifest_diagnostics(pots, tmp_path):
+    out = tmp_path / "run"
+    rc = main(["cell-solve", "--potential", pots["cos"], "--p", "2.0", "--p", "0.5",
+               "--grid", "64", "--out", str(out)])
+    assert rc == 0
+    diags = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert [d["P"] for d in diags] == [[2.0], [0.5]]
+    for d in diags:
+        assert set(d) == {"P", "iterations", "factorizations", "alphas", "discount_values"}
+        assert 0 < d["factorizations"] <= d["iterations"]
+        assert len(d["alphas"]) == 1 and d["alphas"][0] > 0.0
+        assert len(d["discount_values"]) == 3
+    # diagnostics stay out of the CSV
+    assert (out / "cell.csv").read_text().splitlines()[0] == "P,Hbar,method,residual"
+
+
 def test_weyl_count_subcommand(pots, tmp_path):
     out = tmp_path / "run"
     rc = main(["weyl-count", "--potential", pots["free"], "--hbar", "0.5",

@@ -1,16 +1,21 @@
 """Effective Hamiltonian: closed form, cell solver, tables, invariance."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu, spsolve
 
+from torusspec import effective
 from torusspec.dynamics import time_one_map
 from torusspec.effective import (CellConvergenceError, CellParams, EffectiveTable,
                                  action_J, action_threshold, cell_problem_solve,
                                  cell_table, closed_form_table, compute_certificates,
                                  effective_1d, effective_grid, infsup_upper,
-                                 invariance_check, sublevel_set, write_effective_csv)
+                                 invariance_check, nested_dissection, sublevel_set,
+                                 write_effective_csv)
 from torusspec.potentials import (FourierPotential, TWO_PI, cosine, potential_extrema,
                                   zero_potential)
 from torusspec.symbols import (PhaseSpaceFunction, bump_profile, kinetic_symbol,
@@ -220,3 +225,100 @@ def test_action_J_scans_its_grid_once(monkeypatch):
         action_J(pot, energy)
         assert len(calls) == 1
         calls.clear()
+
+
+@pytest.mark.parametrize("shape", [(64,), (64, 64), (33, 48)])
+def test_nested_dissection_is_a_permutation(shape):
+    order = nested_dissection(shape)
+    size = math.prod(shape)
+    assert order.dtype.kind == "i"
+    assert np.array_equal(np.sort(order), np.arange(size))
+    # the seam (a zero index on some axis) is eliminated last
+    seam = np.flatnonzero(np.any(np.indices(shape).reshape(len(shape), -1) == 0, axis=0))
+    assert np.array_equal(np.sort(order[size - seam.size:]), seam)
+    if len(shape) == 1:
+        assert np.array_equal(order, np.r_[1:shape[0], 0])
+
+
+def _workspaces_64():
+    """A smooth Newton state at 64^2 with two workspaces on it: one in the
+    elimination order, one in natural numbering."""
+    pot = cosine((1, 0)) + cosine((0, 1), 1.05).translate((0.0, 0.7))
+    H = mechanical_symbol(pot)
+    axes = [np.arange(64) * (TWO_PI / 64)] * 2
+    hs = [TWO_PI / 64] * 2
+    sym = effective._GridSymbol(H, axes, CellParams())
+    natural = copy.copy(sym)
+    natural.order = natural.rank = np.arange(64 * 64)
+    P, alphas, delta = np.array([1.6, 2.1]), np.array([3.2, 3.6]), 0.03
+    ws = effective._CellWorkspace(sym, P, alphas, delta, hs)
+    ref = effective._CellWorkspace(natural, P, alphas, delta, hs)
+    x1, x2 = np.meshgrid(*axes, indexing="ij")
+    u = (0.3 * np.sin(x1 + 0.2) * np.cos(2 * x2) + 0.1 * np.cos(x2)).reshape(-1) - 20.0
+    return ws, ref, u
+
+
+def test_newton_step_in_elimination_order_matches_spsolve():
+    ws, ref, u = _workspaces_64()
+    F = ws.residual(u)
+    J = ref.jacobian(u, math.inf)
+    # the residual is quadratic in u, so a central difference is exact
+    v = np.random.default_rng(3).standard_normal(u.size)
+    dF = 0.5 * (ref.residual(u + v) - ref.residual(u - v))
+    assert np.max(np.abs(J @ v - dF)) <= 1e-9 * np.max(np.abs(dF))
+    dt = 100.0
+    step = ws.newton_step(u, F, dt)
+    direct = spsolve((J + sparse.identity(u.size) / dt).tocsc(), F)
+    assert np.linalg.norm(step - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+def test_nested_dissection_fill_below_colamd():
+    ws, ref, u = _workspaces_64()
+    lu = splu(ws.jacobian(u, 100.0), permc_spec="NATURAL", diag_pivot_thresh=0.01)
+    colamd = splu(ref.jacobian(u, 100.0))
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+def test_guard_retry_matches_colamd_reference(monkeypatch):
+    # with alpha_margin 0.5 the tightened dissipation undershoots the
+    # realised slopes, so the Lax-Friedrichs guard fails and the solve is
+    # retried with larger alpha; before the retry J + I/dt need not be
+    # diagonally dominant, the case the nonzero pivot threshold is kept for
+    H = mechanical_symbol(cosine((1, 0)) + cosine((0, 1)))
+    params = CellParams(alpha_margin=0.5)
+    cascades = []
+    cascade = effective._solve_cascade
+
+    def counting(*args, **kwargs):
+        cascades.append(1)
+        return cascade(*args, **kwargs)
+
+    lus = []
+
+    def counting_lu(*args, **kwargs):
+        lus.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(effective, "_solve_cascade", counting)
+    monkeypatch.setattr(effective, "splu", counting_lu)
+    sol = cell_problem_solve(H, (1.5, 1.5), 48, params)
+    assert len(cascades) >= 2
+    assert sol.factorizations == len(lus)
+    monkeypatch.setattr(effective, "splu", lambda A, **_: splu(A))
+    reference = cell_problem_solve(H, (1.5, 1.5), 48, params)
+    assert sol.alphas == pytest.approx(reference.alphas, rel=1e-9)
+    assert abs(sol.value - reference.value) <= 1e-9
+
+
+def test_numeric_symbol_slope_by_central_difference():
+    # no potential, no table: dH/dp comes from _GridSymbol.slope's central
+    # difference, and that Jacobian goes through the same ordered LU
+    pot = cosine((1, 0)) + cosine((0, 1), 0.8).translate((0.0, 0.4))
+    numeric = PhaseSpaceFunction(
+        dim=2, fn=lambda x, eta: 0.5 * np.sum(eta ** 2, axis=-1) + pot.evaluate(x))
+    ext = potential_extrema(pot, res=256)
+    params = CellParams(v_min=ext.min_value, v_max=ext.max_value)
+    sol = cell_problem_solve(numeric, (1.5, 1.2), 32, params)
+    exact = cell_problem_solve(mechanical_symbol(pot), (1.5, 1.2), 32)
+    assert sol.factorizations > 0
+    assert abs(sol.value - exact.value) <= 1e-6
