@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .effective import (CellConvergenceError, CellParams, cell_problem_solve,
+from .effective import (CellConvergenceError, cell_problem_solve,
                         effective_grid, write_effective_csv, write_hbar_csv)
 from .isospectral import (bs_reconstruct, make_pair, theorem2_check, write_bs_csv)
 from .potentials import load_potential, potential_extrema

@@ -10,18 +10,16 @@ on output, so winding does not distort finite differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .potentials import TWO_PI, wrap_angles
-from .symbols import PhaseSpaceFunction
+from .symbols import PhaseSpaceFunction, _central_difference
 
 _MAX_STEP = 1e-2
 _ESCAPE = 1e3
-_FD_STEP = 1e-6
 
 
 class FlowEscapeError(RuntimeError):
@@ -53,20 +51,10 @@ def _gradients(b: PhaseSpaceFunction):
         return b.grad_x, b.grad_eta
 
     def gx(x, eta):
-        out = np.zeros_like(x)
-        for i in range(b.dim):
-            e = np.zeros(b.dim)
-            e[i] = _FD_STEP
-            out[:, i] = (np.asarray(b.fn(x + e, eta)) - np.asarray(b.fn(x - e, eta))) / (2 * _FD_STEP)
-        return out
+        return _central_difference(lambda z: b.fn(z, eta), x)
 
     def ge(x, eta):
-        out = np.zeros_like(eta)
-        for i in range(b.dim):
-            e = np.zeros(b.dim)
-            e[i] = _FD_STEP
-            out[:, i] = (np.asarray(b.fn(x, eta + e)) - np.asarray(b.fn(x, eta - e))) / (2 * _FD_STEP)
-        return out
+        return _central_difference(lambda z: b.fn(x, z), eta)
 
     return gx, ge
 
@@ -191,7 +179,8 @@ def time_one_map(b: PhaseSpaceFunction, h: float) -> SymplecticMap:
 
 
 def compose_hamiltonian(H: PhaseSpaceFunction, phi: SymplecticMap) -> PhaseSpaceFunction:
-    """Numeric symbol z -> H(phi(z)); flagged expensive for downstream caching."""
+    """Numeric symbol z -> H(phi(z)), flagged expensive: every evaluation is
+    a flow, so the cell solver tabulates it once per solver grid."""
     if H.dim != phi.dim:
         raise ValueError("symbol and map dimensions differ")
 

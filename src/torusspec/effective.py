@@ -24,23 +24,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import integrate, interpolate, optimize, sparse
 from scipy.sparse.linalg import splu
 
-from .potentials import TWO_PI, FourierPotential, potential_extrema
+from .potentials import TWO_PI, FourierPotential, _grid_points, potential_extrema
 from .spectra import write_csv
-from .symbols import PhaseSpaceFunction, mechanical_symbol
+from .symbols import PhaseSpaceFunction, _central_difference, mechanical_symbol
 
 _MIN_GRID = 32
-
-# interpolation tables for expensive symbols, keyed by the symbol's fn so the
-# cache dies with the symbol
-_TABLE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 class CellConvergenceError(RuntimeError):
@@ -144,7 +139,6 @@ class CellParams:
     v_max: Optional[float] = None
     table_p_pad: float = 2.0          # momentum padding of interpolation tables
     table_p_res: int = 256
-    table_p_range: Optional[tuple] = None   # share one table across several P
 
 
 @dataclass(frozen=True)
@@ -206,55 +200,63 @@ class _GridSymbol:
     """Evaluator of H and dH/dp_i on the fixed solver x-grid, with the
     grid's elimination order for the Newton LU."""
 
-    def __init__(self, H: PhaseSpaceFunction, axes, params: CellParams):
+    def __init__(self, H: PhaseSpaceFunction, axes):
         self.H = H
         self.dim = H.dim
-        grids = np.meshgrid(*axes, indexing="ij")
-        self.shape = grids[0].shape
-        self.xpts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+        self.axes = tuple(axes)
+        self.shape = tuple(a.size for a in self.axes)
+        self.xpts = _grid_points(self.axes)
         # cell order[k] is unknown k of the factored system; rank inverts it
         self.order = nested_dissection(self.shape)
         self.rank = np.argsort(self.order)
         self.mechanical = H.potential is not None
         self.vgrid = None
         self.spline = None
+        self.p_range = None
         if self.mechanical:
             self.vgrid = H.potential.evaluate(self.xpts).reshape(-1)
 
-    def build_table(self, p_lo: float, p_hi: float, params: CellParams):
+    def build_table(self, p_lo: float, p_hi: float, res: int):
         """Cubic interpolation in p at every x-node (expensive symbols, 1D).
 
         The whole (x-node, p-node) product goes through the symbol in one
         batched call; for flow-composed symbols that means a single flow of
-        the full table instead of one per p-node.  Tables are cached on the
-        symbol so repeated solves (several P, one map) pay once.
+        the full table instead of one per p-node.  The table belongs to this
+        instance: asking again for the same range and resolution is free, so
+        solves of several P on one instance pay once.
         """
         if self.dim != 1:
             raise ValueError("interpolation tables support one dimension")
+        if self.p_range == (p_lo, p_hi) and self.spline.x.size == res:
+            return
         nx = self.xpts.shape[0]
-        key = (nx, round(p_lo, 9), round(p_hi, 9), params.table_p_res)
-        store = _TABLE_CACHE.setdefault(self.H.fn, {})
-        if key not in store:
-            pg = np.linspace(p_lo, p_hi, params.table_p_res)
-            xx = np.tile(self.xpts, (pg.size, 1))
-            ee = np.repeat(pg, nx)[:, None]
-            vals = np.asarray(self.H.fn(xx, ee)).reshape(pg.size, nx)
-            spline = interpolate.CubicSpline(pg, vals, axis=0)
-            store[key] = (spline, spline.derivative())
-        self.spline, self.spline_d = store[key]
+        pg = np.linspace(p_lo, p_hi, res)
+        xx = np.tile(self.xpts, (pg.size, 1))
+        ee = np.repeat(pg, nx)[:, None]
+        vals = np.asarray(self.H.fn(xx, ee)).reshape(pg.size, nx)
+        self.spline = interpolate.CubicSpline(pg, vals, axis=0)
+        self.spline_d = self.spline.derivative()
         self.p_range = (p_lo, p_hi)
+
+    def _table(self, coef, pargs):
+        """Piecewise polynomial ``coef`` (one column per x-node) at (x_j, p_j),
+        p clipped into the table range."""
+        p = np.clip(pargs[:, 0], *self.p_range)
+        knots = self.spline.x
+        i = np.clip(np.searchsorted(knots, p) - 1, 0, knots.size - 2)
+        t = p - knots[i]
+        cols = np.arange(p.size)
+        out = coef[0, i, cols]
+        for c in coef[1:]:
+            out = out * t + c[i, cols]
+        return out
 
     def value(self, pargs):
         """H(x_j, p_j) over the grid; pargs has shape (cells, dim)."""
         if self.mechanical:
             return 0.5 * np.sum(pargs ** 2, axis=-1) + self.vgrid
         if self.spline is not None:
-            p = np.clip(pargs[:, 0], *self.p_range)
-            i = np.clip(np.searchsorted(self.spline.x, p) - 1, 0, self.spline.x.size - 2)
-            t = p - self.spline.x[i]
-            c = self.spline.c
-            cols = np.arange(p.size)
-            return ((c[0, i, cols] * t + c[1, i, cols]) * t + c[2, i, cols]) * t + c[3, i, cols]
+            return self._table(self.spline.c, pargs)
         return np.asarray(self.H.fn(self.xpts, pargs)).reshape(-1)
 
     def slope(self, pargs):
@@ -262,22 +264,8 @@ class _GridSymbol:
         if self.mechanical:
             return pargs.copy()
         if self.spline is not None:
-            p = np.clip(pargs[:, 0], *self.p_range)
-            i = np.clip(np.searchsorted(self.spline.x, p) - 1, 0, self.spline.x.size - 2)
-            t = p - self.spline.x[i]
-            c = self.spline_d.c
-            cols = np.arange(p.size)
-            out = (c[0, i, cols] * t + c[1, i, cols]) * t + c[2, i, cols]
-            return out[:, None]
-        step = 1e-6
-        out = np.empty_like(pargs)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = step
-            hi = np.asarray(self.H.fn(self.xpts, pargs + e)).reshape(-1)
-            lo = np.asarray(self.H.fn(self.xpts, pargs - e)).reshape(-1)
-            out[:, i] = (hi - lo) / (2 * step)
-        return out
+            return self._table(self.spline_d.c, pargs)[:, None]
+        return _central_difference(lambda p: self.H.fn(self.xpts, p), pargs)
 
 
 def _alpha_box(P, params: CellParams, v_min: float, v_max: float) -> float:
@@ -350,21 +338,18 @@ class _CellWorkspace:
         """Pseudo-transient Newton: (J + I/dt) steps with dt grown as the
         residual falls.  Plain damped Newton crawls here because the sup-norm
         is a poor merit function for transport-dominated residuals.  Returns
-        the iterate, its residual norm, the steps and the factorizations."""
+        the iterate, its residual norm and the steps taken; every step,
+        rejected trials included, is one LU factorization."""
         u = u0.copy()
         F = self.residual(u)
         nrm = float(np.max(np.abs(F)))
         dt = 10.0
         steps = 0
-        lus = 0
         stall = 0
         scale = self.delta + float(np.sum(self.alphas / np.asarray(self.hs)))
-        while steps < max_steps:
-            steps += 1
-            if nrm <= tol:
-                break
+        while steps < max_steps and nrm > tol:
             trial = u - self.newton_step(u, F, dt)
-            lus += 1
+            steps += 1
             Ft = self.residual(trial)
             nt = float(np.max(np.abs(Ft)))
             if not np.isfinite(nt) or nt > 2.0 * nrm:
@@ -380,7 +365,7 @@ class _CellWorkspace:
             nrm = nt
             if stall >= 6:
                 break
-        return u, nrm, steps, lus
+        return u, nrm, steps
 
     def march(self, u0, tol, max_steps):
         """Damped fixed-point iteration with the mean solved algebraically."""
@@ -418,9 +403,9 @@ def _solve_cascade(sym: _GridSymbol, P, alphas, hs, params: CellParams,
             # mean scales like 1/delta, the oscillating part barely moves
             mean = float(np.mean(u))
             u0 = (u - mean) + mean * ((prev_delta or delta) / delta)
-        u, res, steps, lus = ws.newton(u0, params.newton_tol)
+        u, res, steps = ws.newton(u0, params.newton_tol)
         total_steps += steps
-        total_lus += lus
+        total_lus += steps
         if res > params.tol:
             u, res, steps = ws.march(u, params.tol, params.max_iter - total_steps)
             total_steps += steps
@@ -433,6 +418,24 @@ def _solve_cascade(sym: _GridSymbol, P, alphas, hs, params: CellParams,
     return c_values, final, total_steps, total_lus
 
 
+def _cell_axes(dim: int, grid) -> list:
+    """Uniform torus grid axes, ``grid`` points per axis (or one per axis)."""
+    shape = (int(grid),) * dim if np.isscalar(grid) else tuple(int(g) for g in grid)
+    if min(shape) < _MIN_GRID:
+        raise ValueError(f"grid below {_MIN_GRID} per axis is rejected")
+    return [np.arange(m) * (TWO_PI / m) for m in shape]
+
+
+def _value_range(H: PhaseSpaceFunction, params: CellParams):
+    """(min V, max V): scanned for mechanical symbols, else from params."""
+    if H.potential is not None:
+        rep = potential_extrema(H.potential, res=2048 if H.dim == 1 else 256)
+        return rep.min_value, rep.max_value
+    if params.v_min is None or params.v_max is None:
+        raise ValueError("numeric symbols need v_min/v_max in the scheme parameters")
+    return params.v_min, params.v_max
+
+
 def cell_problem_solve(H: PhaseSpaceFunction, P, grid: int,
                        params: Optional[CellParams] = None) -> CellSolution:
     """Solve the cell problem for one P on a uniform torus grid.
@@ -440,39 +443,32 @@ def cell_problem_solve(H: PhaseSpaceFunction, P, grid: int,
     Returns the extrapolated Hbar(P) together with the mean-zero corrector
     at the smallest discount and the sup-norm residual of the discrete cell
     equation.  Raises CellConvergenceError if any discounted solve misses
-    the residual tolerance within the iteration budget.
+    the residual tolerance within the iteration budget.  A symbol flagged
+    expensive is tabulated afresh on every call (see ``invariance_check``
+    for one table shared by several P).
     """
     params = params or CellParams()
-    n = H.dim
+    axes = _cell_axes(H.dim, grid)
+    v_min, v_max = _value_range(H, params)
+    return _solve_on(_GridSymbol(H, axes), P, params, v_min, v_max)
+
+
+def _solve_on(sym: _GridSymbol, P, params: CellParams, v_min: float, v_max: float,
+              p_range=None) -> CellSolution:
+    """One P on the grid of ``sym``.  Expensive symbols go through the
+    instance's interpolation table over ``p_range``, by default the
+    Lax-Friedrichs box around P."""
+    n = sym.dim
     P = np.atleast_1d(np.asarray(P, dtype=float))
     if P.shape != (n,):
         raise ValueError("P does not match the symbol dimension")
-    if np.isscalar(grid):
-        shape = (int(grid),) * n
-    else:
-        shape = tuple(int(g) for g in grid)
-    if min(shape) < _MIN_GRID:
-        raise ValueError(f"grid below {_MIN_GRID} per axis is rejected")
-    axes = [np.arange(m) * (TWO_PI / m) for m in shape]
-    hs = [TWO_PI / m for m in shape]
-
-    if H.potential is not None:
-        rep = potential_extrema(H.potential, res=2048 if n == 1 else 256)
-        v_min, v_max = rep.min_value, rep.max_value
-    else:
-        if params.v_min is None or params.v_max is None:
-            raise ValueError("numeric symbols need v_min/v_max in the scheme parameters")
-        v_min, v_max = params.v_min, params.v_max
-
-    sym = _GridSymbol(H, axes, params)
-    if H.expensive:
-        if params.table_p_range is not None:
-            p_lo, p_hi = params.table_p_range
-        else:
+    hs = [TWO_PI / m for m in sym.shape]
+    if sym.H.expensive:
+        if p_range is None:
             box = _alpha_box(P, params, v_min, v_max)
-            p_lo = float(np.min(P)) - box - params.table_p_pad
-            p_hi = float(np.max(P)) + box + params.table_p_pad
-        sym.build_table(p_lo, p_hi, params)
+            p_range = (float(np.min(P)) - box - params.table_p_pad,
+                       float(np.max(P)) + box + params.table_p_pad)
+        sym.build_table(*p_range, params.table_p_res)
 
     alpha0 = params.alpha if params.alpha is not None else _alpha_box(P, params, v_min, v_max)
     alphas = np.full(n, float(alpha0))
@@ -483,8 +479,8 @@ def cell_problem_solve(H: PhaseSpaceFunction, P, grid: int,
         # presolve the largest discount with the conservative box dissipation,
         # then shrink alpha to the gradient range the solution actually visits
         ws0 = _CellWorkspace(sym, P, alphas, params.deltas[0], hs)
-        u_warm, res0, steps, lus = ws0.newton(np.zeros(ws0.size), params.newton_tol)
-        total += steps
+        u_warm, res0, total = ws0.newton(np.zeros(ws0.size), params.newton_tol)
+        lus = total     # one factorization per Newton step
         if res0 <= params.tol:
             realized = ws0.realized_slope(u_warm)
             alphas = np.maximum(params.alpha_margin * realized + 0.05, 0.5)
@@ -514,7 +510,7 @@ def cell_problem_solve(H: PhaseSpaceFunction, P, grid: int,
     w = u - float(np.mean(u))
     ham = ws.numerical_hamiltonian(w)
     residual = float(np.max(np.abs(ham - value)))
-    corr = Corrector(P=P.copy(), axes=tuple(axes), values=w.reshape(shape),
+    corr = Corrector(P=P.copy(), axes=sym.axes, values=w.reshape(sym.shape),
                      residual=residual)
     return CellSolution(value=float(value), corrector=corr,
                         discount_values=tuple(c_values),
@@ -557,8 +553,7 @@ class EffectiveTable:
     v_max: float
 
     def points(self) -> np.ndarray:
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([g.reshape(-1) for g in grids], axis=-1)
+        return _grid_points(self.axes)
 
 
 def _p_axis(p_max: float, dp: float) -> np.ndarray:
@@ -606,7 +601,7 @@ def compute_certificates(axes, values, v_max: float, tol: float = 1e-6) -> Table
             convex_defect = max(convex_defect, float(np.max(mid[mask])))
     even_defect = float(np.max(np.abs(values - values[tuple(slice(None, None, -1)
                                                             for _ in range(dim))])))
-    pts = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    pts = _grid_points(axes)
     upper = 0.5 * np.sum(pts ** 2, axis=1) + v_max
     flat = values.reshape(-1)
     bound_defect = max(float(np.max(v_max - flat)), float(np.max(flat - upper)))
@@ -735,9 +730,7 @@ def infsup_upper(H: PhaseSpaceFunction, P, bandwidth: int = 3,
         raise ValueError("bandwidth must lie in 1..4")
     n = H.dim
     P = np.atleast_1d(np.asarray(P, dtype=float))
-    axis = np.arange(res) * (TWO_PI / res)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    pts = _grid_points([np.arange(res) * (TWO_PI / res)] * n)
 
     qs = []
     for q in itertools.product(range(-bandwidth, bandwidth + 1), repeat=n):
@@ -794,32 +787,34 @@ def invariance_check(H: PhaseSpaceFunction, phi, p_values: Sequence[float],
     """Hbar of H and of H o phi on the same grid, plus the map's defect.
 
     The composed symbol goes through the numeric (table-backed) route of the
-    cell solver; for an exactly symplectic phi the two columns agree up to
-    scheme error.
+    cell solver, on one interpolation table that this check builds and owns
+    for all the requested P; for an exactly symplectic phi the two columns
+    agree up to scheme error.
     """
     from .dynamics import compose_hamiltonian, symplectic_defect
 
     params = params or CellParams()
-    if H.potential is not None and (params.v_min is None or params.v_max is None):
-        rep = potential_extrema(H.potential, res=2048 if H.dim == 1 else 256)
-        params = replace(params, v_min=rep.min_value, v_max=rep.max_value)
-    if params.table_p_range is None and H.dim == 1 and params.v_min is not None:
-        # one shared interpolation table across all the requested P; its width
-        # only needs the slope bound sqrt(2(E - min V)), not the full LF box,
-        # because the solver clips transient arguments into the table range
-        pv = np.asarray(list(p_values), dtype=float)
-        e_max = params.e_max
-        if e_max is None:
-            e_max = params.v_max + 0.5 * float(np.max(np.abs(pv))) ** 2
-        slope = math.sqrt(max(2.0 * (e_max - params.v_min), 0.0)) + 1.0
-        params = replace(params, table_p_range=(float(pv.min()) - slope - params.table_p_pad,
-                                                float(pv.max()) + slope + params.table_p_pad))
-    composed = compose_hamiltonian(H, phi)
+    axes = _cell_axes(H.dim, grid)
+    base = _GridSymbol(H, axes)
+    mapped = _GridSymbol(compose_hamiltonian(H, phi), axes)
+    v_base = _value_range(H, params)
+    given = params.v_min is not None and params.v_max is not None
+    v_mapped = (params.v_min, params.v_max) if given else v_base
+    # one interpolation table for all the requested P; its width only needs
+    # the slope bound sqrt(2(E - min V)), not the full LF box, because the
+    # solver clips transient arguments into the table range
+    pv = np.asarray(list(p_values), dtype=float)
+    e_max = params.e_max
+    if e_max is None:
+        e_max = v_mapped[1] + 0.5 * float(np.max(np.abs(pv))) ** 2
+    slope = math.sqrt(max(2.0 * (e_max - v_mapped[0]), 0.0)) + 1.0
+    p_range = (float(pv.min()) - slope - params.table_p_pad,
+               float(pv.max()) + slope + params.table_p_pad)
     base_vals = []
     mapped_vals = []
     for p in p_values:
-        base_vals.append(cell_problem_solve(H, np.atleast_1d(p), grid, params).value)
-        mapped_vals.append(cell_problem_solve(composed, np.atleast_1d(p), grid, params).value)
+        base_vals.append(_solve_on(base, p, params, *v_base).value)
+        mapped_vals.append(_solve_on(mapped, p, params, *v_mapped, p_range=p_range).value)
     dist = float(np.max(np.abs(np.asarray(base_vals) - np.asarray(mapped_vals))))
     defect = symplectic_defect(phi, probes=defect_probes)
     return InvarianceReport(p_values=tuple(float(p) for p in p_values),

@@ -263,16 +263,19 @@ class ExtremaReport:
     resolution: int
 
 
+def _grid_points(axes) -> np.ndarray:
+    """Points of the tensor grid of ``axes`` as rows (m, dim), last axis fastest."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+
 def potential_extrema(pot: FourierPotential, res: int = 1024) -> ExtremaReport:
     """Scan V on a uniform grid with `res` points per axis."""
     res = int(res)
     if res < 8:
         raise ValueError("resolution below 8 is rejected")
-    axis = np.arange(res) * (TWO_PI / res)
-    grids = np.meshgrid(*([axis] * pot.dim), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    vals = pot.evaluate(pts if pot.dim > 1 else pts)
-    vals = np.asarray(vals).reshape(-1)
+    pts = _grid_points([np.arange(res) * (TWO_PI / res)] * pot.dim)
+    vals = np.asarray(pot.evaluate(pts)).reshape(-1)
     imin = int(np.argmin(vals))
     imax = int(np.argmax(vals))
     return ExtremaReport(

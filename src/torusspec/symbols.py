@@ -4,13 +4,14 @@ A symbol carries its evaluator plus whatever structure is known about it:
 an exact x-Fourier transform (used by the quantiser to avoid quadrature),
 a bandwidth in x, analytic gradients, or the underlying potential when the
 symbol is mechanical, |eta|^2/2 + V(x).  Numeric symbols obtained by
-composing with a flow advertise themselves as expensive so downstream
-solvers know to build an interpolation table first.
+composing with a flow advertise themselves as expensive: the cell solver
+then evaluates them once on an interpolation table it owns instead of at
+every Newton step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +35,17 @@ class PhaseSpaceFunction:
 
     def __call__(self, x, eta):
         return self.fn(np.asarray(x, dtype=float), np.asarray(eta, dtype=float))
+
+
+def _central_difference(f, z, step=1e-6):
+    """Gradient of the batched scalar function f at the rows of z (m, dim),
+    by central differences with the given step."""
+    cols = []
+    for i in range(z.shape[1]):
+        e = np.zeros(z.shape[1])
+        e[i] = step
+        cols.append((np.asarray(f(z + e)) - f(z - e)).reshape(-1) / (2 * step))
+    return np.stack(cols, axis=-1)
 
 
 def _batch(x, eta, dim):
@@ -114,14 +126,9 @@ def product_symbol(pot: FourierPotential, eta_fn: Callable,
     else:
         # profile-only differences: much cheaper than differencing the full
         # symbol, and the flows downstream call this in their inner loop
-        def ge(x, eta, _step=1e-6):
+        def ge(x, eta):
             x, eta = _batch(x, eta, dim)
-            cols = []
-            for i in range(dim):
-                e = np.zeros(dim)
-                e[i] = _step
-                cols.append((eta_fn(eta + e) - eta_fn(eta - e)) / (2 * _step))
-            return np.stack(cols, axis=-1) * pot.evaluate(x)[:, None]
+            return _central_difference(eta_fn, eta) * pot.evaluate(x)[:, None]
 
     return PhaseSpaceFunction(dim=dim, fn=fn, x_bandwidth=pot.max_frequency,
                               x_fourier=xf, grad_x=gx, grad_eta=ge)

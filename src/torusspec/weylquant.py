@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import operator_norm
-from .potentials import TWO_PI, FourierPotential, _trig_sum
+from .potentials import TWO_PI, FourierPotential, _grid_points, _trig_sum
 from .spectra import PlaneWaveBasis, PlaneWaveMatrix
 from .symbols import PhaseSpaceFunction
 
@@ -99,8 +99,7 @@ def weyl_matrix(b: PhaseSpaceFunction, hbar: float, K: int,
     G = int(quad_points or max(4 * K + 4, 4 * bw_hint + 4, 64))
     if G < 4 * K + 1:
         raise ValueError("quadrature grid too coarse to separate frequencies")
-    axis = np.arange(G) * (TWO_PI / G)
-    xg = np.stack([g.reshape(-1) for g in np.meshgrid(*([axis] * n), indexing="ij")], axis=-1)
+    xg = _grid_points([np.arange(G) * (TWO_PI / G)] * n)
     sums = PlaneWaveBasis(n, 2 * K).frequencies()
     S = sums.shape[0]
     vals = _symbol_rows(b, xg, 0.5 * hbar * sums.astype(float))
@@ -200,9 +199,7 @@ def wigner_pairing(b: PhaseSpaceFunction, table: WignerTable) -> float:
     if b.dim != table.dim:
         raise ValueError("symbol and table dimensions differ")
     n = table.dim
-    axis = table.x_axis()
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    pts = _grid_points([table.x_axis()] * n)
     cell = (TWO_PI / table.res) ** n
     w = table.values.reshape(table.kappas.shape[0], -1)
     live = np.flatnonzero(np.any(w, axis=1))
@@ -331,9 +328,7 @@ def x_derivative_sup_norms(pot: FourierPotential, order: int, res: int = 2048,
     alphas = [a for a in itertools.product(range(order + 1), repeat=pot.dim)
               if sum(a) <= order]
     grid_res = res if pot.dim == 1 else min(res, 128)
-    axis = np.arange(grid_res) * (TWO_PI / grid_res)
-    grids = np.meshgrid(*([axis] * pot.dim), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    pts = _grid_points([np.arange(grid_res) * (TWO_PI / grid_res)] * pot.dim)
     q = pot.half_freqs
     w = pot.half_weights[:, None] * np.stack(
         [(1, 1j, -1, -1j)[sum(a) % 4] * np.prod(q ** np.array(a), axis=1) for a in alphas], axis=1)

@@ -10,7 +10,8 @@ from torusspec.dynamics import (FlowEscapeError, PhasePoint, SymplecticMap,
                                 map_diagnostics, symplectic_defect, time_one_map,
                                 trajectory)
 from torusspec.potentials import FourierPotential, TWO_PI, cosine
-from torusspec.symbols import bump_profile, kinetic_symbol, mechanical_symbol, product_symbol
+from torusspec.symbols import (PhaseSpaceFunction, bump_profile, kinetic_symbol,
+                               mechanical_symbol, product_symbol)
 
 # generator 0.1 sin(x) cut off in momentum; on the plateau the time-1 flow is
 # the exact shear (x, p) -> (x, p - 0.1 cos x)
@@ -136,3 +137,18 @@ def test_map_diagnostics_scheme_selection():
     assert pend.scheme == "verlet" and pend.steps == 100
     shear = map_diagnostics(_shear_map(), PhasePoint(0.3, 0.5))
     assert shear.scheme == "rk4"
+
+
+def test_rk4_with_central_difference_gradients_matches_analytic():
+    # a plain copy of a mechanical symbol carries no gradients, so the RK4
+    # path differences it; the analytic symbol forced onto RK4 is the reference
+    pot = cosine((1, 0)) + FourierPotential(2, {(1, 1): 0.2 - 0.1j, (-1, -1): 0.2 + 0.1j})
+    H = mechanical_symbol(pot)
+    plain = PhaseSpaceFunction(dim=2, fn=H.fn)
+    rng = np.random.default_rng(7)
+    X = rng.uniform(0.0, TWO_PI, (20, 2))
+    P = rng.uniform(-2.0, 2.0, (20, 2))
+    Xd, Pd = _flow_batch(plain, X, P, 1.0, 1e-2)
+    Xa, Pa = _flow_batch(H, X, P, 1.0, 1e-2, scheme="rk4")
+    assert np.max(np.abs(Xd - Xa)) <= 1e-8
+    assert np.max(np.abs(Pd - Pa)) <= 1e-8

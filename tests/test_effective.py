@@ -9,7 +9,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu, spsolve
 
 from torusspec import effective
-from torusspec.dynamics import time_one_map
+from torusspec.dynamics import SymplecticMap, compose_hamiltonian, time_one_map
 from torusspec.effective import (CellConvergenceError, CellParams, EffectiveTable,
                                  action_J, action_threshold, cell_problem_solve,
                                  cell_table, closed_form_table, compute_certificates,
@@ -247,7 +247,7 @@ def _workspaces_64():
     H = mechanical_symbol(pot)
     axes = [np.arange(64) * (TWO_PI / 64)] * 2
     hs = [TWO_PI / 64] * 2
-    sym = effective._GridSymbol(H, axes, CellParams())
+    sym = effective._GridSymbol(H, axes)
     natural = copy.copy(sym)
     natural.order = natural.rank = np.arange(64 * 64)
     P, alphas, delta = np.array([1.6, 2.1]), np.array([3.2, 3.6]), 0.03
@@ -322,3 +322,71 @@ def test_numeric_symbol_slope_by_central_difference():
     exact = cell_problem_solve(mechanical_symbol(pot), (1.5, 1.2), 32)
     assert sol.factorizations > 0
     assert abs(sol.value - exact.value) <= 1e-6
+
+
+def test_newton_counts_only_factoring_steps(monkeypatch):
+    H = mechanical_symbol(COS)
+    sym = effective._GridSymbol(H, [np.arange(64) * (TWO_PI / 64)])
+    ws = effective._CellWorkspace(sym, np.array([1.5]), np.array([3.0]), 0.1, [TWO_PI / 64])
+    lus = []
+
+    def counting_lu(*args, **kwargs):
+        lus.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(effective, "splu", counting_lu)
+    u, nrm, steps = ws.newton(np.zeros(ws.size), 1e-11)
+    assert steps == len(lus) > 0
+    # a state already within tol takes no step and no factorization
+    lus.clear()
+    _, again, steps = ws.newton(u, nrm)
+    assert (steps, len(lus)) == (0, 0)
+    assert again == nrm
+
+
+def test_cell_2d_without_march_counts_one_lu_per_iteration(monkeypatch):
+    def no_march(*args, **kwargs):
+        raise AssertionError("the fixed-point march ran")
+
+    monkeypatch.setattr(effective._CellWorkspace, "march", no_march)
+    pot = cosine((1, 0)) + cosine((0, 1))
+    sol = cell_problem_solve(mechanical_symbol(pot), (1.5, 1.5), 48)
+    assert sol.iterations == sol.factorizations > 0
+
+
+def _shear_map():
+    gen = FourierPotential(1, {(1,): -0.05j, (-1,): 0.05j})
+    return time_one_map(product_symbol(gen, bump_profile(3.0, 6.0)), 1e-2)
+
+
+def _count_flowed_points(monkeypatch):
+    """Batch sizes of every evaluation of a composed symbol (one flow each)."""
+    sizes = []
+    apply = SymplecticMap.apply
+
+    def counting(self, X, P):
+        sizes.append(len(X))
+        return apply(self, X, P)
+
+    monkeypatch.setattr(SymplecticMap, "apply", counting)
+    return sizes
+
+
+def test_invariance_check_builds_one_table_per_map(monkeypatch):
+    sizes = _count_flowed_points(monkeypatch)
+    invariance_check(mechanical_symbol(COS), _shear_map(), p_values=(0.0, 1.0, 2.0),
+                     grid=64, defect_probes=2)
+    # the composed symbol is evaluated once, on the whole (x-node, p-node) table
+    assert sizes == [64 * CellParams().table_p_res]
+
+
+def test_each_cell_solve_builds_its_own_table(monkeypatch):
+    composed = compose_hamiltonian(mechanical_symbol(COS), _shear_map())
+    ext = potential_extrema(COS, res=2048)
+    params = CellParams(v_min=ext.min_value, v_max=ext.max_value)
+    sizes = _count_flowed_points(monkeypatch)
+    first = cell_problem_solve(composed, 1.0, 64, params)
+    second = cell_problem_solve(composed, 1.0, 64, params)
+    # no table outlives its solve: the second call flows its own
+    assert sizes == [64 * params.table_p_res] * 2
+    assert first.value == second.value
