@@ -22,7 +22,7 @@ from .weylquant import (WeylMatrix, cv_bound, projector_check, weyl_matrix,
                         wigner_pairing, wigner_transform)
 from .dynamics import (PhasePoint, SymplecticMap, energy_drift, flow,
                        symplectic_defect, time_one_map, trajectory)
-from .effective import (CellParams, EffectiveTable, action_J, cell_problem_solve,
+from .effective import (EffectiveTable, action_J, cell_problem_solve,
                         closed_form_table, effective_1d, effective_grid,
                         infsup_upper, invariance_check, sublevel_set)
 from .propagation import egorov_residual, egorov_scaling, propagate

@@ -18,6 +18,15 @@ On 2D grids this cuts the L+U fill of SuperLU's default COLAMD order by
 40-50%.  Rows pivot only when the diagonal falls below 0.01 of its column's
 largest entry; once the Lax-Friedrichs guard holds, J + I/dt is diagonally
 dominant.
+
+The scheme constants are fixed: discounts delta = 0.1, 0.03, 0.01 (Hbar
+extrapolates from the last two); discounted residual 1e-6 in sup-norm and
+Newton tolerance 1e-11; at most 900 Newton steps per discount and a
+100,000-step budget for the fixed-point fallback; dissipation tightened to
+1.2 times the realised slope plus 0.05; interpolation tables padded by 2 in
+p with 256 nodes.  Table certificates hold to 1e-6.  The fixed tolerances
+that consume these results live with their checks: ``theorem2_check``
+(spectra 1e-8 (1+|E|), Hbar 5e-3) and ``egorov_scaling`` (exact at 1e-8).
 """
 
 from __future__ import annotations
@@ -31,11 +40,22 @@ import numpy as np
 from scipy import integrate, interpolate, optimize, sparse
 from scipy.sparse.linalg import splu
 
-from .potentials import TWO_PI, FourierPotential, _grid_points, potential_extrema
+from .potentials import (TWO_PI, FourierPotential, _break_points, _grid_points,
+                         potential_extrema)
 from .spectra import write_csv
 from .symbols import PhaseSpaceFunction, _central_difference, mechanical_symbol
 
 _MIN_GRID = 32
+
+# scheme constants of the discounted Lax-Friedrichs solve (module docstring)
+_DELTAS = (1e-1, 3e-2, 1e-2)
+_TOL = 1e-6             # required sup-norm of the discounted residual
+_NEWTON_TOL = 1e-11
+_MAX_ITER = 100_000     # fixed-point steps per cascade of discounts
+_ALPHA_MARGIN = 1.2
+_TABLE_P_PAD = 2.0      # momentum padding of interpolation tables
+_TABLE_P_RES = 256
+_CERT_TOL = 1e-6
 
 
 class CellConvergenceError(RuntimeError):
@@ -49,14 +69,6 @@ class CellConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 # closed form in one dimension
 # ---------------------------------------------------------------------------
-
-
-def _level_points(xs: np.ndarray, vals: np.ndarray, level: float, imax: int):
-    """Quadrature break points from one grid scan: the grid points where
-    V - level changes sign, and the argmax of V."""
-    pts = list(xs[np.nonzero(np.diff(np.sign(vals - level)) != 0)[0]])
-    pts.append(float(xs[imax]))
-    return sorted(p for p in set(pts) if 1e-9 < p < TWO_PI - 1e-9)[:40]
 
 
 def action_J(pot: FourierPotential, energy: float) -> float:
@@ -82,7 +94,7 @@ def action_J(pot: FourierPotential, energy: float) -> float:
         v = pot.evaluate(np.atleast_1d(x))[0]
         return math.sqrt(max(2.0 * (energy - v), 0.0))
 
-    pts = _level_points(xs, vals, energy, imax)
+    pts = _break_points(xs, vals, (energy,), extra=(float(xs[imax]),))
     val, _ = integrate.quad(integrand, 0.0, TWO_PI, limit=300,
                             epsabs=1e-12, epsrel=1e-12,
                             points=pts if pts else None)
@@ -121,24 +133,6 @@ def effective_1d(pot: FourierPotential, P: float,
 # ---------------------------------------------------------------------------
 # cell-problem solver
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CellParams:
-    """Scheme parameters for the discounted Lax-Friedrichs solve."""
-
-    deltas: tuple = (1e-1, 3e-2, 1e-2)
-    tol: float = 1e-6                 # required sup-norm of the discounted residual
-    newton_tol: float = 1e-11
-    max_iter: int = 100_000
-    alpha: Optional[float] = None     # dissipation override (per axis, scalar)
-    adaptive_alpha: bool = True       # tighten alpha to the realised gradient range
-    alpha_margin: float = 1.2
-    e_max: Optional[float] = None     # energy scale entering the probe box
-    v_min: Optional[float] = None     # needed for numeric symbols
-    v_max: Optional[float] = None
-    table_p_pad: float = 2.0          # momentum padding of interpolation tables
-    table_p_res: int = 256
 
 
 @dataclass(frozen=True)
@@ -268,11 +262,8 @@ class _GridSymbol:
         return _central_difference(lambda p: self.H.fn(self.xpts, p), pargs)
 
 
-def _alpha_box(P, params: CellParams, v_min: float, v_max: float) -> float:
-    e_max = params.e_max
-    if e_max is None:
-        e_max = v_max + 0.5 * float(np.dot(P, P))
-    spread = max(e_max - v_min, 0.0)
+def _alpha_box(P, v_min: float, v_max: float) -> float:
+    spread = max(v_max + 0.5 * float(np.dot(P, P)) - v_min, 0.0)
     return float(np.linalg.norm(P)) + math.sqrt(2.0 * spread) + 1.0
 
 
@@ -334,12 +325,13 @@ class _CellWorkspace:
     def realized_slope(self, u):
         return np.max(np.abs(self.sym.slope(self._pargs(u))), axis=0)
 
-    def newton(self, u0, tol, max_steps=900):
+    def newton(self, u0, tol):
         """Pseudo-transient Newton: (J + I/dt) steps with dt grown as the
-        residual falls.  Plain damped Newton crawls here because the sup-norm
-        is a poor merit function for transport-dominated residuals.  Returns
-        the iterate, its residual norm and the steps taken; every step,
-        rejected trials included, is one LU factorization."""
+        residual falls, at most 900.  Plain damped Newton crawls here because
+        the sup-norm is a poor merit function for transport-dominated
+        residuals.  Returns the iterate, its residual norm and the steps
+        taken; every step, rejected trials included, is one LU
+        factorization."""
         u = u0.copy()
         F = self.residual(u)
         nrm = float(np.max(np.abs(F)))
@@ -347,7 +339,7 @@ class _CellWorkspace:
         steps = 0
         stall = 0
         scale = self.delta + float(np.sum(self.alphas / np.asarray(self.hs)))
-        while steps < max_steps and nrm > tol:
+        while steps < 900 and nrm > tol:
             trial = u - self.newton_step(u, F, dt)
             steps += 1
             Ft = self.residual(trial)
@@ -386,8 +378,7 @@ class _CellWorkspace:
         return u, float(np.max(np.abs(self.residual(u)))), steps
 
 
-def _solve_cascade(sym: _GridSymbol, P, alphas, hs, params: CellParams,
-                   u_init=None, init_delta=None):
+def _solve_cascade(sym: _GridSymbol, P, alphas, hs, u_init=None, init_delta=None):
     """All discounted problems for one P and one dissipation choice."""
     c_values = []
     u = u_init
@@ -395,7 +386,7 @@ def _solve_cascade(sym: _GridSymbol, P, alphas, hs, params: CellParams,
     total_steps = 0
     total_lus = 0
     final = None
-    for delta in params.deltas:
+    for delta in _DELTAS:
         ws = _CellWorkspace(sym, P, alphas, delta, hs)
         if u is None:
             u0 = np.zeros(ws.size)
@@ -403,15 +394,15 @@ def _solve_cascade(sym: _GridSymbol, P, alphas, hs, params: CellParams,
             # mean scales like 1/delta, the oscillating part barely moves
             mean = float(np.mean(u))
             u0 = (u - mean) + mean * ((prev_delta or delta) / delta)
-        u, res, steps = ws.newton(u0, params.newton_tol)
+        u, res, steps = ws.newton(u0, _NEWTON_TOL)
         total_steps += steps
         total_lus += steps
-        if res > params.tol:
-            u, res, steps = ws.march(u, params.tol, params.max_iter - total_steps)
+        if res > _TOL:
+            u, res, steps = ws.march(u, _TOL, _MAX_ITER - total_steps)
             total_steps += steps
-        if res > params.tol:
+        if res > _TOL:
             raise CellConvergenceError(
-                f"cell residual {res:.3e} above {params.tol} at delta={delta}", res)
+                f"cell residual {res:.3e} above {_TOL} at delta={delta}", res)
         c_values.append(-delta * float(np.mean(u)))
         prev_delta = delta
         final = (ws, u)
@@ -426,34 +417,34 @@ def _cell_axes(dim: int, grid) -> list:
     return [np.arange(m) * (TWO_PI / m) for m in shape]
 
 
-def _value_range(H: PhaseSpaceFunction, params: CellParams):
-    """(min V, max V): scanned for mechanical symbols, else from params."""
+def _value_range(H: PhaseSpaceFunction, v_range=None):
+    """(min V, max V): scanned for mechanical symbols, else ``v_range``."""
     if H.potential is not None:
         rep = potential_extrema(H.potential, res=2048 if H.dim == 1 else 256)
         return rep.min_value, rep.max_value
-    if params.v_min is None or params.v_max is None:
-        raise ValueError("numeric symbols need v_min/v_max in the scheme parameters")
-    return params.v_min, params.v_max
+    if v_range is None:
+        raise ValueError("numeric symbols need v_range=(min V, max V)")
+    return v_range
 
 
-def cell_problem_solve(H: PhaseSpaceFunction, P, grid: int,
-                       params: Optional[CellParams] = None) -> CellSolution:
+def cell_problem_solve(H: PhaseSpaceFunction, P, grid: int, *,
+                       v_range=None) -> CellSolution:
     """Solve the cell problem for one P on a uniform torus grid.
 
     Returns the extrapolated Hbar(P) together with the mean-zero corrector
     at the smallest discount and the sup-norm residual of the discrete cell
     equation.  Raises CellConvergenceError if any discounted solve misses
-    the residual tolerance within the iteration budget.  A symbol flagged
-    expensive is tabulated afresh on every call (see ``invariance_check``
-    for one table shared by several P).
+    the residual tolerance within the iteration budget.  A numeric symbol
+    (one without a potential) needs ``v_range=(min V, max V)`` to bound its
+    dissipation.  A symbol flagged expensive is tabulated afresh on every
+    call (see ``invariance_check`` for one table shared by several P).
     """
-    params = params or CellParams()
     axes = _cell_axes(H.dim, grid)
-    v_min, v_max = _value_range(H, params)
-    return _solve_on(_GridSymbol(H, axes), P, params, v_min, v_max)
+    v_min, v_max = _value_range(H, v_range)
+    return _solve_on(_GridSymbol(H, axes), P, v_min, v_max)
 
 
-def _solve_on(sym: _GridSymbol, P, params: CellParams, v_min: float, v_max: float,
+def _solve_on(sym: _GridSymbol, P, v_min: float, v_max: float,
               p_range=None) -> CellSolution:
     """One P on the grid of ``sym``.  Expensive symbols go through the
     instance's interpolation table over ``p_range``, by default the
@@ -465,47 +456,37 @@ def _solve_on(sym: _GridSymbol, P, params: CellParams, v_min: float, v_max: floa
     hs = [TWO_PI / m for m in sym.shape]
     if sym.H.expensive:
         if p_range is None:
-            box = _alpha_box(P, params, v_min, v_max)
-            p_range = (float(np.min(P)) - box - params.table_p_pad,
-                       float(np.max(P)) + box + params.table_p_pad)
-        sym.build_table(*p_range, params.table_p_res)
+            box = _alpha_box(P, v_min, v_max)
+            p_range = (float(np.min(P)) - box - _TABLE_P_PAD,
+                       float(np.max(P)) + box + _TABLE_P_PAD)
+        sym.build_table(*p_range, _TABLE_P_RES)
 
-    alpha0 = params.alpha if params.alpha is not None else _alpha_box(P, params, v_min, v_max)
-    alphas = np.full(n, float(alpha0))
-    total = 0
-    lus = 0
-    u_warm, warm_delta = None, None
-    if params.adaptive_alpha and params.alpha is None:
-        # presolve the largest discount with the conservative box dissipation,
-        # then shrink alpha to the gradient range the solution actually visits
-        ws0 = _CellWorkspace(sym, P, alphas, params.deltas[0], hs)
-        u_warm, res0, total = ws0.newton(np.zeros(ws0.size), params.newton_tol)
-        lus = total     # one factorization per Newton step
-        if res0 <= params.tol:
-            realized = ws0.realized_slope(u_warm)
-            alphas = np.maximum(params.alpha_margin * realized + 0.05, 0.5)
-            warm_delta = params.deltas[0]
-        else:
-            u_warm = None
-    for attempt in range(3):
+    # presolve the largest discount with the conservative box dissipation,
+    # then shrink alpha to the gradient range the solution actually visits
+    alphas = np.full(n, _alpha_box(P, v_min, v_max))
+    ws0 = _CellWorkspace(sym, P, alphas, _DELTAS[0], hs)
+    u_warm, res0, total = ws0.newton(np.zeros(ws0.size), _NEWTON_TOL)
+    lus = total     # one factorization per Newton step
+    warm_delta = None
+    if res0 <= _TOL:
+        alphas = np.maximum(_ALPHA_MARGIN * ws0.realized_slope(u_warm) + 0.05, 0.5)
+        warm_delta = _DELTAS[0]
+    else:
+        u_warm = None
+    for _ in range(3):
         c_values, (ws, u), steps, cascade_lus = _solve_cascade(
-            sym, P, alphas, hs, params, u_init=u_warm, init_delta=warm_delta)
+            sym, P, alphas, hs, u_init=u_warm, init_delta=warm_delta)
         total += steps
         lus += cascade_lus
         # guard: the dissipation must dominate the realised slopes
         realized = ws.realized_slope(u)
-        if params.alpha is not None or np.all(realized <= alphas + 1e-9):
+        if np.all(realized <= alphas + 1e-9):
             break
-        alphas = np.maximum(params.alpha_margin * realized + 0.05, alphas * 1.5)
+        alphas = np.maximum(_ALPHA_MARGIN * realized + 0.05, alphas * 1.5)
         u_warm, warm_delta = None, None
 
-    ds = list(params.deltas)
-    if len(ds) >= 2:
-        d1, d2 = ds[-2], ds[-1]
-        c1, c2 = c_values[-2], c_values[-1]
-        value = (d1 * c2 - d2 * c1) / (d1 - d2)
-    else:
-        value = c_values[-1]
+    (d1, d2), (c1, c2) = _DELTAS[-2:], c_values[-2:]
+    value = (d1 * c2 - d2 * c1) / (d1 - d2)
 
     w = u - float(np.mean(u))
     ham = ws.numerical_hamiltonian(w)
@@ -529,7 +510,6 @@ class TableCertificates:
     convex_defect: float
     even_defect: float
     bound_defect: float
-    tol: float = 1e-6
 
     def to_dict(self) -> dict:
         return {
@@ -573,7 +553,7 @@ def _directions(dim: int):
     return dirs
 
 
-def compute_certificates(axes, values, v_max: float, tol: float = 1e-6) -> TableCertificates:
+def compute_certificates(axes, values, v_max: float) -> TableCertificates:
     values = np.asarray(values, dtype=float)
     dim = len(axes)
     # midpoint convexity along every grid line (axes and diagonals)
@@ -606,9 +586,9 @@ def compute_certificates(axes, values, v_max: float, tol: float = 1e-6) -> Table
     flat = values.reshape(-1)
     bound_defect = max(float(np.max(v_max - flat)), float(np.max(flat - upper)))
     bound_defect = max(bound_defect, 0.0)
-    convex = (convex_defect <= tol) and (even_defect <= tol) and (bound_defect <= tol)
+    convex = all(d <= _CERT_TOL for d in (convex_defect, even_defect, bound_defect))
     return TableCertificates(convex=convex, convex_defect=convex_defect,
-                             even_defect=even_defect, bound_defect=bound_defect, tol=tol)
+                             even_defect=even_defect, bound_defect=bound_defect)
 
 
 def closed_form_table(pot: FourierPotential, p_max: float, dp: float) -> EffectiveTable:
@@ -623,14 +603,14 @@ def closed_form_table(pot: FourierPotential, p_max: float, dp: float) -> Effecti
                           residuals=None, certificates=certs, v_max=vmax)
 
 
-def cell_table(pot: FourierPotential, p_max: float, dp: float, grid: int,
-               params: Optional[CellParams] = None) -> EffectiveTable:
+def cell_table(pot: FourierPotential, p_max: float, dp: float, grid: int) -> EffectiveTable:
     """Table from the cell-problem solver on a mechanical symbol.
 
     Mechanical Hbar is even under P -> -P (and under nothing more in
     general), so each pair {P, -P} is solved once, at the member whose first
-    nonzero component is positive, and mirrored; the certificates then check
-    convexity and bounds honestly.
+    nonzero component is positive, and written into the mirrored index too
+    (the axis is symmetric: axis[-1 - i] == -axis[i] exactly); the
+    certificates then check convexity and bounds honestly.
     """
     H = mechanical_symbol(pot)
     axis = _p_axis(p_max, dp)
@@ -639,24 +619,22 @@ def cell_table(pot: FourierPotential, p_max: float, dp: float, grid: int,
     shape = (axis.size,) * n
     values = np.full(shape, np.nan)
     residuals = np.full(shape, np.nan)
-    cache: dict = {}
     for idx in itertools.product(range(axis.size), repeat=n):
-        P = np.array([axis[i] for i in idx])
+        P = axis[list(idx)]
         lead = P[np.flatnonzero(P)[:1]]
         if lead.size and lead[0] < 0:
-            P = 0.0 - P     # not -P: zero components stay +0.0
-        key = tuple(round(v, 12) for v in P)
-        if key not in cache:
-            sol = cell_problem_solve(H, P, grid, params)
-            cache[key] = (sol.value, sol.corrector.residual)
-        values[idx], residuals[idx] = cache[key]
+            continue    # filled in by the solve of -P
+        sol = cell_problem_solve(H, P, grid)
+        mirror = tuple(axis.size - 1 - i for i in idx)
+        values[idx] = values[mirror] = sol.value
+        residuals[idx] = residuals[mirror] = sol.corrector.residual
     certs = compute_certificates((axis,) * n, values, vmax)
     return EffectiveTable(dim=n, axes=(axis,) * n, values=values, method="cell-problem",
                           residuals=residuals, certificates=certs, v_max=vmax)
 
 
 def effective_grid(pot: FourierPotential, p_max: float, dp: float, method: str,
-                   grid: int = 0, params: Optional[CellParams] = None) -> EffectiveTable:
+                   grid: int = 0) -> EffectiveTable:
     if method == "closed-form":
         if pot.dim != 1:
             raise ValueError("closed form is one-dimensional")
@@ -664,7 +642,7 @@ def effective_grid(pot: FourierPotential, p_max: float, dp: float, method: str,
     if method == "cell-problem":
         if grid < _MIN_GRID:
             raise ValueError("cell-problem tables need a grid size")
-        return cell_table(pot, p_max, dp, grid, params)
+        return cell_table(pot, p_max, dp, grid)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -717,20 +695,20 @@ def sublevel_set(table: EffectiveTable, energy: float) -> SublevelSet:
 # ---------------------------------------------------------------------------
 
 
-def infsup_upper(H: PhaseSpaceFunction, P, bandwidth: int = 3,
-                 iterations: int = 400, res: int = 128) -> float:
+def infsup_upper(H: PhaseSpaceFunction, P, bandwidth: int = 3) -> float:
     """Upper bound inf_v sup_x H(x, P + grad v) over trig polynomials v.
 
     Derivative-free coordinate descent with a shrinking step over the
-    cosine/sine coefficients up to the given bandwidth; the incumbent is
-    always returned, so the result is an upper bound for the grid-restricted
-    objective whatever the iteration budget.
+    cosine/sine coefficients up to the given bandwidth, at most 400 sweeps
+    over a 128-point grid per axis; the incumbent is always returned, so the
+    result is an upper bound for the grid-restricted objective whatever the
+    sweep budget.
     """
     if bandwidth < 1 or bandwidth > 4:
         raise ValueError("bandwidth must lie in 1..4")
     n = H.dim
     P = np.atleast_1d(np.asarray(P, dtype=float))
-    pts = _grid_points([np.arange(res) * (TWO_PI / res)] * n)
+    pts = _grid_points([np.arange(128) * (TWO_PI / 128)] * n)
 
     qs = []
     for q in itertools.product(range(-bandwidth, bandwidth + 1), repeat=n):
@@ -756,7 +734,7 @@ def infsup_upper(H: PhaseSpaceFunction, P, bandwidth: int = 3,
     best = objective(theta)
     step = 0.5
     sweeps = 0
-    while step > 1e-4 and sweeps < iterations:
+    while step > 1e-4 and sweeps < 400:
         improved = False
         for k in range(theta.size):
             for sgn in (1.0, -1.0):
@@ -782,39 +760,36 @@ class InvarianceReport:
 
 
 def invariance_check(H: PhaseSpaceFunction, phi, p_values: Sequence[float],
-                     grid: int, params: Optional[CellParams] = None,
-                     defect_probes: int = 32) -> InvarianceReport:
+                     grid: int, defect_probes: int = 32) -> InvarianceReport:
     """Hbar of H and of H o phi on the same grid, plus the map's defect.
 
     The composed symbol goes through the numeric (table-backed) route of the
     cell solver, on one interpolation table that this check builds and owns
     for all the requested P; for an exactly symplectic phi the two columns
-    agree up to scheme error.
+    agree up to scheme error.  H must be mechanical: the dissipation bound
+    and the table width of both symbols come from its potential's extrema.
     """
     from .dynamics import compose_hamiltonian, symplectic_defect
 
-    params = params or CellParams()
+    if H.potential is None:
+        raise ValueError("invariance_check needs a mechanical H")
     axes = _cell_axes(H.dim, grid)
     base = _GridSymbol(H, axes)
     mapped = _GridSymbol(compose_hamiltonian(H, phi), axes)
-    v_base = _value_range(H, params)
-    given = params.v_min is not None and params.v_max is not None
-    v_mapped = (params.v_min, params.v_max) if given else v_base
+    v_min, v_max = _value_range(H)
     # one interpolation table for all the requested P; its width only needs
     # the slope bound sqrt(2(E - min V)), not the full LF box, because the
     # solver clips transient arguments into the table range
     pv = np.asarray(list(p_values), dtype=float)
-    e_max = params.e_max
-    if e_max is None:
-        e_max = v_mapped[1] + 0.5 * float(np.max(np.abs(pv))) ** 2
-    slope = math.sqrt(max(2.0 * (e_max - v_mapped[0]), 0.0)) + 1.0
-    p_range = (float(pv.min()) - slope - params.table_p_pad,
-               float(pv.max()) + slope + params.table_p_pad)
+    e_max = v_max + 0.5 * float(np.max(np.abs(pv))) ** 2
+    slope = math.sqrt(max(2.0 * (e_max - v_min), 0.0)) + 1.0
+    p_range = (float(pv.min()) - slope - _TABLE_P_PAD,
+               float(pv.max()) + slope + _TABLE_P_PAD)
     base_vals = []
     mapped_vals = []
     for p in p_values:
-        base_vals.append(_solve_on(base, p, params, *v_base).value)
-        mapped_vals.append(_solve_on(mapped, p, params, *v_mapped, p_range=p_range).value)
+        base_vals.append(_solve_on(base, p, v_min, v_max).value)
+        mapped_vals.append(_solve_on(mapped, p, v_min, v_max, p_range=p_range).value)
     dist = float(np.max(np.abs(np.asarray(base_vals) - np.asarray(mapped_vals))))
     defect = symplectic_defect(phi, probes=defect_probes)
     return InvarianceReport(p_values=tuple(float(p) for p in p_values),

@@ -152,13 +152,11 @@ class Theorem2Report:
 
 def theorem2_check(pair: IsospectralPair, hbars: Sequence[float], cutoff: int,
                    p_values: Sequence, method: str = "closed-form",
-                   grid: int = 64, params=None,
-                   spec_tol_scale: float = 1e-8,
-                   eff_tol: float = 5e-3) -> Theorem2Report:
+                   grid: int = 64) -> Theorem2Report:
     """Spectra at each hbar plus effective Hamiltonians across the pair.
 
     Both distances must be small for the verdict "consistent": eigenvalues
-    elementwise to spec_tol_scale*(1+|E|), Hbar columns to eff_tol.  The
+    elementwise to 1e-8 (1+|E|), Hbar columns to 5e-3.  The
     check samples finitely many hbar and P, which is all a numerical
     verification can do; the note says so.
     """
@@ -179,15 +177,15 @@ def theorem2_check(pair: IsospectralPair, hbars: Sequence[float], cutoff: int,
         from .effective import cell_problem_solve
         from .symbols import mechanical_symbol
         Ha, Hb = mechanical_symbol(pair.left), mechanical_symbol(pair.right)
-        ea = np.array([cell_problem_solve(Ha, np.atleast_1d(p), grid, params).value
+        ea = np.array([cell_problem_solve(Ha, np.atleast_1d(p), grid).value
                        for p in p_values])
-        eb = np.array([cell_problem_solve(Hb, np.atleast_1d(p), grid, params).value
+        eb = np.array([cell_problem_solve(Hb, np.atleast_1d(p), grid).value
                        for p in p_values])
     else:
         raise ValueError(f"unknown method {method!r}")
     eff_dist = float(np.max(np.abs(ea - eb)))
 
-    ok = all(d <= spec_tol_scale for d in spec_dists) and eff_dist <= eff_tol
+    ok = all(d <= 1e-8 for d in spec_dists) and eff_dist <= 5e-3
     verdict = "consistent" if ok else "violated"
     note = (f"sampled {len(list(hbars))} hbar values and {len(list(p_values))} "
             "momenta; agreement certifies nothing beyond these samples")

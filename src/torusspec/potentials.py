@@ -287,14 +287,23 @@ def potential_extrema(pot: FourierPotential, res: int = 1024) -> ExtremaReport:
     )
 
 
-def sup_norm(pot: FourierPotential, res: int = 2048, remove_mean: bool = False) -> float:
-    """C^0 norm of V (optionally of V minus its mean) by grid scan."""
+def _break_points(xs, vals, levels, extra=()) -> list:
+    """Quadrature break points from one scan of a 1D potential: the grid
+    points xs where vals - level changes sign for some level, plus
+    ``extra``; interior points only, sorted, without repeats, at most 40."""
+    pts = set(extra)
+    for level in levels:
+        pts.update(xs[np.nonzero(np.diff(np.sign(vals - level)) != 0)[0]])
+    return sorted(p for p in pts if 1e-9 < p < TWO_PI - 1e-9)[:40]
+
+
+def sup_norm(pot: FourierPotential, remove_mean: bool = False) -> float:
+    """C^0 norm of V (optionally of V minus its mean) by a scan of 2048
+    points in 1D, 256 per axis otherwise."""
     shifted = pot + FourierPotential(pot.dim, {(0,) * pot.dim: -pot.mean}) if remove_mean else pot
     if not shifted.coeffs:
         return 0.0
-    if pot.dim >= 2:
-        res = min(res, 256)
-    rep = potential_extrema(shifted, res)
+    rep = potential_extrema(shifted, 2048 if pot.dim == 1 else 256)
     return max(abs(rep.min_value), abs(rep.max_value))
 
 

@@ -58,7 +58,7 @@ def flowed_symbol(a: PhaseSpaceFunction, generator: PhaseSpaceFunction,
         X, P = _flow_batch(generator, x, eta, float(t), h, scheme="rk4")
         return a.fn(wrap_angles(X), P)
 
-    return PhaseSpaceFunction(dim=a.dim, fn=fn, is_real=a.is_real, expensive=True)
+    return PhaseSpaceFunction(dim=a.dim, fn=fn, expensive=True)
 
 
 def interior_indices(dim: int, cutoff: int) -> np.ndarray:
@@ -67,15 +67,13 @@ def interior_indices(dim: int, cutoff: int) -> np.ndarray:
 
 
 def egorov_residual(a: PhaseSpaceFunction, pot: FourierPotential, t: float,
-                    hbar: float, cutoff: int, h: float = 1e-2,
-                    quad_points: Optional[int] = None) -> float:
+                    hbar: float, cutoff: int, h: float = 1e-2) -> float:
     """Operator-norm Egorov defect on the interior half-cutoff block."""
     ham = assemble_hamiltonian(pot, hbar, cutoff)
-    A = weyl_matrix(a, hbar, cutoff, quad_points=quad_points).matrix
+    A = weyl_matrix(a, hbar, cutoff).matrix
     At = heisenberg(ham, A, t)
     gen = mechanical_symbol(pot)
-    B = weyl_matrix(flowed_symbol(a, gen, t, h=h), hbar, cutoff,
-                    quad_points=quad_points).matrix
+    B = weyl_matrix(flowed_symbol(a, gen, t, h=h), hbar, cutoff).matrix
     keep = interior_indices(pot.dim, cutoff)
     diff = (At - B)[np.ix_(keep, keep)]
     return operator_norm(diff)
@@ -105,10 +103,10 @@ class EgorovReport:
 def egorov_scaling(a: PhaseSpaceFunction, pot: FourierPotential, t: float,
                    hbars: Sequence[float],
                    cutoff_rule: Optional[Callable[[float], int]] = None,
-                   h: float = 1e-2, exact_tol: float = 1e-8) -> EgorovReport:
+                   h: float = 1e-2) -> EgorovReport:
     """Residuals over a list of hbar plus the fitted log-log slope.
 
-    If every residual sits at or below exact_tol the generator is treated as
+    If every residual sits at or below 1e-8 the generator is treated as
     exactly propagated (no meaningful slope exists in rounding noise).
     """
     if len(hbars) < 2:
@@ -117,7 +115,7 @@ def egorov_scaling(a: PhaseSpaceFunction, pot: FourierPotential, t: float,
     cutoffs = [int(rule(hb)) for hb in hbars]
     residuals = [egorov_residual(a, pot, t, hb, K, h=h)
                  for hb, K in zip(hbars, cutoffs)]
-    exact = all(r <= exact_tol for r in residuals)
+    exact = all(r <= 1e-8 for r in residuals)
     slope = None
     if not exact:
         slope = float(np.polyfit(np.log(np.asarray(hbars, dtype=float)),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .potentials import TWO_PI, FourierPotential, potential_extrema, sup_norm
+from .potentials import TWO_PI, FourierPotential, _break_points, potential_extrema, sup_norm
 
 _HERM_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
@@ -299,19 +299,6 @@ class VolumeEstimate:
     empty: bool
 
 
-def _level_crossings(pot: FourierPotential, levels, res: int = 4096):
-    """Grid abscissae where V crosses one of the given levels (1D)."""
-    xs = np.arange(res) * (TWO_PI / res)
-    vals = pot.evaluate(xs)
-    pts = []
-    for lev in levels:
-        s = vals - lev
-        sign_flip = np.nonzero(np.diff(np.sign(s)) != 0)[0]
-        pts.extend(xs[i] for i in sign_flip)
-    interior = sorted(p for p in pts if 1e-9 < p < TWO_PI - 1e-9)
-    return interior[:40]
-
-
 def weyl_volume(pot: FourierPotential, a: float, b: float,
                 samples: int = 100_000, seed: int = 42) -> VolumeEstimate:
     """Vol{(x, p): a < |p|^2/2 + V(x) < b}.
@@ -332,7 +319,8 @@ def weyl_volume(pot: FourierPotential, a: float, b: float,
             lo = max(a - v, 0.0)
             return 2.0 * (math.sqrt(2.0 * hi) - math.sqrt(2.0 * lo))
 
-        pts = _level_crossings(pot, (a, b))
+        xs = np.arange(4096) * (TWO_PI / 4096)
+        pts = _break_points(xs, pot.evaluate(xs), (a, b))
         val, err = integrate.quad(slice_len, 0.0, TWO_PI, limit=200,
                                   epsabs=1e-10, epsrel=1e-10,
                                   points=pts if pts else None)
@@ -457,16 +445,6 @@ def write_spectrum_csv(path, results) -> None:
     write_csv(path, "hbar,index,eigenvalue",
               ((spec.hbar, i, ev) for spec in results
                for i, ev in enumerate(spec.eigenvalues)))
-
-
-def spectrum_to_dict(spec: SpectrumResult) -> dict:
-    return {
-        "hbar": spec.hbar,
-        "cutoff": spec.cutoff,
-        "eigenvalues": [float(v) for v in spec.eigenvalues],
-        "trusted_energy": spec.trusted_energy,
-        "tail_bound": spec.tail_bound,
-    }
 
 
 def write_report_json(path, payload: dict) -> None:

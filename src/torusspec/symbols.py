@@ -27,7 +27,6 @@ class PhaseSpaceFunction:
     fn: Callable
     x_bandwidth: Optional[int] = None          # None: not band-limited / unknown
     x_fourier: Optional[Callable] = None       # (q tuple, eta (m, dim)) -> values
-    is_real: bool = True
     grad_x: Optional[Callable] = None
     grad_eta: Optional[Callable] = None
     potential: Optional[FourierPotential] = None   # set for |eta|^2/2 + V
@@ -37,9 +36,10 @@ class PhaseSpaceFunction:
         return self.fn(np.asarray(x, dtype=float), np.asarray(eta, dtype=float))
 
 
-def _central_difference(f, z, step=1e-6):
+def _central_difference(f, z):
     """Gradient of the batched scalar function f at the rows of z (m, dim),
-    by central differences with the given step."""
+    by central differences of step 1e-6."""
+    step = 1e-6
     cols = []
     for i in range(z.shape[1]):
         e = np.zeros(z.shape[1])

@@ -62,8 +62,7 @@ def _symbol_rows(b: PhaseSpaceFunction, xg: np.ndarray, etas: np.ndarray) -> np.
     return vals
 
 
-def weyl_matrix(b: PhaseSpaceFunction, hbar: float, K: int,
-                quad_points: int | None = None) -> WeylMatrix:
+def weyl_matrix(b: PhaseSpaceFunction, hbar: float, K: int) -> WeylMatrix:
     """Quantize b over the box |k|_inf <= K.
 
     Band-limited symbols with a closed-form x-Fourier transform are filled
@@ -96,9 +95,7 @@ def weyl_matrix(b: PhaseSpaceFunction, hbar: float, K: int,
     # numeric path: FFT in x at every needed lattice momentum
     basis.require_dense()
     bw_hint = b.x_bandwidth or 0
-    G = int(quad_points or max(4 * K + 4, 4 * bw_hint + 4, 64))
-    if G < 4 * K + 1:
-        raise ValueError("quadrature grid too coarse to separate frequencies")
+    G = max(4 * K + 4, 4 * bw_hint + 4, 64)    # > 4K: frequencies stay apart
     xg = _grid_points([np.arange(G) * (TWO_PI / G)] * n)
     sums = PlaneWaveBasis(n, 2 * K).frequencies()
     S = sums.shape[0]
@@ -264,7 +261,7 @@ def symbol_from_wigner(table: WignerTable, scale: float = 1.0) -> PhaseSpaceFunc
 
 
 def projector_check(phi: np.ndarray, psi: np.ndarray, basis: PlaneWaveBasis,
-                    hbar: float, res: int | None = None) -> float:
+                    hbar: float) -> float:
     """|| Op((2 pi)^n W_phi) psi - <phi, psi> phi ||.
 
     The rank-one projector of a unit state is the quantization of its
@@ -275,7 +272,7 @@ def projector_check(phi: np.ndarray, psi: np.ndarray, basis: PlaneWaveBasis,
     psi = np.asarray(psi, dtype=complex)
     if np.linalg.norm(phi) > 1.0 + 1e-12 or np.linalg.norm(psi) > 1.0 + 1e-12:
         raise ValueError("state norms above 1 + 1e-12 are rejected")
-    table = wigner_transform(phi, basis, hbar, res=res)
+    table = wigner_transform(phi, basis, hbar)
     sym = symbol_from_wigner(table, scale=TWO_PI ** basis.dim)
     # the Wigner symbol is 2K-band in x, so quantize over the doubled box and
     # keep the block between the original modes; entries only depend on the
@@ -316,23 +313,22 @@ def cv_bound(sup_norms: dict, dim: int) -> float:
     return const * sum(keyed[a] for a in needed)
 
 
-def x_derivative_sup_norms(pot: FourierPotential, order: int, res: int = 2048,
-                           eta_sup: float = 1.0) -> dict:
+def x_derivative_sup_norms(pot: FourierPotential, order: int) -> dict:
     """Sup-norms of d^alpha_x [W(x) g(eta)] for |alpha| <= order.
 
-    Valid for product symbols with sup|g| = eta_sup; derivatives act on the
+    Valid for product symbols with sup|g| = 1; derivatives act on the
     trigonometric factor only: on W's half spectrum, d^alpha W carries the
     weights w_q i^|alpha| q^alpha (plus W's mean when alpha = 0).  All
-    orders are scanned on one grid by one trig sum.
+    orders are scanned on one grid (2048 points in 1D, 128 per axis
+    otherwise) by one trig sum.
     """
     alphas = [a for a in itertools.product(range(order + 1), repeat=pot.dim)
               if sum(a) <= order]
-    grid_res = res if pot.dim == 1 else min(res, 128)
+    grid_res = 2048 if pot.dim == 1 else 128
     pts = _grid_points([np.arange(grid_res) * (TWO_PI / grid_res)] * pot.dim)
     q = pot.half_freqs
     w = pot.half_weights[:, None] * np.stack(
         [(1, 1j, -1, -1j)[sum(a) % 4] * np.prod(q ** np.array(a), axis=1) for a in alphas], axis=1)
     vals = _trig_sum(pts, q, w)
     vals[:, 0] += pot.mean                     # alphas[0] is alpha = 0
-    return {a: float(np.max(np.abs(vals[:, j]))) * float(eta_sup)
-            for j, a in enumerate(alphas)}
+    return {a: float(np.max(np.abs(vals[:, j]))) for j, a in enumerate(alphas)}

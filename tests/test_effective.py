@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu, spsolve
 
 from torusspec import effective
 from torusspec.dynamics import SymplecticMap, compose_hamiltonian, time_one_map
-from torusspec.effective import (CellConvergenceError, CellParams, EffectiveTable,
+from torusspec.effective import (CellConvergenceError, EffectiveTable,
                                  action_J, action_threshold, cell_problem_solve,
                                  cell_table, closed_form_table, compute_certificates,
                                  effective_1d, effective_grid, infsup_upper,
@@ -92,12 +92,15 @@ def test_cell_validation():
     numeric = PhaseSpaceFunction(dim=1, fn=lambda x, eta: 0.5 * eta[:, 0] ** 2)
     with pytest.raises(ValueError):
         cell_problem_solve(numeric, 1.0, 64)
+    with pytest.raises(ValueError, match="mechanical"):
+        invariance_check(numeric, _shear_map(), (1.0,), 64)
 
 
-def test_cell_convergence_error():
-    params = CellParams(tol=1e-16, max_iter=10, deltas=(0.1,), adaptive_alpha=False)
+def test_cell_convergence_error(monkeypatch):
+    monkeypatch.setattr(effective, "_TOL", 1e-16)
+    monkeypatch.setattr(effective, "_MAX_ITER", 10)
     with pytest.raises(CellConvergenceError) as exc:
-        cell_problem_solve(mechanical_symbol(COS), 1.0, 64, params)
+        cell_problem_solve(mechanical_symbol(COS), 1.0, 64)
     assert exc.value.residual > 0.0
 
 
@@ -131,6 +134,27 @@ def test_sublevel_set_convex(cos_closed_table):
 def test_sublevel_set_empty(cos_closed_table):
     lev = sublevel_set(cos_closed_table, -2.0)
     assert lev.empty and lev.convex_certified
+
+
+def test_sublevel_set_with_a_hole_is_refused():
+    axis = np.array([-1.0, 0.0, 1.0])
+
+    def table(values):
+        return EffectiveTable(dim=values.ndim, axes=(axis,) * values.ndim, values=values,
+                              method="cell-problem", residuals=None, certificates=None,
+                              v_max=0.0)
+
+    # 1D: the middle node lies above the level, between two members
+    lev = sublevel_set(table(np.array([0.5, 0.9, 0.5])), 0.6)
+    assert not lev.empty and not lev.convex_certified
+    assert lev.points.tolist() == [[-1.0], [1.0]]
+    # 2D: the corners (-1, -1) and (1, 1) are members, the centre on the
+    # diagonal between them is not
+    values = np.full((3, 3), 2.0)
+    values[0, 0] = values[2, 2] = 0.0
+    lev = sublevel_set(table(values), 1.0)
+    assert not lev.empty and not lev.convex_certified
+    assert lev.points.tolist() == [[-1.0, -1.0], [1.0, 1.0]]
 
 
 def test_certificates_flag_violations():
@@ -285,7 +309,7 @@ def test_guard_retry_matches_colamd_reference(monkeypatch):
     # retried with larger alpha; before the retry J + I/dt need not be
     # diagonally dominant, the case the nonzero pivot threshold is kept for
     H = mechanical_symbol(cosine((1, 0)) + cosine((0, 1)))
-    params = CellParams(alpha_margin=0.5)
+    monkeypatch.setattr(effective, "_ALPHA_MARGIN", 0.5)
     cascades = []
     cascade = effective._solve_cascade
 
@@ -301,11 +325,11 @@ def test_guard_retry_matches_colamd_reference(monkeypatch):
 
     monkeypatch.setattr(effective, "_solve_cascade", counting)
     monkeypatch.setattr(effective, "splu", counting_lu)
-    sol = cell_problem_solve(H, (1.5, 1.5), 48, params)
+    sol = cell_problem_solve(H, (1.5, 1.5), 48)
     assert len(cascades) >= 2
     assert sol.factorizations == len(lus)
     monkeypatch.setattr(effective, "splu", lambda A, **_: splu(A))
-    reference = cell_problem_solve(H, (1.5, 1.5), 48, params)
+    reference = cell_problem_solve(H, (1.5, 1.5), 48)
     assert sol.alphas == pytest.approx(reference.alphas, rel=1e-9)
     assert abs(sol.value - reference.value) <= 1e-9
 
@@ -317,8 +341,7 @@ def test_numeric_symbol_slope_by_central_difference():
     numeric = PhaseSpaceFunction(
         dim=2, fn=lambda x, eta: 0.5 * np.sum(eta ** 2, axis=-1) + pot.evaluate(x))
     ext = potential_extrema(pot, res=256)
-    params = CellParams(v_min=ext.min_value, v_max=ext.max_value)
-    sol = cell_problem_solve(numeric, (1.5, 1.2), 32, params)
+    sol = cell_problem_solve(numeric, (1.5, 1.2), 32, v_range=(ext.min_value, ext.max_value))
     exact = cell_problem_solve(mechanical_symbol(pot), (1.5, 1.2), 32)
     assert sol.factorizations > 0
     assert abs(sol.value - exact.value) <= 1e-6
@@ -377,16 +400,16 @@ def test_invariance_check_builds_one_table_per_map(monkeypatch):
     invariance_check(mechanical_symbol(COS), _shear_map(), p_values=(0.0, 1.0, 2.0),
                      grid=64, defect_probes=2)
     # the composed symbol is evaluated once, on the whole (x-node, p-node) table
-    assert sizes == [64 * CellParams().table_p_res]
+    assert sizes == [64 * effective._TABLE_P_RES]
 
 
 def test_each_cell_solve_builds_its_own_table(monkeypatch):
     composed = compose_hamiltonian(mechanical_symbol(COS), _shear_map())
     ext = potential_extrema(COS, res=2048)
-    params = CellParams(v_min=ext.min_value, v_max=ext.max_value)
+    v_range = (ext.min_value, ext.max_value)
     sizes = _count_flowed_points(monkeypatch)
-    first = cell_problem_solve(composed, 1.0, 64, params)
-    second = cell_problem_solve(composed, 1.0, 64, params)
+    first = cell_problem_solve(composed, 1.0, 64, v_range=v_range)
+    second = cell_problem_solve(composed, 1.0, 64, v_range=v_range)
     # no table outlives its solve: the second call flows its own
-    assert sizes == [64 * params.table_p_res] * 2
+    assert sizes == [64 * effective._TABLE_P_RES] * 2
     assert first.value == second.value

@@ -1,4 +1,5 @@
-"""Every top-level import of a library module is used by that module."""
+"""Lint of the library sources: every top-level import of a module is used
+by that module, and every parameter of a def is read by its body."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,31 @@ def test_no_unused_top_level_imports():
             if names:
                 unused[path.name] = names
     assert unused == {}
+
+
+def _unread_parameters(tree: ast.Module) -> list:
+    """name(param) for each parameter of a def that its body never reads.
+
+    Lambdas are not scanned: a callback's signature is fixed by its caller.
+    """
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        unread += [f"{node.name}({p})" for p in params
+                   if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    return unread
+
+
+def test_no_unused_parameters():
+    unread = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
+        if names:
+            unread[path.name] = names
+    assert unread == {}
