@@ -23,7 +23,7 @@ from . import __version__
 from .effective import (CellConvergenceError, cell_problem_solve,
                         effective_grid, write_effective_csv, write_hbar_csv)
 from .isospectral import (bs_reconstruct, make_pair, theorem2_check, write_bs_csv)
-from .potentials import load_potential, potential_extrema
+from .potentials import cosine, load_potential, potential_extrema
 from .propagation import egorov_scaling
 from .spectra import (assemble_hamiltonian, auto_cutoff,
                       eigen_spectrum, weyl_count_report, write_report_json,
@@ -120,8 +120,7 @@ def _cmd_weyl_count(args, outdir: Path):
 
 def _cmd_effective(args, outdir: Path):
     pot = load_potential(args.potential)
-    table = effective_grid(pot, args.pmax, args.dp, args.method,
-                           grid=args.grid or 0)
+    table = effective_grid(pot, args.pmax, args.dp, args.method, grid=args.grid)
     out_csv = outdir / "effective.csv"
     write_effective_csv(out_csv, table)
     out_json = outdir / "certificates.json"
@@ -140,10 +139,9 @@ def _cmd_cell_solve(args, outdir: Path):
         P = _float_list(ptxt)
         if len(P) != pot.dim:
             raise ValueError(f"P {ptxt!r} does not match dimension {pot.dim}")
-        sol = cell_problem_solve(H, P, args.grid or 256)
+        sol = cell_problem_solve(H, P, args.grid)
         rows.append((P, sol.value, sol.corrector.residual))
         diagnostics.append({"P": P, "iterations": sol.iterations,
-                            "factorizations": sol.factorizations,
                             "alphas": list(sol.alphas),
                             "discount_values": list(sol.discount_values)})
     out = outdir / "cell.csv"
@@ -155,8 +153,6 @@ def _cmd_egorov(args, outdir: Path):
     pot = load_potential(args.potential)
     if pot.dim != 1:
         raise ValueError("the bundled observable is one-dimensional")
-    from .potentials import cosine
-
     a = product_symbol(cosine((1,), 1.0), bump_profile(args.plateau, args.support))
     rule = None
     if args.K not in (None, "auto"):
@@ -198,7 +194,7 @@ def _cmd_isospectral(args, outdir: Path):
         if pair.left.dim == 1 else \
         [(p1, p2) for p1 in (-1.0, 0.0, 1.0) for p2 in (-1.0, 0.0, 1.0)]
     report = theorem2_check(pair, hbars, K, pvals, method=args.method,
-                            grid=args.grid or 64)
+                            grid=args.grid)
     out = outdir / "theorem2.json"
     write_report_json(out, report.to_dict())
     return [out], {"inputs": inputs}
@@ -233,12 +229,14 @@ def _build_parser():
         children.append(p)
         return p
 
-    def common(p, potential=True):
-        if potential:
-            p.add_argument("--potential", help="potential JSON file")
-        p.add_argument("--K", default=None, help="frequency cutoff, or 'auto'")
-        p.add_argument("--energy", type=_scalar, default=None,
-                       help="energy scale for the automatic cutoff")
+    def common(p, cutoff=True, energy=True):
+        """Flags every subcommand takes, plus the cutoff flags it reads."""
+        p.add_argument("--potential", help="potential JSON file")
+        if cutoff:
+            p.add_argument("--K", default=None, help="frequency cutoff, or 'auto'")
+        if energy:
+            p.add_argument("--energy", type=_scalar, default=None,
+                           help="energy scale for the automatic cutoff")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=42)
 
@@ -253,7 +251,7 @@ def _build_parser():
     p.add_argument("--samples", type=int, default=100_000)
 
     p = add_parser("effective", help="effective Hamiltonian table")
-    common(p)
+    common(p, cutoff=False, energy=False)
     p.add_argument("--method", default="closed-form",
                    choices=["closed-form", "cell-problem"])
     p.add_argument("--pmax", type=_scalar, required=True)
@@ -261,12 +259,12 @@ def _build_parser():
     p.add_argument("--grid", type=int, default=0)
 
     p = add_parser("cell-solve", help="cell problem at explicit momenta")
-    common(p)
+    common(p, cutoff=False, energy=False)
     p.add_argument("--p", action="append", help="momentum point, comma separated")
     p.add_argument("--grid", type=int, default=256)
 
     p = add_parser("egorov", help="quantized-flow residual scaling")
-    common(p)
+    common(p, energy=False)
     p.add_argument("--hbar", required=True)
     p.add_argument("--t", type=_scalar, default=1.0)
     p.add_argument("--plateau", type=_scalar, default=0.9)

@@ -7,26 +7,29 @@ J(E) = (2 pi)^-1 integral sqrt(2(E - V)) dx (flat plateau at max V for
 problem H(x, P + Du) = Hbar(P) in any dimension.
 
 The grid solver discretises with the monotone Lax-Friedrichs numerical
-Hamiltonian, adds a vanishing discount term delta*u, solves each discounted
-problem by Newton's method on the sparse system, and extrapolates
--delta*u_delta -> Hbar(P) linearly in delta.
+Hamiltonian (Kao, Osher & Qian, J. Comput. Phys. 196, 2004), adds a
+vanishing discount term delta*u, solves each discounted problem by
+pseudo-transient Newton on the sparse system, and extrapolates
+-delta*u_delta -> Hbar(P) linearly in delta.  A discounted problem that
+Newton leaves above the residual tolerance is refused with
+CellConvergenceError; there is no second solver.
 
-Each Newton step factors J + I/dt with SuperLU in a fixed geometric
-nested-dissection order of the grid (George, SIAM J. Numer. Anal. 10,
-1973): the periodic seam last, the open box before it bisected recursively.
-On 2D grids this cuts the L+U fill of SuperLU's default COLAMD order by
-40-50%.  Rows pivot only when the diagonal falls below 0.01 of its column's
-largest entry; once the Lax-Friedrichs guard holds, J + I/dt is diagonally
-dominant.
+Each Newton step, rejected trial steps included, factors J + I/dt with
+SuperLU in a fixed geometric nested-dissection order of the grid (George,
+SIAM J. Numer. Anal. 10, 1973): the periodic seam last, the open box before
+it bisected recursively.  On 2D grids this cuts the L+U fill of SuperLU's
+default COLAMD order by 40-50%.  Rows pivot only when the diagonal falls
+below 0.01 of its column's largest entry; once the Lax-Friedrichs guard
+holds, J + I/dt is diagonally dominant.
 
 The scheme constants are fixed: discounts delta = 0.1, 0.03, 0.01 (Hbar
 extrapolates from the last two); discounted residual 1e-6 in sup-norm and
-Newton tolerance 1e-11; at most 900 Newton steps per discount and a
-100,000-step budget for the fixed-point fallback; dissipation tightened to
-1.2 times the realised slope plus 0.05; interpolation tables padded by 2 in
-p with 256 nodes.  Table certificates hold to 1e-6.  The fixed tolerances
-that consume these results live with their checks: ``theorem2_check``
-(spectra 1e-8 (1+|E|), Hbar 5e-3) and ``egorov_scaling`` (exact at 1e-8).
+Newton tolerance 1e-11; at most 900 Newton steps per discount; dissipation
+tightened to 1.2 times the realised slope plus 0.05; interpolation tables
+padded by 2 in p with 256 nodes.  Table certificates hold to 1e-6.  The
+fixed tolerances that consume these results live with their checks:
+``theorem2_check`` (spectra 1e-8 (1+|E|), Hbar 5e-3) and ``egorov_scaling``
+(exact at 1e-8).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import numpy as np
 from scipy import integrate, interpolate, optimize, sparse
 from scipy.sparse.linalg import splu
 
+from .dynamics import compose_hamiltonian, symplectic_defect
 from .potentials import (TWO_PI, FourierPotential, _break_points, _grid_points,
                          potential_extrema)
 from .spectra import write_csv
@@ -51,7 +55,6 @@ _MIN_GRID = 32
 _DELTAS = (1e-1, 3e-2, 1e-2)
 _TOL = 1e-6             # required sup-norm of the discounted residual
 _NEWTON_TOL = 1e-11
-_MAX_ITER = 100_000     # fixed-point steps per cascade of discounts
 _ALPHA_MARGIN = 1.2
 _TABLE_P_PAD = 2.0      # momentum padding of interpolation tables
 _TABLE_P_RES = 256
@@ -151,8 +154,7 @@ class CellSolution:
     corrector: Corrector
     discount_values: tuple
     alphas: tuple
-    iterations: int
-    factorizations: int   # sparse LU factorizations in the Newton steps
+    iterations: int       # Newton steps, each one sparse LU factorization
 
 
 _ND_LEAF = 16   # boxes of at most this many cells keep their natural order
@@ -192,7 +194,7 @@ def nested_dissection(shape) -> np.ndarray:
 
 class _GridSymbol:
     """Evaluator of H and dH/dp_i on the fixed solver x-grid, with the
-    grid's elimination order for the Newton LU."""
+    grid's stencil and its elimination order for the Newton LU."""
 
     def __init__(self, H: PhaseSpaceFunction, axes):
         self.H = H
@@ -203,6 +205,16 @@ class _GridSymbol:
         # cell order[k] is unknown k of the factored system; rank inverts it
         self.order = nested_dissection(self.shape)
         self.rank = np.argsort(self.order)
+        self.size = self.order.size
+        self.hs = [TWO_PI / m for m in self.shape]
+        idx = np.arange(self.size).reshape(self.shape)
+        self.ip = [np.roll(idx, -1, axis=i).reshape(-1) for i in range(self.dim)]
+        self.im = [np.roll(idx, 1, axis=i).reshape(-1) for i in range(self.dim)]
+        # COO pattern of the Jacobian (diagonal, then +/- neighbours per axis)
+        # in elimination-order numbering
+        nbrs = [self.rank[nb[i]] for i in range(self.dim) for nb in (self.ip, self.im)]
+        self.pattern = (np.tile(self.rank, 2 * self.dim + 1),
+                        np.concatenate([self.rank] + nbrs))
         self.mechanical = H.potential is not None
         self.vgrid = None
         self.spline = None
@@ -268,37 +280,28 @@ def _alpha_box(P, v_min: float, v_max: float) -> float:
 
 
 class _CellWorkspace:
-    """One grid, one symbol: residual, Jacobian and Newton solve."""
+    """One discounted problem (P, dissipation, discount) on the grid of
+    ``sym``: residual, Jacobian and Newton solve."""
 
-    def __init__(self, sym: _GridSymbol, P, alphas, delta, hs):
+    def __init__(self, sym: _GridSymbol, P, alphas, delta):
         self.sym = sym
         self.P = np.asarray(P, dtype=float)
         self.alphas = np.asarray(alphas, dtype=float)
         self.delta = float(delta)
-        self.hs = hs
-        self.shape = sym.shape
-        self.n = len(self.shape)
-        self.size = int(np.prod(self.shape))
-        idx = np.arange(self.size).reshape(self.shape)
-        self.ip = [np.roll(idx, -1, axis=i).reshape(-1) for i in range(self.n)]
-        self.im = [np.roll(idx, 1, axis=i).reshape(-1) for i in range(self.n)]
-        # COO pattern of the Jacobian (diagonal, then +/- neighbours per axis)
-        # in elimination-order numbering
-        rank = sym.rank
-        nbrs = [rank[nb[i]] for i in range(self.n) for nb in (self.ip, self.im)]
-        self.pattern = (np.tile(rank, 2 * self.n + 1), np.concatenate([rank] + nbrs))
 
     def _pargs(self, u):
+        sym = self.sym
         cols = []
-        for i in range(self.n):
-            cols.append(self.P[i] + (u[self.ip[i]] - u[self.im[i]]) / (2 * self.hs[i]))
+        for i in range(sym.dim):
+            cols.append(self.P[i] + (u[sym.ip[i]] - u[sym.im[i]]) / (2 * sym.hs[i]))
         return np.stack(cols, axis=-1)
 
     def residual(self, u):
+        sym = self.sym
         pargs = self._pargs(u)
-        F = self.delta * u + self.sym.value(pargs)
-        for i in range(self.n):
-            lap = (u[self.ip[i]] - 2 * u + u[self.im[i]]) / (2 * self.hs[i])
+        F = self.delta * u + sym.value(pargs)
+        for i in range(sym.dim):
+            lap = (u[sym.ip[i]] - 2 * u + u[sym.im[i]]) / (2 * sym.hs[i])
             F -= self.alphas[i] * lap
         return F
 
@@ -308,14 +311,15 @@ class _CellWorkspace:
 
     def jacobian(self, u, dt):
         """J + I/dt as CSC, rows and columns in the grid's elimination order."""
-        hp = self.sym.slope(self._pargs(u))
-        data = [np.full(self.size, self.delta + sum(self.alphas[i] / self.hs[i]
-                                                    for i in range(self.n)) + 1.0 / dt)]
-        for i in range(self.n):
-            data.append(hp[:, i] / (2 * self.hs[i]) - self.alphas[i] / (2 * self.hs[i]))
-            data.append(-hp[:, i] / (2 * self.hs[i]) - self.alphas[i] / (2 * self.hs[i]))
-        return sparse.coo_matrix((np.concatenate(data), self.pattern),
-                                 shape=(self.size, self.size)).tocsc()
+        sym = self.sym
+        hp = sym.slope(self._pargs(u))
+        data = [np.full(sym.size, self.delta + sum(self.alphas[i] / sym.hs[i]
+                                                   for i in range(sym.dim)) + 1.0 / dt)]
+        for i in range(sym.dim):
+            data.append(hp[:, i] / (2 * sym.hs[i]) - self.alphas[i] / (2 * sym.hs[i]))
+            data.append(-hp[:, i] / (2 * sym.hs[i]) - self.alphas[i] / (2 * sym.hs[i]))
+        return sparse.coo_matrix((np.concatenate(data), sym.pattern),
+                                 shape=(sym.size, sym.size)).tocsc()
 
     def newton_step(self, u, F, dt):
         """(J + I/dt)^{-1} F from one LU factorization in elimination order."""
@@ -338,7 +342,7 @@ class _CellWorkspace:
         dt = 10.0
         steps = 0
         stall = 0
-        scale = self.delta + float(np.sum(self.alphas / np.asarray(self.hs)))
+        scale = self.delta + float(np.sum(self.alphas / np.asarray(self.sym.hs)))
         while steps < 900 and nrm > tol:
             trial = u - self.newton_step(u, F, dt)
             steps += 1
@@ -359,54 +363,31 @@ class _CellWorkspace:
                 break
         return u, nrm, steps
 
-    def march(self, u0, tol, max_steps):
-        """Damped fixed-point iteration with the mean solved algebraically."""
-        w = u0 - float(np.mean(u0))
-        tau = 0.45 * min(self.hs) / (float(np.sum(self.alphas)) + self.delta * min(self.hs))
-        steps = 0
-        for _ in range(max_steps):
-            ham = self.numerical_hamiltonian(w)
-            mean_h = float(np.mean(ham))
-            res_w = self.delta * w + ham - mean_h
-            if float(np.max(np.abs(res_w))) <= tol:
-                break
-            w = w - tau * res_w
-            w -= float(np.mean(w))
-            steps += 1
-        m = -float(np.mean(self.numerical_hamiltonian(w))) / self.delta
-        u = w + m
-        return u, float(np.max(np.abs(self.residual(u)))), steps
 
-
-def _solve_cascade(sym: _GridSymbol, P, alphas, hs, u_init=None, init_delta=None):
+def _solve_cascade(sym: _GridSymbol, P, alphas, u_init=None, init_delta=None):
     """All discounted problems for one P and one dissipation choice."""
     c_values = []
     u = u_init
     prev_delta = init_delta
     total_steps = 0
-    total_lus = 0
     final = None
     for delta in _DELTAS:
-        ws = _CellWorkspace(sym, P, alphas, delta, hs)
+        ws = _CellWorkspace(sym, P, alphas, delta)
         if u is None:
-            u0 = np.zeros(ws.size)
+            u0 = np.zeros(sym.size)
         else:
             # mean scales like 1/delta, the oscillating part barely moves
             mean = float(np.mean(u))
             u0 = (u - mean) + mean * ((prev_delta or delta) / delta)
         u, res, steps = ws.newton(u0, _NEWTON_TOL)
         total_steps += steps
-        total_lus += steps
-        if res > _TOL:
-            u, res, steps = ws.march(u, _TOL, _MAX_ITER - total_steps)
-            total_steps += steps
         if res > _TOL:
             raise CellConvergenceError(
                 f"cell residual {res:.3e} above {_TOL} at delta={delta}", res)
         c_values.append(-delta * float(np.mean(u)))
         prev_delta = delta
         final = (ws, u)
-    return c_values, final, total_steps, total_lus
+    return c_values, final, total_steps
 
 
 def _cell_axes(dim: int, grid) -> list:
@@ -434,7 +415,7 @@ def cell_problem_solve(H: PhaseSpaceFunction, P, grid: int, *,
     Returns the extrapolated Hbar(P) together with the mean-zero corrector
     at the smallest discount and the sup-norm residual of the discrete cell
     equation.  Raises CellConvergenceError if any discounted solve misses
-    the residual tolerance within the iteration budget.  A numeric symbol
+    the residual tolerance within its Newton steps.  A numeric symbol
     (one without a potential) needs ``v_range=(min V, max V)`` to bound its
     dissipation.  A symbol flagged expensive is tabulated afresh on every
     call (see ``invariance_check`` for one table shared by several P).
@@ -453,7 +434,6 @@ def _solve_on(sym: _GridSymbol, P, v_min: float, v_max: float,
     P = np.atleast_1d(np.asarray(P, dtype=float))
     if P.shape != (n,):
         raise ValueError("P does not match the symbol dimension")
-    hs = [TWO_PI / m for m in sym.shape]
     if sym.H.expensive:
         if p_range is None:
             box = _alpha_box(P, v_min, v_max)
@@ -464,9 +444,8 @@ def _solve_on(sym: _GridSymbol, P, v_min: float, v_max: float,
     # presolve the largest discount with the conservative box dissipation,
     # then shrink alpha to the gradient range the solution actually visits
     alphas = np.full(n, _alpha_box(P, v_min, v_max))
-    ws0 = _CellWorkspace(sym, P, alphas, _DELTAS[0], hs)
-    u_warm, res0, total = ws0.newton(np.zeros(ws0.size), _NEWTON_TOL)
-    lus = total     # one factorization per Newton step
+    ws0 = _CellWorkspace(sym, P, alphas, _DELTAS[0])
+    u_warm, res0, total = ws0.newton(np.zeros(sym.size), _NEWTON_TOL)
     warm_delta = None
     if res0 <= _TOL:
         alphas = np.maximum(_ALPHA_MARGIN * ws0.realized_slope(u_warm) + 0.05, 0.5)
@@ -474,10 +453,9 @@ def _solve_on(sym: _GridSymbol, P, v_min: float, v_max: float,
     else:
         u_warm = None
     for _ in range(3):
-        c_values, (ws, u), steps, cascade_lus = _solve_cascade(
-            sym, P, alphas, hs, u_init=u_warm, init_delta=warm_delta)
+        c_values, (ws, u), steps = _solve_cascade(
+            sym, P, alphas, u_init=u_warm, init_delta=warm_delta)
         total += steps
-        lus += cascade_lus
         # guard: the dissipation must dominate the realised slopes
         realized = ws.realized_slope(u)
         if np.all(realized <= alphas + 1e-9):
@@ -496,7 +474,7 @@ def _solve_on(sym: _GridSymbol, P, v_min: float, v_max: float,
     return CellSolution(value=float(value), corrector=corr,
                         discount_values=tuple(c_values),
                         alphas=tuple(float(a) for a in alphas),
-                        iterations=total, factorizations=lus)
+                        iterations=total)
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +521,14 @@ def _p_axis(p_max: float, dp: float) -> np.ndarray:
     return dp * np.arange(-m, m + 1)
 
 
-def _directions(dim: int):
-    if dim == 1:
-        return [(1,)]
+def _directions(reach) -> list:
+    """Primitive lattice steps v with |v_i| <= reach[i], one of each pair
+    +/-v (the one whose first nonzero component is positive)."""
     dirs = []
-    for d in itertools.product((-1, 0, 1), repeat=dim):
-        if any(d) and (np.sign([v for v in d if v][0]) > 0):
-            dirs.append(d)
+    for v in itertools.product(*(range(-r, r + 1) for r in reach)):
+        nonzero = [c for c in v if c]
+        if nonzero and nonzero[0] > 0 and math.gcd(*v) == 1:
+            dirs.append(v)
     return dirs
 
 
@@ -558,7 +537,7 @@ def compute_certificates(axes, values, v_max: float) -> TableCertificates:
     dim = len(axes)
     # midpoint convexity along every grid line (axes and diagonals)
     convex_defect = -math.inf
-    for d in _directions(dim):
+    for d in _directions((1,) * dim):
         lo = values
         for ax, step in enumerate(d):
             if step:
@@ -653,11 +632,38 @@ class SublevelSet:
     convex_certified: bool
 
 
+def _shifted(flags: np.ndarray, step) -> np.ndarray:
+    """out[x] = flags[x - step], False where x - step is off the grid."""
+    out = np.zeros_like(flags)
+    dst, src = [], []
+    for s, m in zip(step, flags.shape):
+        if abs(s) >= m:
+            return out
+        dst.append(slice(max(s, 0), m + min(s, 0)))
+        src.append(slice(max(-s, 0), m - max(s, 0)))
+    out[tuple(dst)] = flags[tuple(src)]
+    return out
+
+
+def _flanked(flags: np.ndarray, v) -> np.ndarray:
+    """Cells with a member of ``flags`` on either side of them along v."""
+    v = np.asarray(v)
+    before, after = np.zeros_like(flags), np.zeros_like(flags)
+    for k in range(1, max(flags.shape)):
+        before |= _shifted(flags, k * v)
+        after |= _shifted(flags, -k * v)
+    return before & after
+
+
 def sublevel_set(table: EffectiveTable, energy: float) -> SublevelSet:
     """Grid points with Hbar <= E, certified convex as a discrete set.
 
-    The certificate walks every lattice point on every segment between two
-    members; a non-member on such a segment voids it.
+    The certificate asks, for every primitive lattice direction v, that the
+    members on each grid line parallel to v form one contiguous run: a
+    non-member with members on both sides of it along v voids it.  This is
+    the same as asking every lattice point on the segment between two
+    members to be a member.  A line that holds a hole holds at least three
+    points, so v only ranges over |v_i| <= (m_i - 1) // 2.
     """
     energy = float(energy)
     flags = table.values <= energy
@@ -665,26 +671,8 @@ def sublevel_set(table: EffectiveTable, energy: float) -> SublevelSet:
     if coords.size == 0:
         return SublevelSet(points=np.empty((0, table.dim)), empty=True,
                            convex_certified=True)
-    inside = {tuple(c) for c in coords}
-    convex = True
-    cl = [tuple(c) for c in coords]
-    for a_i in range(len(cl)):
-        for b_i in range(a_i + 1, len(cl)):
-            a = np.array(cl[a_i])
-            bpt = np.array(cl[b_i])
-            d = bpt - a
-            g = int(np.gcd.reduce(np.abs(d))) if np.any(d) else 1
-            if g <= 1:
-                continue
-            step = d // g
-            for k in range(1, g):
-                if tuple(a + k * step) not in inside:
-                    convex = False
-                    break
-            if not convex:
-                break
-        if not convex:
-            break
+    reach = [(m - 1) // 2 for m in flags.shape]
+    convex = not any(np.any(_flanked(flags, v) & ~flags) for v in _directions(reach))
     pts = np.stack([np.asarray(table.axes[i])[coords[:, i]]
                     for i in range(table.dim)], axis=-1)
     return SublevelSet(points=pts, empty=False, convex_certified=convex)
@@ -769,8 +757,6 @@ def invariance_check(H: PhaseSpaceFunction, phi, p_values: Sequence[float],
     agree up to scheme error.  H must be mechanical: the dissipation bound
     and the table width of both symbols come from its potential's extrema.
     """
-    from .dynamics import compose_hamiltonian, symplectic_defect
-
     if H.potential is None:
         raise ValueError("invariance_check needs a mechanical H")
     axes = _cell_axes(H.dim, grid)

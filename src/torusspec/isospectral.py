@@ -16,9 +16,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .effective import action_J, effective_1d
+from .effective import action_J, cell_problem_solve, effective_1d
 from .potentials import TWO_PI, FourierPotential, potential_extrema
 from .spectra import SpectrumResult, assemble_hamiltonian, eigen_spectrum, write_csv
+from .symbols import mechanical_symbol
 
 _PROBE_TOL = 1e-10
 _MATCH_TOL = 1e-8
@@ -174,8 +175,6 @@ def theorem2_check(pair: IsospectralPair, hbars: Sequence[float], cutoff: int,
         ea = np.array([effective_1d(pair.left, float(p)) for p in p_values])
         eb = np.array([effective_1d(pair.right, float(p)) for p in p_values])
     elif method == "cell-problem":
-        from .effective import cell_problem_solve
-        from .symbols import mechanical_symbol
         Ha, Hb = mechanical_symbol(pair.left), mechanical_symbol(pair.right)
         ea = np.array([cell_problem_solve(Ha, np.atleast_1d(p), grid).value
                        for p in p_values])

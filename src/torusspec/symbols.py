@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .potentials import FourierPotential
+from .potentials import FourierPotential, zero_potential
 
 
 @dataclass
@@ -91,7 +91,6 @@ def mechanical_symbol(pot: FourierPotential) -> PhaseSpaceFunction:
 
 def kinetic_symbol(dim: int = 1) -> PhaseSpaceFunction:
     """b(x, eta) = |eta|^2 / 2 (free motion generator)."""
-    from .potentials import zero_potential
     return mechanical_symbol(zero_potential(dim))
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import torusspec
-from torusspec.cli import _scalar, main
+from torusspec.cli import _build_parser, _scalar, main
 from torusspec.potentials import cosine, save_potential, zero_potential
 
 GOLDEN_FREE_K1 = (
@@ -145,12 +146,66 @@ def test_cell_solve_manifest_diagnostics(pots, tmp_path):
     diags = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert [d["P"] for d in diags] == [[2.0], [0.5]]
     for d in diags:
-        assert set(d) == {"P", "iterations", "factorizations", "alphas", "discount_values"}
-        assert 0 < d["factorizations"] <= d["iterations"]
+        assert set(d) == {"P", "iterations", "alphas", "discount_values"}
+        assert d["iterations"] > 0
         assert len(d["alphas"]) == 1 and d["alphas"][0] > 0.0
         assert len(d["discount_values"]) == 3
     # diagnostics stay out of the CSV
     assert (out / "cell.csv").read_text().splitlines()[0] == "P,Hbar,method,residual"
+
+
+def test_cell_solve_grid_below_minimum_exits_2(pots, tmp_path):
+    # --grid 0 is an input like --grid 16, not a request for the default
+    for grid in ("0", "16"):
+        out = tmp_path / f"grid{grid}"
+        rc = main(["cell-solve", "--potential", pots["cos"], "--p", "1.0",
+                   "--grid", grid, "--out", str(out)])
+        assert rc == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "ValueError"
+
+
+def test_flags_a_subcommand_ignores_are_refused(pots, tmp_path):
+    base = ["--potential", pots["cos"], "--out", str(tmp_path / "run")]
+    assert main(["effective", *base, "--pmax", "2", "--dp", "0.5", "--K", "8"]) == 2
+    assert main(["effective", *base, "--pmax", "2", "--dp", "0.5", "--energy", "2"]) == 2
+    assert main(["cell-solve", *base, "--p", "1.0", "--K", "8"]) == 2
+    assert main(["egorov", *base, "--hbar", "0.5,0.25", "--energy", "2"]) == 2
+
+
+def test_egorov_subcommand(pots, tmp_path):
+    out = tmp_path / "run"
+    rc = main(["egorov", "--potential", pots["cos"], "--hbar", "0.5,0.25",
+               "--K", "8", "--out", str(out)])
+    assert rc == 0
+    rep = json.loads((out / "egorov.json").read_text())
+    assert set(rep) == {"hbar", "residual", "slope", "exact"}
+    assert rep["hbar"] == [0.5, 0.25]
+    assert len(rep["residual"]) == 2
+    assert all(math.isfinite(r) and r >= 0.0 for r in rep["residual"])
+    assert rep["exact"] is False and math.isfinite(rep["slope"])
+    # the bundled observable is one-dimensional
+    pot2 = tmp_path / "cos2d.json"
+    save_potential(cosine((1, 1)), pot2)
+    rc = main(["egorov", "--potential", str(pot2), "--hbar", "0.5,0.25",
+               "--K", "8", "--out", str(tmp_path / "two")])
+    assert rc == 2
+
+
+def test_readme_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text(encoding="utf-8").splitlines()
+             if line.startswith("torusspec ")]
+    assert len(lines) == 7
+    parser, _ = _build_parser()
+
+    def parses(line):
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            return False
+        return True
+
+    assert [line for line in lines if not parses(line)] == []
 
 
 def test_weyl_count_subcommand(pots, tmp_path):

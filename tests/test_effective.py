@@ -1,10 +1,11 @@
 """Effective Hamiltonian: closed form, cell solver, tables, invariance."""
 
-import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import splu, spsolve
 
@@ -98,7 +99,6 @@ def test_cell_validation():
 
 def test_cell_convergence_error(monkeypatch):
     monkeypatch.setattr(effective, "_TOL", 1e-16)
-    monkeypatch.setattr(effective, "_MAX_ITER", 10)
     with pytest.raises(CellConvergenceError) as exc:
         cell_problem_solve(mechanical_symbol(COS), 1.0, 64)
     assert exc.value.residual > 0.0
@@ -155,6 +155,63 @@ def test_sublevel_set_with_a_hole_is_refused():
     lev = sublevel_set(table(values), 1.0)
     assert not lev.empty and not lev.convex_certified
     assert lev.points.tolist() == [[-1.0, -1.0], [1.0, 1.0]]
+
+
+def _all_pairs_walk(flags):
+    """Reference certificate: every lattice point strictly between two
+    members is a member."""
+    members = [tuple(c) for c in np.argwhere(flags)]
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            d = np.subtract(b, a)
+            g = int(np.gcd.reduce(np.abs(d)))
+            if any(not flags[tuple(np.add(a, k * (d // g)))] for k in range(1, g)):
+                return False
+    return True
+
+
+@st.composite
+def _level_tables(draw):
+    dim = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["segment", "any", "quadratic"]))
+    if kind == "segment":
+        # the ends of a segment k*v along a lattice direction v, with or
+        # without the points between them
+        v = np.array([draw(st.integers(-3, 3)) for _ in range(dim)])
+        k = draw(st.integers(1, 3))
+        ends = np.array([np.zeros(dim, dtype=int), k * v])
+        start = -ends.min(axis=0) + [draw(st.integers(0, 2)) for _ in range(dim)]
+        shape = tuple(start + ends.max(axis=0) + 1 + [draw(st.integers(0, 2)) for _ in range(dim)])
+        values = np.ones(shape)
+        for j in (range(k + 1) if draw(st.booleans()) else (0, k)):
+            values[tuple(start + j * v)] = 0.0
+        return values, 0.5
+    shape = tuple(draw(st.integers(1, 7)) for _ in range(dim))
+    if kind == "any":
+        # arbitrary sets: mostly holes
+        values = np.array(draw(st.lists(st.integers(0, 3), min_size=math.prod(shape),
+                                        max_size=math.prod(shape)))).reshape(shape)
+        return values.astype(float), 1.5
+    # level sets of a quadratic about a random centre: mostly convex, with
+    # discrete holes where the lattice cuts a thin ellipse
+    idx = np.indices(shape).reshape(dim, -1).T.astype(float)
+    centre = np.array([draw(st.floats(-1.0, m)) for m in shape])
+    A = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=dim * dim,
+                               max_size=dim * dim))).reshape(dim, dim)
+    z = idx - centre
+    values = np.einsum("ni,ij,nj->n", z, A @ A.T + 0.05 * np.eye(dim), z)
+    return values.reshape(shape), draw(st.floats(0.0, 20.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_level_tables())
+def test_sublevel_set_matches_the_all_pairs_walk(case):
+    values, energy = case
+    table = EffectiveTable(dim=values.ndim, axes=tuple(np.arange(m) for m in values.shape),
+                           values=values, method="cell-problem", residuals=None,
+                           certificates=None, v_max=0.0)
+    lev = sublevel_set(table, energy)
+    assert lev.convex_certified == _all_pairs_walk(values <= energy)
 
 
 def test_certificates_flag_violations():
@@ -270,13 +327,13 @@ def _workspaces_64():
     pot = cosine((1, 0)) + cosine((0, 1), 1.05).translate((0.0, 0.7))
     H = mechanical_symbol(pot)
     axes = [np.arange(64) * (TWO_PI / 64)] * 2
-    hs = [TWO_PI / 64] * 2
     sym = effective._GridSymbol(H, axes)
-    natural = copy.copy(sym)
-    natural.order = natural.rank = np.arange(64 * 64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(effective, "nested_dissection", lambda shape: np.arange(math.prod(shape)))
+        natural = effective._GridSymbol(H, axes)
     P, alphas, delta = np.array([1.6, 2.1]), np.array([3.2, 3.6]), 0.03
-    ws = effective._CellWorkspace(sym, P, alphas, delta, hs)
-    ref = effective._CellWorkspace(natural, P, alphas, delta, hs)
+    ws = effective._CellWorkspace(sym, P, alphas, delta)
+    ref = effective._CellWorkspace(natural, P, alphas, delta)
     x1, x2 = np.meshgrid(*axes, indexing="ij")
     u = (0.3 * np.sin(x1 + 0.2) * np.cos(2 * x2) + 0.1 * np.cos(x2)).reshape(-1) - 20.0
     return ws, ref, u
@@ -303,6 +360,17 @@ def test_nested_dissection_fill_below_colamd():
     assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
+def _counted_lus(monkeypatch):
+    lus = []
+
+    def counting_lu(*args, **kwargs):
+        lus.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(effective, "splu", counting_lu)
+    return lus
+
+
 def test_guard_retry_matches_colamd_reference(monkeypatch):
     # with alpha_margin 0.5 the tightened dissipation undershoots the
     # realised slopes, so the Lax-Friedrichs guard fails and the solve is
@@ -317,17 +385,11 @@ def test_guard_retry_matches_colamd_reference(monkeypatch):
         cascades.append(1)
         return cascade(*args, **kwargs)
 
-    lus = []
-
-    def counting_lu(*args, **kwargs):
-        lus.append(1)
-        return splu(*args, **kwargs)
-
     monkeypatch.setattr(effective, "_solve_cascade", counting)
-    monkeypatch.setattr(effective, "splu", counting_lu)
+    lus = _counted_lus(monkeypatch)
     sol = cell_problem_solve(H, (1.5, 1.5), 48)
     assert len(cascades) >= 2
-    assert sol.factorizations == len(lus)
+    assert sol.iterations == len(lus)
     monkeypatch.setattr(effective, "splu", lambda A, **_: splu(A))
     reference = cell_problem_solve(H, (1.5, 1.5), 48)
     assert sol.alphas == pytest.approx(reference.alphas, rel=1e-9)
@@ -343,22 +405,16 @@ def test_numeric_symbol_slope_by_central_difference():
     ext = potential_extrema(pot, res=256)
     sol = cell_problem_solve(numeric, (1.5, 1.2), 32, v_range=(ext.min_value, ext.max_value))
     exact = cell_problem_solve(mechanical_symbol(pot), (1.5, 1.2), 32)
-    assert sol.factorizations > 0
+    assert sol.iterations > 0
     assert abs(sol.value - exact.value) <= 1e-6
 
 
 def test_newton_counts_only_factoring_steps(monkeypatch):
     H = mechanical_symbol(COS)
     sym = effective._GridSymbol(H, [np.arange(64) * (TWO_PI / 64)])
-    ws = effective._CellWorkspace(sym, np.array([1.5]), np.array([3.0]), 0.1, [TWO_PI / 64])
-    lus = []
-
-    def counting_lu(*args, **kwargs):
-        lus.append(1)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(effective, "splu", counting_lu)
-    u, nrm, steps = ws.newton(np.zeros(ws.size), 1e-11)
+    ws = effective._CellWorkspace(sym, np.array([1.5]), np.array([3.0]), 0.1)
+    lus = _counted_lus(monkeypatch)
+    u, nrm, steps = ws.newton(np.zeros(sym.size), 1e-11)
     assert steps == len(lus) > 0
     # a state already within tol takes no step and no factorization
     lus.clear()
@@ -367,14 +423,21 @@ def test_newton_counts_only_factoring_steps(monkeypatch):
     assert again == nrm
 
 
-def test_cell_2d_without_march_counts_one_lu_per_iteration(monkeypatch):
-    def no_march(*args, **kwargs):
-        raise AssertionError("the fixed-point march ran")
+@pytest.mark.parametrize("pot, P, grid", [(COS, 2.0, 128),
+                                          (cosine((1, 0)) + cosine((0, 1)), (1.5, 1.5), 48)],
+                         ids=["1d", "2d"])
+def test_cell_counts_one_lu_per_iteration(monkeypatch, pot, P, grid):
+    lus = _counted_lus(monkeypatch)
+    sol = cell_problem_solve(mechanical_symbol(pot), P, grid)
+    assert sol.iterations == len(lus) > 0
 
-    monkeypatch.setattr(effective._CellWorkspace, "march", no_march)
-    pot = cosine((1, 0)) + cosine((0, 1))
-    sol = cell_problem_solve(mechanical_symbol(pot), (1.5, 1.5), 48)
-    assert sol.iterations == sol.factorizations > 0
+
+def test_workspace_holds_only_the_problem_parameters():
+    # the stencil (neighbours, spacings, Jacobian pattern) is the grid
+    # symbol's, built once per grid, not once per discounted problem
+    sym = effective._GridSymbol(mechanical_symbol(COS), [np.arange(64) * (TWO_PI / 64)])
+    ws = effective._CellWorkspace(sym, np.array([1.5]), np.array([3.0]), 0.1)
+    assert set(vars(ws)) == {"sym", "P", "alphas", "delta"}
 
 
 def _shear_map():

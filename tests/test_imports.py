@@ -1,5 +1,5 @@
-"""Lint of the library sources: every top-level import of a module is used
-by that module, and every parameter of a def is read by its body."""
+"""Lint of the library sources: imports sit at module level and are used by
+their module, and every parameter of a def is read by its body."""
 
 import ast
 from pathlib import Path
@@ -57,3 +57,21 @@ def test_no_unused_parameters():
         if names:
             unread[path.name] = names
     assert unread == {}
+
+
+def _local_imports(tree: ast.Module) -> list:
+    """name:line of each import statement inside a def."""
+    return [f"{node.name}:{inner.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+            if isinstance(inner, (ast.Import, ast.ImportFrom))]
+
+
+def test_no_function_local_imports():
+    local = {}
+    for path in sorted(SRC.glob("*.py")):
+        names = _local_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if names:
+            local[path.name] = names
+    assert local == {}
