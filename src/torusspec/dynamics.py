@@ -1,11 +1,14 @@
 """Classical Hamiltonian flows on torus phase space.
 
 Separable generators |eta|^2/2 + V(x) are integrated by the kick-drift-kick
-(Stormer-Verlet) splitting, which is symplectic and second order; anything
-else falls back to a classical fourth-order one-step method with gradients
-taken analytically when the symbol carries them and by central differences
-otherwise.  Positions are stored unwrapped during integration and wrapped
-on output, so winding does not distort finite differences.
+(Stormer-Verlet) splitting, which is symplectic and second order, with one
+grad V per step: a step's closing half kick and the next step's opening
+one share it.  Anything else falls back to the classical fourth-order
+Runge-Kutta method with one vector-field call per stage: the symbol's own
+vector_field when it has one, its grad_x/grad_eta pair otherwise, and
+central differences of fn as the last resort.  Positions are stored
+unwrapped during integration and wrapped on output, so winding does not
+distort finite differences.
 """
 
 from __future__ import annotations
@@ -46,17 +49,17 @@ class FlowDiagnostics:
 
 
 def _gradients(b: PhaseSpaceFunction):
-    """(dH/dx, dH/deta) as batched callables, analytic if available."""
+    """(x, eta) -> (dH/dx, dH/deta) for a symbol without a vector_field:
+    its grad_x/grad_eta pair when both are set, central differences of fn
+    otherwise."""
     if b.grad_x is not None and b.grad_eta is not None:
-        return b.grad_x, b.grad_eta
+        return lambda x, eta: (b.grad_x(x, eta), b.grad_eta(x, eta))
 
-    def gx(x, eta):
-        return _central_difference(lambda z: b.fn(z, eta), x)
+    def field(x, eta):
+        return (_central_difference(lambda z: b.fn(z, eta), x),
+                _central_difference(lambda z: b.fn(x, z), eta))
 
-    def ge(x, eta):
-        return _central_difference(lambda z: b.fn(x, z), eta)
-
-    return gx, ge
+    return field
 
 
 def _check_escape(p):
@@ -81,18 +84,22 @@ def _flow_batch(b: PhaseSpaceFunction, X, P, t: float, h: float,
 
     if b.potential is not None and scheme != "rk4":
         vgrad = b.potential.gradient
-        # Stormer-Verlet: half kick, drift, half kick
+        # Stormer-Verlet: half kick, drift, half kick; the closing kick's
+        # gradient opens the next step
+        grad = vgrad(X).reshape(X.shape)
         for _ in range(steps):
-            P -= 0.5 * dt * vgrad(X).reshape(X.shape)
+            P -= 0.5 * dt * grad
             X += dt * P
-            P -= 0.5 * dt * vgrad(X).reshape(X.shape)
+            grad = vgrad(X).reshape(X.shape)
+            P -= 0.5 * dt * grad
             _check_escape(P)
         return X, P
 
-    gx, ge = _gradients(b)
+    field = b.vector_field or _gradients(b)
 
     def rhs(x, p):
-        return ge(x, p), -gx(x, p)
+        dx, dp = field(x, p)
+        return dp, -dx
 
     for _ in range(steps):
         k1x, k1p = rhs(X, P)

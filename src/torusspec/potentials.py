@@ -11,7 +11,8 @@ construction: one q of each +-q pair and the weight w_q = A_q + i B_q with
 A_q = Re(c_q + c_{-q}), B_q = Im(c_q - c_{-q}), so that
 V(x) = c_0 + sum_q A_q cos(q.x) - B_q sin(q.x).  Values, gradients and
 x-derivatives of any order are all sums of this form (`_trig_sum`): one
-matmul, one cos and one sin per block of points.
+matmul, one cos and one sin per block of points.  `value_and_gradient`
+takes V and grad V from one such pass, for the flows' vector fields.
 """
 
 from __future__ import annotations
@@ -58,6 +59,16 @@ def _trig_sum(pts, freqs, w):
     return out
 
 
+def _real_part(vals):
+    """V from _trig_sum values: a bare column, or (Re V, Im V) columns that
+    are refused when Im V exceeds _IMAG_TOL relative to max |Re V|."""
+    if vals.ndim == 2:
+        vals, imag = vals[:, 0], vals[:, 1]
+        if vals.size and np.max(np.abs(imag)) > _IMAG_TOL * max(1.0, np.max(np.abs(vals))):
+            raise ArithmeticError("potential evaluation produced a non-real value")
+    return vals
+
+
 def _as_freq(q, dim: int) -> tuple:
     if np.isscalar(q):
         qt = (int(q),)
@@ -77,7 +88,7 @@ class FourierPotential:
     first nonzero component is positive, sorted, and the complex
     half_weights w_q of the module docstring.  Coefficients that pass the
     Hermitian check without being exact conjugates leave an imaginary part,
-    which evaluate refuses past _IMAG_TOL.
+    which evaluate and value_and_gradient refuse past _IMAG_TOL.
     """
 
     dim: int
@@ -85,9 +96,11 @@ class FourierPotential:
     half_freqs: np.ndarray = field(init=False, repr=False, compare=False)
     half_weights: np.ndarray = field(init=False, repr=False, compare=False)
     # _trig_sum weights of V and of grad V; V's carry a second column, for
-    # Im V, only when some c_{-q} != conj(c_q)
+    # Im V, only when some c_{-q} != conj(c_q).  _fused_w stacks V's columns
+    # before grad V's, for value_and_gradient.
     _value_w: np.ndarray = field(init=False, repr=False, compare=False)
     _grad_w: np.ndarray = field(init=False, repr=False, compare=False)
+    _fused_w: np.ndarray = field(init=False, repr=False, compare=False)
     _c0: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -117,10 +130,12 @@ class FourierPotential:
             value_w, c0 = w, c0.real
         else:
             value_w, c0 = np.stack([w, wi], axis=1), np.array([c0.real, c0.imag])
+        grad_w = 1j * w[:, None] * freqs               # d/dx e^{iq.x} = iq e^{iq.x}
         object.__setattr__(self, "half_freqs", freqs)
         object.__setattr__(self, "half_weights", w)
         object.__setattr__(self, "_value_w", value_w)
-        object.__setattr__(self, "_grad_w", 1j * w[:, None] * freqs)   # d/dx e^{iq.x} = iq e^{iq.x}
+        object.__setattr__(self, "_grad_w", grad_w)
+        object.__setattr__(self, "_fused_w", np.column_stack([value_w, grad_w]))
         object.__setattr__(self, "_c0", c0)
 
     # -- basic queries ---------------------------------------------------
@@ -159,11 +174,7 @@ class FourierPotential:
     def evaluate(self, x):
         """V(x), vectorised; real output."""
         pts, shape = self._points(x)
-        vals = self._c0 + _trig_sum(pts, self.half_freqs, self._value_w)
-        if vals.ndim == 2:
-            vals, imag = vals[:, 0], vals[:, 1]
-            if vals.size and np.max(np.abs(imag)) > _IMAG_TOL * max(1.0, np.max(np.abs(vals))):
-                raise ArithmeticError("potential evaluation produced a non-real value")
+        vals = _real_part(self._c0 + _trig_sum(pts, self.half_freqs, self._value_w))
         out = vals.reshape(shape)
         return out if out.shape else float(out)
 
@@ -178,6 +189,16 @@ class FourierPotential:
         if self.dim == 1 and shape == np.asarray(x).shape:
             return grad[:, 0].reshape(shape)
         return grad.reshape(shape + (self.dim,))
+
+    def value_and_gradient(self, x):
+        """(V(x), grad V(x)) from one _trig_sum: one cos/sin pass serves
+        both.  Values have evaluate's shape, gradients one trailing axis of
+        length dim more; a non-real V is refused as in evaluate."""
+        pts, shape = self._points(x)
+        both = _trig_sum(pts, self.half_freqs, self._fused_w)
+        k = both.shape[1] - self.dim
+        vals = _real_part(self._c0 + (both[:, 0] if k == 1 else both[:, :k]))
+        return vals.reshape(shape), both[:, k:].reshape(shape + (self.dim,))
 
     # -- exact isospectral transforms ------------------------------------
 

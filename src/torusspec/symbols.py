@@ -2,8 +2,11 @@
 
 A symbol carries its evaluator plus whatever structure is known about it:
 an exact x-Fourier transform (used by the quantiser to avoid quadrature),
-a bandwidth in x, analytic gradients, or the underlying potential when the
-symbol is mechanical, |eta|^2/2 + V(x).  Numeric symbols obtained by
+a bandwidth in x, its Hamiltonian vector field, or the underlying potential
+when the symbol is mechanical, |eta|^2/2 + V(x).  The built-in symbols give
+the vector field (dH/dx, dH/deta) in one call, analytic throughout: one
+cos/sin pass of the potential for W and grad W, and one exp pair of
+bump_profile for the cutoff and its derivative.  Numeric symbols obtained by
 composing with a flow advertise themselves as expensive: the cell solver
 then evaluates them once on an interpolation table it owns instead of at
 every Newton step.
@@ -21,12 +24,19 @@ from .potentials import FourierPotential, zero_potential
 
 @dataclass
 class PhaseSpaceFunction:
-    """b(x, eta), evaluated on batched arrays of shape (m, dim)."""
+    """b(x, eta), evaluated on batched arrays of shape (m, dim).
+
+    vector_field(x, eta) returns (dH/dx, dH/deta), each (m, dim), from one
+    call; the flows call it once per RK4 stage.  A symbol without one is
+    flowed on grad_x and grad_eta when both are set (one call each per
+    stage), and otherwise on central differences of fn.
+    """
 
     dim: int
     fn: Callable
     x_bandwidth: Optional[int] = None          # None: not band-limited / unknown
     x_fourier: Optional[Callable] = None       # (q tuple, eta (m, dim)) -> values
+    vector_field: Optional[Callable] = None    # (x, eta) -> (dH/dx, dH/deta)
     grad_x: Optional[Callable] = None
     grad_eta: Optional[Callable] = None
     potential: Optional[FourierPotential] = None   # set for |eta|^2/2 + V
@@ -59,7 +69,8 @@ def _batch(x, eta, dim):
 
 
 def mechanical_symbol(pot: FourierPotential) -> PhaseSpaceFunction:
-    """H(x, eta) = |eta|^2 / 2 + V(x), with exact Fourier data and gradients."""
+    """H(x, eta) = |eta|^2 / 2 + V(x), with exact Fourier data and vector
+    field (grad V, eta)."""
     dim = pot.dim
 
     def fn(x, eta):
@@ -75,17 +86,13 @@ def mechanical_symbol(pot: FourierPotential) -> PhaseSpaceFunction:
             vals = vals + 0.5 * np.sum(eta ** 2, axis=-1)
         return vals
 
-    def gx(x, eta):
-        x, _ = _batch(x, eta, dim)
-        return pot.gradient(x).reshape(x.shape)
-
-    def ge(x, eta):
-        _, eta = _batch(x, eta, dim)
-        return eta.copy()
+    def vf(x, eta):
+        x, eta = _batch(x, eta, dim)
+        return pot.gradient(x).reshape(x.shape), eta.copy()
 
     return PhaseSpaceFunction(
         dim=dim, fn=fn, x_bandwidth=pot.max_frequency, x_fourier=xf,
-        grad_x=gx, grad_eta=ge, potential=pot,
+        vector_field=vf, potential=pot,
     )
 
 
@@ -94,15 +101,20 @@ def kinetic_symbol(dim: int = 1) -> PhaseSpaceFunction:
     return mechanical_symbol(zero_potential(dim))
 
 
-def product_symbol(pot: FourierPotential, eta_fn: Callable,
-                   eta_grad: Optional[Callable] = None) -> PhaseSpaceFunction:
+def product_symbol(pot: FourierPotential, eta_fn: Callable) -> PhaseSpaceFunction:
     """b(x, eta) = W(x) * g(|eta| profile), W a trig polynomial, g scalar.
 
     The x-Fourier transform stays exact: b_hat(q, eta) = c_q g(eta).
-    eta_fn maps an (m, dim) batch to (m,) values; eta_grad, if given, to the
-    (m, dim) gradient.
+    eta_fn maps an (m, dim) batch to (m,) values.  The vector field
+    (grad W g, W grad g) takes W and grad W from one potential call and g
+    and grad g from eta_fn.value_and_gradient when the profile has one, as
+    bump_profile's does; a plain callable is differenced instead.
     """
     dim = pot.dim
+    profile_vg = getattr(eta_fn, "value_and_gradient", None)
+    if profile_vg is None:
+        def profile_vg(eta):
+            return eta_fn(eta), _central_difference(eta_fn, eta)
 
     def fn(x, eta):
         x, eta = _batch(x, eta, dim)
@@ -114,49 +126,57 @@ def product_symbol(pot: FourierPotential, eta_fn: Callable,
             eta = eta[:, None]
         return pot.coefficient(q) * eta_fn(eta)
 
-    def gx(x, eta):
+    def vf(x, eta):
         x, eta = _batch(x, eta, dim)
-        return pot.gradient(x).reshape(x.shape) * eta_fn(eta)[:, None]
-
-    if eta_grad is not None:
-        def ge(x, eta):
-            x, eta = _batch(x, eta, dim)
-            return eta_grad(eta) * pot.evaluate(x)[:, None]
-    else:
-        # profile-only differences: much cheaper than differencing the full
-        # symbol, and the flows downstream call this in their inner loop
-        def ge(x, eta):
-            x, eta = _batch(x, eta, dim)
-            return _central_difference(eta_fn, eta) * pot.evaluate(x)[:, None]
+        w, dw = pot.value_and_gradient(x)
+        g, dg = profile_vg(eta)
+        return dw * g[:, None], dg * w[:, None]
 
     return PhaseSpaceFunction(dim=dim, fn=fn, x_bandwidth=pot.max_frequency,
-                              x_fourier=xf, grad_x=gx, grad_eta=ge)
+                              x_fourier=xf, vector_field=vf)
 
 
 def bump_profile(plateau: float, support: float) -> Callable:
     """Smooth radial cutoff in eta: 1 for |eta| <= plateau, 0 beyond support.
 
-    Standard C-infinity transition exp(-1/t) glued on [plateau, support].
+    Standard C-infinity transition s(t) = g / (f + g), f = exp(-1/t),
+    g = exp(-1/(1-t)), glued on [plateau, support] by
+    t = (|eta| - plateau) / (support - plateau); only points of the
+    transition band 0 < t < 1 need the exps.  The returned profile maps eta
+    to s.  Its attribute value_and_gradient maps an (m, dim) batch to
+    (s, grad_eta s), the gradient from the same exp pair: the analytic
+    s'(t) = -f g (1/t^2 + 1/(1-t)^2) / (f + g)^2 times
+    eta / (|eta| (support - plateau)).
     """
     r0 = float(plateau)
     r1 = float(support)
     if not (0.0 < r0 < r1):
         raise ValueError("need 0 < plateau < support")
 
-    def smooth_step(t):
-        # 1 at t<=0, 0 at t>=1
-        t = np.clip(t, 0.0, 1.0)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            f = np.where(t > 0.0, np.exp(-1.0 / np.where(t > 0.0, t, 1.0)), 0.0)
-            g = np.where(t < 1.0, np.exp(-1.0 / np.where(t < 1.0, 1.0 - t, 1.0)), 0.0)
-        return g / (f + g)
+    def smooth_step(eta):
+        # s, plus what its derivative needs: |eta|, the transition band
+        # 0 < t < 1, and on it t, f = exp(-1/t) and g = exp(-1/(1-t))
+        r = np.abs(eta) if eta.ndim == 1 else np.sqrt(np.sum(eta ** 2, axis=-1))
+        t = (r - r0) / (r1 - r0)
+        band = np.nonzero((t > 0.0) & (t < 1.0))
+        tb = t[band]
+        f, g = np.exp(-1.0 / tb), np.exp(-1.0 / (1.0 - tb))
+        s = (t <= 0.0).astype(float)
+        s[band] = g / (f + g)
+        return s, r, band, tb, f, g
 
     def profile(eta):
-        eta = np.asarray(eta, dtype=float)
-        if eta.ndim == 1:
-            r = np.abs(eta)
-        else:
-            r = np.sqrt(np.sum(eta ** 2, axis=-1))
-        return smooth_step((r - r0) / (r1 - r0))
+        return smooth_step(np.asarray(eta, dtype=float))[0]
 
+    def value_and_gradient(eta):
+        eta = np.asarray(eta, dtype=float)
+        s, r, band, t, f, g = smooth_step(eta)
+        u = 1.0 - t
+        # f / t / t rather than f / t**2: f is 0 wherever t**2 underflows
+        ds = -(f / t / t + f / u / u) * g / (f + g) ** 2
+        grad = np.zeros(eta.shape)
+        grad[band] = (ds / ((r1 - r0) * r[band]))[:, None] * eta[band]
+        return s, grad
+
+    profile.value_and_gradient = value_and_gradient
     return profile

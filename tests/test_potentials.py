@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from torusspec import potentials
 from torusspec.potentials import (FourierPotential, TWO_PI, cosine,
                                   load_potential, potential_extrema,
                                   potential_from_dict, potential_to_dict,
@@ -165,6 +166,26 @@ def test_kernel_matches_complex_exp_loop():
             assert np.max(np.abs(pot.gradient(pts) - grad)) <= tol
 
 
+def test_value_and_gradient_matches_evaluate_and_gradient(monkeypatch):
+    pot1 = (cosine((1,)) + sine((2,), 0.5)
+            + FourierPotential(1, {(0,): 0.3, (3,): 0.2 - 0.1j, (-3,): 0.2 + 0.1j}))
+    passes = []
+    trig_sum = potentials._trig_sum
+    monkeypatch.setattr(potentials, "_trig_sum",
+                        lambda *args: passes.append(1) or trig_sum(*args))
+    rng = np.random.default_rng(23)
+    for pot in (pot1, _complex_2d(), zero_potential(1), zero_potential(2),
+                FourierPotential(2, {(0, 0): 1.75})):
+        for span in (TWO_PI, 20.0):
+            pts = rng.uniform(-span, span, size=(257, pot.dim))
+            del passes[:]
+            vals, grad = pot.value_and_gradient(pts)
+            assert len(passes) == 1
+            assert vals.shape == (257,) and grad.shape == (257, pot.dim)
+            assert np.max(np.abs(vals - pot.evaluate(pts))) <= 1e-15
+            assert np.max(np.abs(grad - pot.gradient(pts).reshape(grad.shape))) <= 1e-15
+
+
 def test_many_frequencies_evaluate_in_blocks():
     # 840 half-spectrum frequencies on a 128^2 grid: unblocked, the phase,
     # cos and sin arrays would take 110 MB each
@@ -216,3 +237,5 @@ def test_non_real_evaluation_refused():
     pot = FourierPotential(1, coeffs)
     with pytest.raises(ArithmeticError):
         pot.evaluate(0.0)
+    with pytest.raises(ArithmeticError):
+        pot.value_and_gradient(np.zeros((1, 1)))
