@@ -57,6 +57,12 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _load_potential(args):
+    if args.potential is None:
+        raise ValueError("give --potential")
+    return load_potential(args.potential)
+
+
 def _resolve_cutoff(spec_text, pot, hbar, energy):
     if spec_text is None or spec_text == "auto":
         if energy is None:
@@ -65,7 +71,7 @@ def _resolve_cutoff(spec_text, pot, hbar, energy):
     return int(spec_text)
 
 
-def _write_manifest(outdir: Path, argv, inputs, outputs, seed, t0, extra) -> None:
+def _write_manifest(outdir: Path, argv, inputs, outputs, t0, extra) -> None:
     manifest = {
         "command": list(argv),
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
@@ -76,7 +82,6 @@ def _write_manifest(outdir: Path, argv, inputs, outputs, seed, t0, extra) -> Non
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
-        "seed": seed,
         "wall_time_s": round(time.monotonic() - t0, 3),
         **extra,
     }
@@ -91,7 +96,7 @@ def _write_manifest(outdir: Path, argv, inputs, outputs, seed, t0, extra) -> Non
 
 
 def _cmd_spectrum(args, outdir: Path):
-    pot = load_potential(args.potential)
+    pot = _load_potential(args)
     results = []
     for hb in _float_list(args.hbar):
         K = _resolve_cutoff(args.K, pot, hb, args.energy)
@@ -102,7 +107,7 @@ def _cmd_spectrum(args, outdir: Path):
 
 
 def _cmd_weyl_count(args, outdir: Path):
-    pot = load_potential(args.potential)
+    pot = _load_potential(args)
     window = _float_list(args.window)
     if len(window) != 2:
         raise ValueError("--window needs two numbers a,b")
@@ -111,15 +116,14 @@ def _cmd_weyl_count(args, outdir: Path):
     def rule(hb):
         return _resolve_cutoff(args.K, pot, hb, args.energy or window[1])
 
-    report = weyl_count_report(pot, hbars, tuple(window), rule,
-                               samples=args.samples, seed=args.seed)
+    report = weyl_count_report(pot, hbars, tuple(window), rule)
     out = outdir / "weyl_count.json"
     write_report_json(out, report.to_dict())
     return [out]
 
 
 def _cmd_effective(args, outdir: Path):
-    pot = load_potential(args.potential)
+    pot = _load_potential(args)
     table = effective_grid(pot, args.pmax, args.dp, args.method, grid=args.grid)
     out_csv = outdir / "effective.csv"
     write_effective_csv(out_csv, table)
@@ -129,7 +133,7 @@ def _cmd_effective(args, outdir: Path):
 
 
 def _cmd_cell_solve(args, outdir: Path):
-    pot = load_potential(args.potential)
+    pot = _load_potential(args)
     H = mechanical_symbol(pot)
     if not args.p:
         raise ValueError("give at least one --p point")
@@ -150,7 +154,7 @@ def _cmd_cell_solve(args, outdir: Path):
 
 
 def _cmd_egorov(args, outdir: Path):
-    pot = load_potential(args.potential)
+    pot = _load_potential(args)
     if pot.dim != 1:
         raise ValueError("the bundled observable is one-dimensional")
     a = product_symbol(cosine((1,), 1.0), bump_profile(args.plateau, args.support))
@@ -201,7 +205,7 @@ def _cmd_isospectral(args, outdir: Path):
 
 
 def _cmd_bs(args, outdir: Path):
-    pot = load_potential(args.potential)
+    pot = _load_potential(args)
     hbars = _float_list(args.hbar)
     if len(hbars) != 1:
         raise ValueError("bs-reconstruct takes a single hbar")
@@ -238,7 +242,6 @@ def _build_parser():
             p.add_argument("--energy", type=_scalar, default=None,
                            help="energy scale for the automatic cutoff")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=42)
 
     p = add_parser("spectrum", help="eigenvalues to CSV")
     common(p)
@@ -248,7 +251,6 @@ def _build_parser():
     common(p)
     p.add_argument("--hbar", required=True)
     p.add_argument("--window", required=True, help="energy window a,b")
-    p.add_argument("--samples", type=int, default=100_000)
 
     p = add_parser("effective", help="effective Hamiltonian table")
     common(p, cutoff=False, energy=False)
@@ -332,7 +334,7 @@ def main(argv=None) -> int:
         produced = _DISPATCH[args.command](args, outdir)
         produced, extra = produced if isinstance(produced, tuple) else (produced, {})
         inputs = extra.pop("inputs", [args.potential] if getattr(args, "potential", None) else [])
-        _write_manifest(outdir, argv, inputs, produced, args.seed, t0, extra)
+        _write_manifest(outdir, argv, inputs, produced, t0, extra)
         return 0
     except (CellConvergenceError, ArithmeticError, np.linalg.LinAlgError) as exc:
         _write_error(outdir, exc)

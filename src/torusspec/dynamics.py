@@ -63,8 +63,8 @@ def _gradients(b: PhaseSpaceFunction):
 
 
 def _check_escape(p):
-    if np.max(np.abs(p)) > _ESCAPE:
-        raise FlowEscapeError("trajectory escaped |p| <= 1e3")
+    if not np.max(np.abs(p)) <= _ESCAPE:     # NaN momenta fail too
+        raise FlowEscapeError("trajectory left |p| <= 1e3 or is not finite")
 
 
 def _flow_batch(b: PhaseSpaceFunction, X, P, t: float, h: float,

@@ -40,13 +40,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate, interpolate, optimize, sparse
+from scipy import interpolate, optimize, sparse
 from scipy.sparse.linalg import splu
 
 from .dynamics import compose_hamiltonian, symplectic_defect
-from .potentials import (TWO_PI, FourierPotential, _break_points, _grid_points,
-                         potential_extrema)
-from .spectra import write_csv
+from .potentials import TWO_PI, FourierPotential, _grid_points, potential_extrema
+from .spectra import _momentum_integral, write_csv
 from .symbols import PhaseSpaceFunction, _central_difference, mechanical_symbol
 
 _MIN_GRID = 32
@@ -78,30 +77,19 @@ def action_J(pot: FourierPotential, energy: float) -> float:
     """J(E) = (2 pi)^-1 integral_0^2pi sqrt(2 (E - V(x))) dx, for E >= max V.
 
     Energies within 1e-12 below max V are clamped; anything lower is
-    rejected.  The integrand's square-root zeros (argmax of V) are passed to
-    the quadrature as known break points.
+    rejected.  The integral is ``spectra._momentum_integral`` on one scan of
+    V, which also gives max V.
     """
     if pot.dim != 1:
         raise ValueError("action integral is one-dimensional")
     # the grid of potential_extrema(pot, res=4096), scanned once
     xs = np.arange(4096) * (TWO_PI / 4096)
     vals = pot.evaluate(xs)
-    imax = int(np.argmax(vals))
-    vmax = float(vals[imax])
+    vmax = float(np.max(vals))
     energy = float(energy)
     if energy < vmax - 1e-12:
         raise ValueError(f"energy {energy} below max V = {vmax}")
-    energy = max(energy, vmax)
-
-    def integrand(x):
-        v = pot.evaluate(np.atleast_1d(x))[0]
-        return math.sqrt(max(2.0 * (energy - v), 0.0))
-
-    pts = _break_points(xs, vals, (energy,), extra=(float(xs[imax]),))
-    val, _ = integrate.quad(integrand, 0.0, TWO_PI, limit=300,
-                            epsabs=1e-12, epsrel=1e-12,
-                            points=pts if pts else None)
-    return float(val) / TWO_PI
+    return _momentum_integral(pot, max(energy, vmax), xs, vals)[0] / TWO_PI
 
 
 def action_threshold(pot: FourierPotential) -> float:
@@ -335,7 +323,8 @@ class _CellWorkspace:
         the sup-norm is a poor merit function for transport-dominated
         residuals.  Returns the iterate, its residual norm and the steps
         taken; every step, rejected trials included, is one LU
-        factorization."""
+        factorization.  A NaN residual ends the loop at once and is returned
+        for the caller to refuse."""
         u = u0.copy()
         F = self.residual(u)
         nrm = float(np.max(np.abs(F)))
@@ -381,7 +370,7 @@ def _solve_cascade(sym: _GridSymbol, P, alphas, u_init=None, init_delta=None):
             u0 = (u - mean) + mean * ((prev_delta or delta) / delta)
         u, res, steps = ws.newton(u0, _NEWTON_TOL)
         total_steps += steps
-        if res > _TOL:
+        if not res <= _TOL:     # a NaN residual fails too
             raise CellConvergenceError(
                 f"cell residual {res:.3e} above {_TOL} at delta={delta}", res)
         c_values.append(-delta * float(np.mean(u)))
@@ -434,6 +423,8 @@ def _solve_on(sym: _GridSymbol, P, v_min: float, v_max: float,
     P = np.atleast_1d(np.asarray(P, dtype=float))
     if P.shape != (n,):
         raise ValueError("P does not match the symbol dimension")
+    if not np.all(np.isfinite(P)):
+        raise ValueError(f"P = {P.tolist()} is not finite")
     if sym.H.expensive:
         if p_range is None:
             box = _alpha_box(P, v_min, v_max)

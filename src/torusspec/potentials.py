@@ -17,6 +17,7 @@ takes V and grad V from one such pass, for the flows' vector fields.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -111,6 +112,8 @@ class FourierPotential:
         for q, c in dict(self.coeffs).items():
             qt = _as_freq(q, self.dim)
             c = complex(c)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient at q={qt} is not finite")
             if c != 0:
                 clean[qt] = c
         for q, c in clean.items():
@@ -306,16 +309,6 @@ def potential_extrema(pot: FourierPotential, res: int = 1024) -> ExtremaReport:
         argmax=pts[imax].copy(),
         resolution=res,
     )
-
-
-def _break_points(xs, vals, levels, extra=()) -> list:
-    """Quadrature break points from one scan of a 1D potential: the grid
-    points xs where vals - level changes sign for some level, plus
-    ``extra``; interior points only, sorted, without repeats, at most 40."""
-    pts = set(extra)
-    for level in levels:
-        pts.update(xs[np.nonzero(np.diff(np.sign(vals - level)) != 0)[0]])
-    return sorted(p for p in pts if 1e-9 < p < TWO_PI - 1e-9)[:40]
 
 
 def sup_norm(pot: FourierPotential, remove_mean: bool = False) -> float:

@@ -4,6 +4,12 @@ The basis is e_k(x) = (2pi)^(-n/2) exp(i k.x) over the box |k|_inf <= K in
 lexicographic order.  For trigonometric-polynomial potentials the matrix
 elements are exact: entry(k, mu) = (hbar^2/2)|mu|^2 delta_{k,mu} + c_{k-mu},
 so no quadrature enters the assembly.
+
+Eigenvalue counts are compared with the phase-space volume
+Vol{a < |p|^2/2 + V < b}, a deterministic integral of the momentum-ball
+measure over the torus: by adaptive quadrature between polished turning
+points in 1D (``_momentum_integral``, which also gives the action J(E) in
+``effective``), by a 256^2 grid mean of the annulus area in 2D.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
-from .potentials import TWO_PI, FourierPotential, _break_points, potential_extrema, sup_norm
+from .potentials import TWO_PI, FourierPotential, _grid_points, sup_norm
 
 _HERM_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
@@ -290,6 +296,36 @@ def count_eigenvalues(spec: SpectrumResult, a: float, b: float) -> int:
     return int(np.count_nonzero((vals > a) & (vals < b)))
 
 
+def _momentum_integral(pot: FourierPotential, energy: float, xs, vals):
+    """integral_0^2pi sqrt(2 (E - V(x)))_+ dx for a 1D potential, with the
+    quadrature's error estimate.
+
+    vals holds V on the uniform scan xs of [0, 2pi).  Each sign change of
+    V - E between neighbouring scan points (the last pair wraps round to
+    2pi) is polished to its root, the turning point.  Those roots and the
+    scan's argmax, where the integrand is least smooth near max V, are the
+    quadrature's break points.
+    """
+    def v(x):
+        return pot.evaluate(np.atleast_1d(x))[0]
+
+    def root(lo, hi):
+        f_lo, f_hi = v(lo) - energy, v(hi) - energy
+        if f_lo * f_hi > 0.0:       # the scan and a point evaluation round apart
+            return lo if abs(f_lo) < abs(f_hi) else hi
+        return optimize.brentq(lambda x: v(x) - energy, lo, hi, xtol=1e-15)
+
+    ends = np.append(xs, TWO_PI)
+    signs = np.sign(np.append(vals, vals[0]) - energy)
+    pts = {float(xs[np.argmax(vals)])}
+    pts.update(root(ends[i], ends[i + 1]) for i in np.nonzero(np.diff(signs))[0])
+    pts = sorted(p for p in pts if 1e-9 < p < TWO_PI - 1e-9)
+    val, err = integrate.quad(lambda x: math.sqrt(max(2.0 * (energy - v(x)), 0.0)),
+                              0.0, TWO_PI, limit=300, epsabs=1e-12, epsrel=1e-12,
+                              points=pts if pts else None)
+    return float(val), float(err)
+
+
 @dataclass(frozen=True)
 class VolumeEstimate:
     """Phase-space volume of {a < H < b} with its error estimate."""
@@ -299,65 +335,34 @@ class VolumeEstimate:
     empty: bool
 
 
-def weyl_volume(pot: FourierPotential, a: float, b: float,
-                samples: int = 100_000, seed: int = 42) -> VolumeEstimate:
+def weyl_volume(pot: FourierPotential, a: float, b: float) -> VolumeEstimate:
     """Vol{(x, p): a < |p|^2/2 + V(x) < b}.
 
-    In one dimension the momentum slice has exact length
-    2 (sqrt(2(b - V)_+) - sqrt(2(a - V)_+)) and the x-integral is done by
-    adaptive quadrature.  In two dimensions a stratified Monte-Carlo
-    estimate over the bounding box is used.
+    The momentum slice at x is a shell of the ball measure: length
+    2 (sqrt(2(b - V))_+ - sqrt(2(a - V))_+) in one dimension, area
+    2 pi ((b - V)_+ - (a - V)_+) in two.  In 1D the x-integral is
+    ``_momentum_integral`` at a and at b, and std_error the sum of their
+    quadrature errors.  In 2D it is the mean over a 256^2 grid, and
+    std_error its distance to the mean over the nested 128^2 grid.
     """
     a = float(a)
     b = float(b)
     if not b > a:
         raise ValueError("window must satisfy a < b")
     if pot.dim == 1:
-        def slice_len(x):
-            v = pot.evaluate(np.atleast_1d(x))[0]
-            hi = max(b - v, 0.0)
-            lo = max(a - v, 0.0)
-            return 2.0 * (math.sqrt(2.0 * hi) - math.sqrt(2.0 * lo))
-
         xs = np.arange(4096) * (TWO_PI / 4096)
-        pts = _break_points(xs, pot.evaluate(xs), (a, b))
-        val, err = integrate.quad(slice_len, 0.0, TWO_PI, limit=200,
-                                  epsabs=1e-10, epsrel=1e-10,
-                                  points=pts if pts else None)
-        if val < 1e-13:
-            return VolumeEstimate(0.0, float(err), True)
-        return VolumeEstimate(float(val), float(err), False)
-
-    if pot.dim != 2:
-        raise ValueError("volume estimate implemented for dimensions 1 and 2")
-    samples = int(samples)
-    if samples < 10_000:
-        raise ValueError("Monte-Carlo sample count below 10^4 is rejected")
-    vmin = potential_extrema(pot, res=256).min_value
-    if b <= vmin:
-        return VolumeEstimate(0.0, 0.0, True)
-    pmax = math.sqrt(2.0 * (b - vmin))
-    strata_per_axis = 4
-    n_strata = strata_per_axis ** 4
-    per = max(1, samples // n_strata)
-    rng = np.random.default_rng(seed)
-    box_vol = TWO_PI ** 2 * (2.0 * pmax) ** 2
-    lows = np.array([0.0, 0.0, -pmax, -pmax])
-    widths = np.array([TWO_PI, TWO_PI, 2.0 * pmax, 2.0 * pmax])
-    frac_sum = 0.0
-    var_sum = 0.0
-    for cell in itertools.product(range(strata_per_axis), repeat=4):
-        offs = np.array(cell, dtype=float) / strata_per_axis
-        u = rng.random((per, 4))
-        z = lows + widths * (offs + u / strata_per_axis)
-        h = 0.5 * (z[:, 2] ** 2 + z[:, 3] ** 2) + pot.evaluate(z[:, :2])
-        inside = ((h > a) & (h < b)).astype(float)
-        p_hat = float(np.mean(inside))
-        frac_sum += p_hat
-        var_sum += p_hat * (1.0 - p_hat) / per
-    frac = frac_sum / n_strata
-    se = box_vol * math.sqrt(var_sum) / n_strata
-    value = box_vol * frac
+        vals = pot.evaluate(xs)
+        (i_b, err_b), (i_a, err_a) = (_momentum_integral(pot, e, xs, vals) for e in (b, a))
+        value, se = 2.0 * (i_b - i_a), 2.0 * (err_b + err_a)
+    elif pot.dim == 2:
+        axis = np.arange(256) * (TWO_PI / 256)
+        v = pot.evaluate(_grid_points([axis, axis])).reshape(256, 256)
+        # torus area (2 pi)^2 times the annulus area 2 pi ((b - V)_+ - (a - V)_+)
+        shell = TWO_PI ** 3 * (np.maximum(b - v, 0.0) - np.maximum(a - v, 0.0))
+        value = float(np.mean(shell))
+        se = abs(value - float(np.mean(shell[::2, ::2])))
+    else:
+        raise ValueError("volume implemented for dimensions 1 and 2")
     if value < 1e-13:
         return VolumeEstimate(0.0, se, True)
     return VolumeEstimate(value, se, False)
@@ -386,8 +391,7 @@ class WeylCountReport:
         }
 
 
-def weyl_count_report(pot: FourierPotential, hbars, window, K,
-                      samples: int = 100_000, seed: int = 42) -> WeylCountReport:
+def weyl_count_report(pot: FourierPotential, hbars, window, K) -> WeylCountReport:
     """Counts over an hbar list with the matching volume estimate.
 
     K may be an integer (shared cutoff) or a callable hbar -> K.
@@ -406,7 +410,7 @@ def weyl_count_report(pot: FourierPotential, hbars, window, K,
             cnt = count_eigenvalues(spec, a, b)
         counts.append(cnt)
         scaled.append(cnt * (TWO_PI * hb) ** n)
-    vol = weyl_volume(pot, a, b, samples=samples, seed=seed)
+    vol = weyl_volume(pot, a, b)
     return WeylCountReport(
         window=(a, b),
         hbars=tuple(float(h) for h in hbars),

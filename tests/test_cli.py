@@ -53,7 +53,7 @@ def test_spectrum_run_and_manifest(pots, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     digest = hashlib.sha256((out / "spectrum.csv").read_bytes()).hexdigest()
     assert manifest["outputs"]["spectrum.csv"] == digest
-    assert manifest["seed"] == 42
+    assert "seed" not in manifest
     assert pots["free"] in manifest["inputs"]
     assert set(manifest["versions"]) >= {"torusspec", "numpy", "scipy", "python"}
 
@@ -111,19 +111,19 @@ def test_cell_nonconvergence_exits_3(tmp_path):
 
 def test_config_defaults_flags_override(pots, tmp_path):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"seed": 7, "K": "2"}))
+    cfg.write_text(json.dumps({"K": "2"}))
     out1 = tmp_path / "one"
     rc = main(["--config", str(cfg), "spectrum", "--potential", pots["free"],
                "--hbar", "1.0", "--out", str(out1)])
     assert rc == 0
-    assert json.loads((out1 / "manifest.json").read_text())["seed"] == 7
     # K=2 from the config: 5 eigenvalues
     assert len((out1 / "spectrum.csv").read_text().splitlines()) == 6
     out2 = tmp_path / "two"
     rc = main(["--config", str(cfg), "spectrum", "--potential", pots["free"],
-               "--hbar", "1.0", "--seed", "9", "--out", str(out2)])
+               "--hbar", "1.0", "--K", "3", "--out", str(out2)])
     assert rc == 0
-    assert json.loads((out2 / "manifest.json").read_text())["seed"] == 9
+    # the explicit --K 3 wins: 7 eigenvalues
+    assert len((out2 / "spectrum.csv").read_text().splitlines()) == 8
 
 
 def test_effective_subcommand(pots, tmp_path):
@@ -170,6 +170,44 @@ def test_flags_a_subcommand_ignores_are_refused(pots, tmp_path):
     assert main(["effective", *base, "--pmax", "2", "--dp", "0.5", "--energy", "2"]) == 2
     assert main(["cell-solve", *base, "--p", "1.0", "--K", "8"]) == 2
     assert main(["egorov", *base, "--hbar", "0.5,0.25", "--energy", "2"]) == 2
+    assert main(["spectrum", *base, "--hbar", "1.0", "--K", "4", "--seed", "1"]) == 2
+    assert main(["weyl-count", *base, "--hbar", "0.5", "--window", "0,2",
+                 "--K", "8", "--samples", "20000"]) == 2
+
+
+# every subcommand with minimal flags besides --potential/--out
+_SUBCOMMANDS = {
+    "spectrum": ["--hbar", "0.5", "--K", "8"],
+    "weyl-count": ["--hbar", "0.5", "--window", "0,2", "--K", "8"],
+    "effective": ["--method", "cell-problem", "--pmax", "1", "--dp", "0.5", "--grid", "32"],
+    "cell-solve": ["--p", "1.0", "--grid", "32"],
+    "egorov": ["--hbar", "0.5", "--K", "8"],
+    "isospectral-check": ["--relation", "translate", "--shift", "pi", "--hbar", "0.5",
+                          "--K", "8"],
+    "bs-reconstruct": ["--hbar", "0.5", "--K", "8"],
+}
+
+
+def _raw_potential(path, value):
+    # written by hand: FourierPotential refuses to hold a non-finite coefficient
+    path.write_text(json.dumps({"dim": 1, "coeffs": [
+        {"q": [1], "re": value, "im": 0.0}, {"q": [-1], "re": value, "im": 0.0}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,case", [
+    *[(c, case) for c in _SUBCOMMANDS for case in ("missing", "nan", "inf")],
+    ("cell-solve", "nan-p"),
+])
+def test_missing_and_non_finite_input_exit_2(pots, tmp_path, command, case):
+    args = [command, *_SUBCOMMANDS[command], "--out", str(tmp_path / "run")]
+    if case in ("nan", "inf"):
+        args += ["--potential", _raw_potential(tmp_path / "bad.json", float(case))]
+    elif case == "nan-p":
+        args = [command, "--potential", pots["cos"], "--p", "nan",
+                "--out", str(tmp_path / "run")]
+    assert main(args) == 2
+    assert json.loads((tmp_path / "run" / "error.json").read_text())["error"] == "ValueError"
 
 
 def test_egorov_subcommand(pots, tmp_path):

@@ -132,6 +132,13 @@ def test_flow_escape_detected():
         flow(H, PhasePoint(1.0, 0.0), 1.0, 1e-2)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("z0", [PhasePoint(0.0, math.nan), PhasePoint(math.inf, 0.0)])
+def test_flow_of_non_finite_point_refused(z0):
+    with pytest.raises(FlowEscapeError):
+        flow(mechanical_symbol(cosine((1,))), z0, 1.0, 1e-2)
+
+
 def test_map_diagnostics_scheme_selection():
     pend = map_diagnostics(time_one_map(mechanical_symbol(cosine((1,))), 1e-2),
                            PhasePoint(0.3, 1.2))

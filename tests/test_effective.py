@@ -97,6 +97,21 @@ def test_cell_validation():
         invariance_check(numeric, _shear_map(), (1.0,), 64)
 
 
+@pytest.mark.parametrize("P", [math.nan, math.inf, -math.inf])
+def test_cell_non_finite_momentum_refused(P):
+    with pytest.raises(ValueError, match="not finite"):
+        cell_problem_solve(mechanical_symbol(COS), P, 32)
+
+
+def test_cell_nan_residual_refused():
+    # Newton takes no step on a NaN residual; the cascade must refuse it
+    # rather than extrapolate a value from it
+    nan_symbol = PhaseSpaceFunction(dim=1, fn=lambda x, eta: np.full(len(eta), np.nan))
+    with pytest.raises(CellConvergenceError) as exc:
+        cell_problem_solve(nan_symbol, 1.0, 32, v_range=(-1.0, 1.0))
+    assert math.isnan(exc.value.residual)
+
+
 def test_cell_convergence_error(monkeypatch):
     monkeypatch.setattr(effective, "_TOL", 1e-16)
     with pytest.raises(CellConvergenceError) as exc:
@@ -288,6 +303,19 @@ def test_effective_csv_golden_bytes(tmp_path):
         "1.000000000000e+00,5.000000000000e-01,closed-form,0.000000000000e+00\n"
     )
     assert out.read_text() == golden
+
+
+def test_action_J_at_max_v_where_a_point_value_rounds_below_the_scan():
+    # the one-point evaluation at the scan's argmax lies 4.4e-16 below the
+    # scanned max, so the turning-point bracket at E = max V has no sign
+    # change when re-evaluated; the bracket end is taken as the root
+    pot = FourierPotential(1, {(1,): -0.065 + 0.685j, (-1,): -0.065 - 0.685j,
+                               (2,): -0.335 + 0.175j, (-2,): -0.335 - 0.175j,
+                               (3,): 0.45 + 0.045j, (-3,): 0.45 - 0.045j})
+    rep = potential_extrema(pot, res=4096)
+    assert pot.evaluate(rep.argmax)[0] < rep.max_value
+    assert action_J(pot, rep.max_value) == pytest.approx(
+        action_J(pot, rep.max_value + 1e-12), abs=1e-10)
 
 
 def test_action_J_scans_its_grid_once(monkeypatch):

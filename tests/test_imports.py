@@ -1,5 +1,6 @@
 """Lint of the library sources: imports sit at module level and are used by
-their module, and every parameter of a def is read by its body."""
+their module, every parameter of a def is read by its body, and every
+private module-level name is read by some module of the package."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,37 @@ def test_no_function_local_imports():
         if names:
             local[path.name] = names
     assert local == {}
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    """Module-level private names (one leading underscore) that tree binds."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _names_read(tree: ast.Module) -> set:
+    """Names tree loads, reads as attributes or imports from another module."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def test_no_unread_private_module_names():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*(_names_read(tree) for tree in trees.values()))
+    unread = {name: sorted(_private_definitions(tree) - read)
+              for name, tree in trees.items()}
+    assert {name: names for name, names in unread.items() if names} == {}

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,15 @@ def test_hermitian_symmetry_enforced():
         FourierPotential(1, {(1,): 1.0 + 0.0j})   # missing conjugate partner
     with pytest.raises(ValueError):
         FourierPotential(1, {(1,): 0.5j, (-1,): 0.5j})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_non_finite_coefficients_refused(value):
+    # NaN passes the Hermitian comparison, so finiteness is its own check
+    with pytest.raises(ValueError, match="not finite"):
+        FourierPotential(1, {(1,): value, (-1,): complex(value).conjugate()})
+    with pytest.raises(ValueError, match="not finite"):
+        FourierPotential(1, {(0,): value})
 
 
 def test_zero_coefficients_are_dropped():

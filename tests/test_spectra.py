@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import mathieu_a, mathieu_b
+from scipy.special import ellipe, ellipk, mathieu_a, mathieu_b
 
 from torusspec.potentials import FourierPotential, TWO_PI, cosine, zero_potential
 from torusspec.spectra import (FLOAT_FMT, PlaneWaveBasis, assemble_hamiltonian,
@@ -167,10 +167,33 @@ def test_weyl_volume_bounds_for_cosine():
     assert lo < vol < hi
 
 
-def test_weyl_volume_free_2d_monte_carlo():
-    vol = weyl_volume(zero_potential(2), 0.0, 1.0, samples=200_000, seed=1)
-    exact = TWO_PI ** 2 * math.pi * 2.0         # disc of radius sqrt(2E)
-    assert abs(vol.value - exact) < 5.0 * max(vol.std_error, 1e-3 * exact)
+@pytest.mark.parametrize("energy", [-0.5, 0.3, 0.7])
+def test_weyl_volume_cosine_1d_elliptic_closed_form(energy):
+    # below the separatrix Vol{cos x + p^2/2 < E} = 16 (E(m) - (1 - m) K(m))
+    # with m = (E + 1)/2; the turning points lie between scan points
+    m = 0.5 * (energy + 1.0)
+    exact = 16.0 * (ellipe(m) - (1.0 - m) * ellipk(m))
+    vol = weyl_volume(cosine((1,)), -5.0, energy)
+    assert abs(vol.value - exact) <= 1e-12
+    assert abs(vol.value - exact) <= vol.std_error
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.3, 2.5), (0.0, 1e-3)])
+def test_weyl_volume_free_2d_exact(a, b):
+    # annulus of area 2 pi (b - a) over every point of the torus
+    exact = 8.0 * math.pi ** 3 * (b - a)
+    vol = weyl_volume(zero_potential(2), a, b)
+    assert abs(vol.value - exact) <= 1e-12 * exact
+    assert not vol.empty
+
+
+@pytest.mark.parametrize("b", [-0.7, 0.3, 0.95])
+def test_weyl_volume_2d_cosine_within_std_error(b):
+    # V = cos x1 on T^2: (2 pi)^2 integral (b - cos x)_+ dx
+    pot = FourierPotential(2, {(1, 0): 0.5, (-1, 0): 0.5})
+    exact = 8.0 * math.pi ** 2 * (b * (math.pi - math.acos(b)) + math.sqrt(1.0 - b * b))
+    vol = weyl_volume(pot, -5.0, b)
+    assert abs(vol.value - exact) <= vol.std_error
 
 
 def test_weyl_volume_empty_window():
