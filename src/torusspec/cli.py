@@ -66,7 +66,7 @@ def _load_potential(args):
 def _resolve_cutoff(spec_text, pot, hbar, energy):
     if spec_text is None or spec_text == "auto":
         if energy is None:
-            energy = potential_extrema(pot, res=1024).max_value + 2.0
+            energy = potential_extrema(pot).max_value + 2.0
         return auto_cutoff(pot, hbar, energy)
     return int(spec_text)
 
@@ -226,12 +226,11 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="torusspec")
     parser.add_argument("--config", help="JSON file of flag defaults; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
-    children = []
+    children = {}
 
-    def add_parser(*a, **kw):
-        p = sub.add_parser(*a, **kw)
-        children.append(p)
-        return p
+    def add_parser(name, **kw):
+        children[name] = sub.add_parser(name, **kw)
+        return children[name]
 
     def common(p, cutoff=True, energy=True):
         """Flags every subcommand takes, plus the cutoff flags it reads."""
@@ -313,11 +312,12 @@ def main(argv=None) -> int:
     # rewritten on every child parser, not just the top one.
     probe, _ = parser.parse_known_args(argv) if argv and argv[0] not in ("-h", "--help") \
         else (None, None)
+    loaded = {}
     if probe is not None and getattr(probe, "config", None):
         with open(probe.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         parser.set_defaults(**loaded)
-        for child in children:
+        for child in children.values():
             child.set_defaults(**loaded)
 
     try:
@@ -329,6 +329,10 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     try:
+        # a config key that no flag of the subcommand reads is a typo or a removed flag
+        unread = sorted(set(loaded) - {a.dest for a in children[args.command]._actions})
+        if unread:
+            raise ValueError(f"config keys no flag of {args.command} reads: {', '.join(unread)}")
         # a subcommand returns its outputs, optionally with extra manifest
         # fields; "inputs" overrides the default --potential input
         produced = _DISPATCH[args.command](args, outdir)

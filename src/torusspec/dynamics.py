@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .potentials import TWO_PI, wrap_angles
-from .symbols import PhaseSpaceFunction, _central_difference
+from .symbols import PhaseSpaceFunction, _central_difference, _rows
 
 _MAX_STEP = 1e-2
 _ESCAPE = 1e3
@@ -192,14 +192,7 @@ def compose_hamiltonian(H: PhaseSpaceFunction, phi: SymplecticMap) -> PhaseSpace
         raise ValueError("symbol and map dimensions differ")
 
     def fn(x, eta):
-        x = np.asarray(x, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        if x.ndim == 1 and H.dim == 1:
-            x = x[:, None]
-        if eta.ndim == 1 and H.dim == 1:
-            eta = eta[:, None]
-        X2, P2 = phi.apply(x, eta)
-        return H.fn(X2, P2)
+        return H.fn(*phi.apply(_rows(x, H.dim), _rows(eta, H.dim)))
 
     return PhaseSpaceFunction(dim=H.dim, fn=fn, x_bandwidth=None, expensive=True)
 

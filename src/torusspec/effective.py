@@ -4,7 +4,8 @@ Two routes are implemented and kept strictly separate so they can be
 cross-checked: the one-dimensional closed form built on the action integral
 J(E) = (2 pi)^-1 integral sqrt(2(E - V)) dx (flat plateau at max V for
 |P| <= J(max V), inverse of J above it), and a grid solver for the cell
-problem H(x, P + Du) = Hbar(P) in any dimension.
+problem H(x, P + Du) = Hbar(P) in any dimension.  The plateau, the lower
+bound Hbar >= max V and the solver's dissipation box read the exact max V.
 
 The grid solver discretises with the monotone Lax-Friedrichs numerical
 Hamiltonian (Kao, Osher & Qian, J. Comput. Phys. 196, 2004), adds a
@@ -44,7 +45,7 @@ from scipy import interpolate, optimize, sparse
 from scipy.sparse.linalg import splu
 
 from .dynamics import compose_hamiltonian, symplectic_defect
-from .potentials import TWO_PI, FourierPotential, _grid_points, potential_extrema
+from .potentials import TWO_PI, FourierPotential, _grid_points, _trig_sum, potential_extrema
 from .spectra import _momentum_integral, write_csv
 from .symbols import PhaseSpaceFunction, _central_difference, mechanical_symbol
 
@@ -73,50 +74,49 @@ class CellConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _action(pot: FourierPotential, energy: float, ext) -> float:
+    """J(E), E >= max V, over the period from the argmax in the report ``ext``."""
+    return _momentum_integral(pot, energy, ext.argmax, [ext.max_value])[0] / TWO_PI
+
+
 def action_J(pot: FourierPotential, energy: float) -> float:
     """J(E) = (2 pi)^-1 integral_0^2pi sqrt(2 (E - V(x))) dx, for E >= max V.
 
     Energies within 1e-12 below max V are clamped; anything lower is
-    rejected.  The integral is ``spectra._momentum_integral`` on one scan of
-    V, which also gives max V.
+    rejected.
     """
     if pot.dim != 1:
         raise ValueError("action integral is one-dimensional")
-    # the grid of potential_extrema(pot, res=4096), scanned once
-    xs = np.arange(4096) * (TWO_PI / 4096)
-    vals = pot.evaluate(xs)
-    vmax = float(np.max(vals))
+    ext = potential_extrema(pot)
     energy = float(energy)
-    if energy < vmax - 1e-12:
-        raise ValueError(f"energy {energy} below max V = {vmax}")
-    return _momentum_integral(pot, max(energy, vmax), xs, vals)[0] / TWO_PI
+    if energy < ext.max_value - 1e-12:
+        raise ValueError(f"energy {energy} below max V = {ext.max_value}")
+    return _action(pot, max(energy, ext.max_value), ext)
 
 
 def action_threshold(pot: FourierPotential) -> float:
     """J(max V): half-width of the flat plateau of the effective Hamiltonian."""
-    vmax = potential_extrema(pot, res=4096).max_value
-    return action_J(pot, vmax)
+    return action_J(pot, potential_extrema(pot).max_value)
 
 
-def effective_1d(pot: FourierPotential, P: float,
-                 threshold: Optional[float] = None) -> float:
+def effective_1d(pot: FourierPotential, P: float) -> float:
     """Closed-form Hbar(P): max V on the plateau, J^{-1}(|P|) outside.
 
-    The inversion is by root bracketing on the strictly increasing branch;
-    the returned energy satisfies |J(E) - |P|| <= 1e-9.
+    The extrema come from one ``potential_extrema`` per call.  The inversion
+    is by root bracketing on the strictly increasing branch; the returned
+    energy satisfies |J(E) - |P|| <= 1e-9.
     """
     if pot.dim != 1:
         raise ValueError("closed form is one-dimensional")
-    vmax = potential_extrema(pot, res=4096).max_value
+    ext = potential_extrema(pot)
+    vmax = ext.max_value
     p_abs = abs(float(P))
-    if threshold is None:
-        threshold = action_J(pot, vmax)
-    if p_abs <= threshold + 1e-14:
-        return float(vmax)
+    if p_abs <= _action(pot, vmax, ext) + 1e-14:
+        return vmax
     hi = vmax + 0.5 * p_abs * p_abs + 1.0
-    energy = optimize.brentq(lambda e: action_J(pot, e) - p_abs, vmax, hi,
+    energy = optimize.brentq(lambda e: _action(pot, e, ext) - p_abs, vmax, hi,
                              xtol=1e-12, rtol=8.9e-16, maxiter=200)
-    if abs(action_J(pot, energy) - p_abs) > 1e-9:
+    if abs(_action(pot, energy, ext) - p_abs) > 1e-9:
         raise ArithmeticError("action inversion missed its tolerance")
     return float(energy)
 
@@ -388,9 +388,9 @@ def _cell_axes(dim: int, grid) -> list:
 
 
 def _value_range(H: PhaseSpaceFunction, v_range=None):
-    """(min V, max V): scanned for mechanical symbols, else ``v_range``."""
+    """(min V, max V): exact for mechanical symbols, else ``v_range``."""
     if H.potential is not None:
-        rep = potential_extrema(H.potential, res=2048 if H.dim == 1 else 256)
+        rep = potential_extrema(H.potential)
         return rep.min_value, rep.max_value
     if v_range is None:
         raise ValueError("numeric symbols need v_range=(min V, max V)")
@@ -564,10 +564,9 @@ def compute_certificates(axes, values, v_max: float) -> TableCertificates:
 def closed_form_table(pot: FourierPotential, p_max: float, dp: float) -> EffectiveTable:
     """1D table from the action closed form."""
     axis = _p_axis(p_max, dp)
-    thr = action_threshold(pot)
-    vmax = potential_extrema(pot, res=4096).max_value
+    vmax = potential_extrema(pot).max_value
     # even by construction: only |P| enters
-    values = np.array([effective_1d(pot, abs(p), threshold=thr) for p in axis])
+    values = np.array([effective_1d(pot, abs(p)) for p in axis])
     certs = compute_certificates((axis,), values, vmax)
     return EffectiveTable(dim=1, axes=(axis,), values=values, method="closed-form",
                           residuals=None, certificates=certs, v_max=vmax)
@@ -585,7 +584,7 @@ def cell_table(pot: FourierPotential, p_max: float, dp: float, grid: int) -> Eff
     H = mechanical_symbol(pot)
     axis = _p_axis(p_max, dp)
     n = pot.dim
-    vmax = potential_extrema(pot, res=2048 if n == 1 else 256).max_value
+    vmax = potential_extrema(pot).max_value
     shape = (axis.size,) * n
     values = np.full(shape, np.nan)
     residuals = np.full(shape, np.nan)
@@ -689,23 +688,17 @@ def infsup_upper(H: PhaseSpaceFunction, P, bandwidth: int = 3) -> float:
     P = np.atleast_1d(np.asarray(P, dtype=float))
     pts = _grid_points([np.arange(128) * (TWO_PI / 128)] * n)
 
-    qs = []
-    for q in itertools.product(range(-bandwidth, bandwidth + 1), repeat=n):
-        if any(q) and (q > tuple(-v for v in q)):
-            qs.append(np.array(q, dtype=float))
-    # precompute the gradient harmonics: d/dx_i of cos(q.x) and sin(q.x)
-    phases = [pts @ q for q in qs]
-    grad_cos = [-np.sin(ph)[:, None] * q[None, :] for ph, q in zip(phases, qs)]
-    grad_sin = [np.cos(ph)[:, None] * q[None, :] for ph, q in zip(phases, qs)]
+    qs = np.array([q for q in itertools.product(range(-bandwidth, bandwidth + 1), repeat=n)
+                   if any(q) and q > tuple(-v for v in q)], dtype=float)
+    # gradient harmonics of v = sum a_k cos(q_k.x) + b_k sin(q_k.x): the
+    # coefficient pair (a, b) of q enters grad v with weight iq (a - ib)
+    unit = np.eye(len(qs))
+    pairs = np.stack([1j * unit, unit], axis=-1).reshape(len(qs), -1)   # theta = a0, b0, a1, ...
+    weights = (pairs[:, :, None] * qs[:, None, :]).reshape(len(qs), -1)
+    harmonics = _trig_sum(pts, qs, weights).reshape(len(pts), -1, n).transpose(1, 0, 2).copy()
 
     def objective(theta):
-        g = np.zeros_like(pts)
-        for k in range(len(qs)):
-            a, bcoef = theta[2 * k], theta[2 * k + 1]
-            if a:
-                g += a * grad_cos[k]
-            if bcoef:
-                g += bcoef * grad_sin[k]
+        g = np.tensordot(theta, harmonics, axes=1)
         vals = np.asarray(H.fn(pts, g + P[None, :]))
         return float(np.max(vals))
 

@@ -265,7 +265,7 @@ def bs_reconstruct(spec: SpectrumResult, pot: FourierPotential,
     """
     if pot.dim != 1:
         raise ValueError("reconstruction is one-dimensional")
-    vmax = potential_extrema(pot, res=4096).max_value
+    vmax = potential_extrema(pot).max_value
     evs = np.sort(np.asarray(spec.eigenvalues))
     evs = evs[(evs > vmax + 1e-9) & (evs <= spec.trusted_energy)]
     if evs.size < 2:

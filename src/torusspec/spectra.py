@@ -297,14 +297,14 @@ def count_eigenvalues(spec: SpectrumResult, a: float, b: float) -> int:
 
 
 def _momentum_integral(pot: FourierPotential, energy: float, xs, vals):
-    """integral_0^2pi sqrt(2 (E - V(x)))_+ dx for a 1D potential, with the
-    quadrature's error estimate.
+    """integral of sqrt(2 (E - V(x)))_+ over one period [x0, x0 + 2pi] of a
+    1D potential, with the quadrature's error estimate.
 
-    vals holds V on the uniform scan xs of [0, 2pi).  Each sign change of
-    V - E between neighbouring scan points (the last pair wraps round to
-    2pi) is polished to its root, the turning point.  Those roots and the
-    scan's argmax, where the integrand is least smooth near max V, are the
-    quadrature's break points.
+    vals holds V on the uniform scan xs of [x0, x0 + 2pi), x0 = xs[0].  Each
+    sign change of V - E between neighbouring scan points (the last pair
+    wraps round) is polished to its root, the turning point.  Those roots and
+    the scan's argmax, where the integrand is least smooth near max V, are
+    the break points.  A one-point scan at x* = argmax V puts its kink on the ends.
     """
     def v(x):
         return pot.evaluate(np.atleast_1d(x))[0]
@@ -315,13 +315,14 @@ def _momentum_integral(pot: FourierPotential, energy: float, xs, vals):
             return lo if abs(f_lo) < abs(f_hi) else hi
         return optimize.brentq(lambda x: v(x) - energy, lo, hi, xtol=1e-15)
 
-    ends = np.append(xs, TWO_PI)
+    x0 = float(xs[0])
+    ends = np.append(xs, x0 + TWO_PI)
     signs = np.sign(np.append(vals, vals[0]) - energy)
     pts = {float(xs[np.argmax(vals)])}
     pts.update(root(ends[i], ends[i + 1]) for i in np.nonzero(np.diff(signs))[0])
-    pts = sorted(p for p in pts if 1e-9 < p < TWO_PI - 1e-9)
+    pts = sorted(p for p in pts if x0 + 1e-9 < p < x0 + TWO_PI - 1e-9)
     val, err = integrate.quad(lambda x: math.sqrt(max(2.0 * (energy - v(x)), 0.0)),
-                              0.0, TWO_PI, limit=300, epsabs=1e-12, epsrel=1e-12,
+                              x0, x0 + TWO_PI, limit=300, epsabs=1e-12, epsrel=1e-12,
                               points=pts if pts else None)
     return float(val), float(err)
 

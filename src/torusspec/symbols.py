@@ -58,14 +58,10 @@ def _central_difference(f, z):
     return np.stack(cols, axis=-1)
 
 
-def _batch(x, eta, dim):
-    x = np.asarray(x, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if x.ndim == 1 and dim == 1:
-        x = x[:, None]
-    if eta.ndim == 1 and dim == 1:
-        eta = eta[:, None]
-    return x, eta
+def _rows(a, dim: int) -> np.ndarray:
+    """a as a float batch of rows; in 1D a bare array becomes one column."""
+    a = np.asarray(a, dtype=float)
+    return a[:, None] if a.ndim == 1 and dim == 1 else a
 
 
 def mechanical_symbol(pot: FourierPotential) -> PhaseSpaceFunction:
@@ -74,21 +70,17 @@ def mechanical_symbol(pot: FourierPotential) -> PhaseSpaceFunction:
     dim = pot.dim
 
     def fn(x, eta):
-        x, eta = _batch(x, eta, dim)
-        return 0.5 * np.sum(eta ** 2, axis=-1) + pot.evaluate(x)
+        return 0.5 * np.sum(_rows(eta, dim) ** 2, axis=-1) + pot.evaluate(_rows(x, dim))
 
     def xf(q, eta):
-        eta = np.asarray(eta, dtype=float)
-        if eta.ndim == 1 and dim == 1:
-            eta = eta[:, None]
+        eta = _rows(eta, dim)
         vals = np.full(eta.shape[0], pot.coefficient(q), dtype=complex)
         if all(v == 0 for v in q):
             vals = vals + 0.5 * np.sum(eta ** 2, axis=-1)
         return vals
 
     def vf(x, eta):
-        x, eta = _batch(x, eta, dim)
-        return pot.gradient(x).reshape(x.shape), eta.copy()
+        return pot.gradient(_rows(x, dim)), _rows(eta, dim).copy()
 
     return PhaseSpaceFunction(
         dim=dim, fn=fn, x_bandwidth=pot.max_frequency, x_fourier=xf,
@@ -117,19 +109,14 @@ def product_symbol(pot: FourierPotential, eta_fn: Callable) -> PhaseSpaceFunctio
             return eta_fn(eta), _central_difference(eta_fn, eta)
 
     def fn(x, eta):
-        x, eta = _batch(x, eta, dim)
-        return pot.evaluate(x) * eta_fn(eta)
+        return pot.evaluate(_rows(x, dim)) * eta_fn(_rows(eta, dim))
 
     def xf(q, eta):
-        eta = np.asarray(eta, dtype=float)
-        if eta.ndim == 1 and dim == 1:
-            eta = eta[:, None]
-        return pot.coefficient(q) * eta_fn(eta)
+        return pot.coefficient(q) * eta_fn(_rows(eta, dim))
 
     def vf(x, eta):
-        x, eta = _batch(x, eta, dim)
-        w, dw = pot.value_and_gradient(x)
-        g, dg = profile_vg(eta)
+        w, dw = pot.value_and_gradient(_rows(x, dim))
+        g, dg = profile_vg(_rows(eta, dim))
         return dw * g[:, None], dg * w[:, None]
 
     return PhaseSpaceFunction(dim=dim, fn=fn, x_bandwidth=pot.max_frequency,

@@ -19,7 +19,7 @@ import numpy as np
 from ._linalg import operator_norm
 from .potentials import TWO_PI, FourierPotential, _grid_points, _trig_sum
 from .spectra import PlaneWaveBasis, PlaneWaveMatrix
-from .symbols import PhaseSpaceFunction
+from .symbols import PhaseSpaceFunction, _rows
 
 __all__ = [
     "WeylMatrix", "weyl_matrix", "WignerTable", "wigner_transform",
@@ -221,13 +221,10 @@ def symbol_from_wigner(table: WignerTable, scale: float = 1.0) -> PhaseSpaceFunc
     lattice = PlaneWaveBasis(n, 2 * K)
 
     def lattice_rows(eta):
-        eta = np.asarray(eta, dtype=float)
-        if eta.ndim == 1 and n == 1:
-            eta = eta[:, None]
-        kf = 2.0 * eta / hbar
+        kf = 2.0 * _rows(eta, n) / hbar
         kr = np.rint(kf).astype(int)
         on = np.all(np.abs(kf - kr) <= 1e-8, axis=1) & np.all(np.abs(kr) <= 2 * K, axis=1)
-        rows = np.full(eta.shape[0], -1, dtype=int)
+        rows = np.full(kf.shape[0], -1, dtype=int)
         rows[on] = lattice.rows(kr[on])
         return rows
 
@@ -243,9 +240,7 @@ def symbol_from_wigner(table: WignerTable, scale: float = 1.0) -> PhaseSpaceFunc
         return out
 
     def fn(x, eta):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1 and n == 1:
-            x = x[:, None]
+        x = _rows(x, n)
         rows = lattice_rows(eta)
         out = np.zeros(x.shape[0], dtype=complex)
         hit = np.nonzero(rows >= 0)[0]

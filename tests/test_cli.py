@@ -126,6 +126,20 @@ def test_config_defaults_flags_override(pots, tmp_path):
     assert len((out2 / "spectrum.csv").read_text().splitlines()) == 8
 
 
+def test_config_keys_no_flag_reads_are_refused(pots, tmp_path):
+    # a typo, a removed flag, and a flag of another subcommand
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"hbarr": 3, "seed": 7, "pmax": 2, "K": "2"}))
+    out = tmp_path / "run"
+    rc = main(["--config", str(cfg), "spectrum", "--potential", pots["free"],
+               "--hbar", "1.0", "--out", str(out)])
+    assert rc == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError"
+    assert "hbarr, pmax, seed" in err["message"] and "K" not in err["message"]
+    assert not (out / "spectrum.csv").exists()
+
+
 def test_effective_subcommand(pots, tmp_path):
     out = tmp_path / "run"
     rc = main(["effective", "--potential", pots["cos"], "--method", "closed-form",
@@ -195,16 +209,36 @@ def _raw_potential(path, value):
     return str(path)
 
 
+# a NaN scalar flag: the flags of each row, with --potential cos.json
+_NAN_FLAGS = {
+    "nan-p": ["--p", "nan"],
+    "nan-hbar": ["--hbar", "nan", "--K", "8"],
+    "nan-energy": ["--hbar", "0.5", "--energy", "nan"],
+    "nan-window": ["--hbar", "0.5", "--window", "0,nan", "--K", "8"],
+    "nan-pmax": ["--pmax", "nan", "--dp", "0.5"],
+    "nan-dp": ["--pmax", "1", "--dp", "nan"],
+    "nan-t": ["--hbar", "0.5", "--K", "8", "--t", "nan"],
+    "nan-plateau": ["--hbar", "0.5", "--K", "8", "--plateau", "nan"],
+}
+
+
 @pytest.mark.parametrize("command,case", [
     *[(c, case) for c in _SUBCOMMANDS for case in ("missing", "nan", "inf")],
     ("cell-solve", "nan-p"),
+    ("spectrum", "nan-hbar"),
+    ("spectrum", "nan-energy"),
+    ("weyl-count", "nan-window"),
+    ("effective", "nan-pmax"),
+    ("effective", "nan-dp"),
+    ("egorov", "nan-t"),
+    ("egorov", "nan-plateau"),
 ])
 def test_missing_and_non_finite_input_exit_2(pots, tmp_path, command, case):
     args = [command, *_SUBCOMMANDS[command], "--out", str(tmp_path / "run")]
     if case in ("nan", "inf"):
         args += ["--potential", _raw_potential(tmp_path / "bad.json", float(case))]
-    elif case == "nan-p":
-        args = [command, "--potential", pots["cos"], "--p", "nan",
+    elif case in _NAN_FLAGS:
+        args = [command, "--potential", pots["cos"], *_NAN_FLAGS[case],
                 "--out", str(tmp_path / "run")]
     assert main(args) == 2
     assert json.loads((tmp_path / "run" / "error.json").read_text())["error"] == "ValueError"

@@ -18,7 +18,7 @@ from torusspec.effective import (CellConvergenceError, EffectiveTable,
                                  invariance_check, nested_dissection, sublevel_set,
                                  write_effective_csv)
 from torusspec.potentials import (FourierPotential, TWO_PI, cosine, potential_extrema,
-                                  zero_potential)
+                                  sine, zero_potential)
 from torusspec.symbols import (PhaseSpaceFunction, bump_profile, kinetic_symbol,
                                mechanical_symbol, product_symbol)
 
@@ -305,20 +305,49 @@ def test_effective_csv_golden_bytes(tmp_path):
     assert out.read_text() == golden
 
 
-def test_action_J_at_max_v_where_a_point_value_rounds_below_the_scan():
-    # the one-point evaluation at the scan's argmax lies 4.4e-16 below the
-    # scanned max, so the turning-point bracket at E = max V has no sign
-    # change when re-evaluated; the bracket end is taken as the root
-    pot = FourierPotential(1, {(1,): -0.065 + 0.685j, (-1,): -0.065 - 0.685j,
-                               (2,): -0.335 + 0.175j, (-2,): -0.335 - 0.175j,
-                               (3,): 0.45 + 0.045j, (-3,): 0.45 - 0.045j})
-    rep = potential_extrema(pot, res=4096)
-    assert pot.evaluate(rep.argmax)[0] < rep.max_value
-    assert action_J(pot, rep.max_value) == pytest.approx(
-        action_J(pot, rep.max_value + 1e-12), abs=1e-10)
+# max V lies between scan points (x* = 4.38108...); the references are
+# Newton on V' and tanh-sinh quadrature over [x*, x* + 2 pi] in 40-digit mpmath
+ROUNDING = FourierPotential(1, {(1,): -0.065 + 0.685j, (-1,): -0.065 - 0.685j,
+                                (2,): -0.335 + 0.175j, (-2,): -0.335 - 0.175j,
+                                (3,): 0.45 + 0.045j, (-3,): 0.45 - 0.045j})
+ROUNDING_VMAX = 2.3559564146638403714
+ROUNDING_J = 2.0467184348550306420
+
+
+def test_action_J_at_max_v_matches_mpmath():
+    assert abs(potential_extrema(ROUNDING).max_value - ROUNDING_VMAX) <= 1e-14
+    assert abs(action_threshold(ROUNDING) - ROUNDING_J) <= 1e-14
+    assert abs(action_J(ROUNDING, ROUNDING_VMAX) - ROUNDING_J) <= 1e-14
+
+
+def test_action_J_at_max_v_keeps_the_kink_on_the_ends(monkeypatch):
+    # the period of J(max V) starts at x*, so no quadrature panel has to
+    # resolve the kink of sqrt(2 (max V - V)) there: 235 evaluations of V,
+    # against 991 over [0, 2 pi] with x* inside
+    calls = []
+    evaluate = FourierPotential.evaluate
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(FourierPotential, "evaluate", counting)
+    action_threshold(ROUNDING)
+    assert len(calls) <= 400
+
+
+def test_closed_form_plateau_is_exact_max_v():
+    # cos x + 0.5 sin 2x has its max 3 sqrt(3)/4 at x = pi/6, between scan points
+    table = closed_form_table(COS + sine((2,), 0.5), 2.0, 0.5)
+    vmax = 0.75 * math.sqrt(3.0)
+    assert abs(table.v_max - vmax) <= 1e-14
+    assert abs(table.values[table.axes[0].size // 2] - vmax) <= 1e-14
+    assert table.certificates.convex and table.certificates.bound_defect == 0.0
 
 
 def test_action_J_scans_its_grid_once(monkeypatch):
+    # one potential_extrema per call, none inside the quadrature or the
+    # action inversion: the scan is the only evaluation of 4096 points
     calls = []
     evaluate = FourierPotential.evaluate
 
@@ -328,12 +357,14 @@ def test_action_J_scans_its_grid_once(monkeypatch):
         return evaluate(self, x)
 
     pot = COS + FourierPotential(1, {(2,): 0.1j, (-2,): -0.1j})
-    vmax = potential_extrema(pot, res=4096).max_value
+    vmax = potential_extrema(pot).max_value
     monkeypatch.setattr(FourierPotential, "evaluate", counting)
     for energy in (vmax, vmax + 0.7):
         action_J(pot, energy)
         assert len(calls) == 1
         calls.clear()
+    effective_1d(pot, 3.0)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("shape", [(64,), (64, 64), (33, 48)])
@@ -430,7 +461,7 @@ def test_numeric_symbol_slope_by_central_difference():
     pot = cosine((1, 0)) + cosine((0, 1), 0.8).translate((0.0, 0.4))
     numeric = PhaseSpaceFunction(
         dim=2, fn=lambda x, eta: 0.5 * np.sum(eta ** 2, axis=-1) + pot.evaluate(x))
-    ext = potential_extrema(pot, res=256)
+    ext = potential_extrema(pot)
     sol = cell_problem_solve(numeric, (1.5, 1.2), 32, v_range=(ext.min_value, ext.max_value))
     exact = cell_problem_solve(mechanical_symbol(pot), (1.5, 1.2), 32)
     assert sol.iterations > 0
@@ -496,7 +527,7 @@ def test_invariance_check_builds_one_table_per_map(monkeypatch):
 
 def test_each_cell_solve_builds_its_own_table(monkeypatch):
     composed = compose_hamiltonian(mechanical_symbol(COS), _shear_map())
-    ext = potential_extrema(COS, res=2048)
+    ext = potential_extrema(COS)
     v_range = (ext.min_value, ext.max_value)
     sizes = _count_flowed_points(monkeypatch)
     first = cell_problem_solve(composed, 1.0, 64, v_range=v_range)

@@ -96,10 +96,109 @@ def test_algebra():
 
 
 def test_extrema_of_cosine():
-    rep = potential_extrema(cosine((1,)), res=2048)
+    rep = potential_extrema(cosine((1,)))
     assert rep.max_value == pytest.approx(1.0, abs=1e-12)
     assert rep.min_value == pytest.approx(-1.0, abs=1e-12)
     assert sup_norm(cosine((1,))) == pytest.approx(1.0, abs=1e-12)
+
+
+def _random_potential(dim, band, seed):
+    """Coefficients uniform in [-0.5, 0.5] + i [-0.5, 0.5] on the whole band."""
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    for q in itertools.product(range(-band, band + 1), repeat=dim):
+        if q > tuple(-v for v in q):
+            c = complex(*rng.uniform(-0.5, 0.5, 2))
+            coeffs[q] = c
+            coeffs[tuple(-v for v in q)] = c.conjugate()
+    return FourierPotential(dim, coeffs)
+
+
+def _cell2d_seed1():
+    # the benchmark's cell2d input at seed 1: two translated cosines, whose
+    # extrema are +-(a1 + a2)
+    rng = np.random.default_rng(1)
+    amps = rng.uniform(0.9, 1.1, 2)
+    phases = rng.uniform(0.0, TWO_PI, 2)
+    pot = (cosine((1, 0), amps[0]).translate((phases[0], 0.0))
+           + cosine((0, 1), amps[1]).translate((0.0, phases[1])))
+    return pot, -(amps[0] + amps[1]), amps[0] + amps[1]
+
+
+# (potential, min V, max V).  The random references are Newton on grad V in
+# 30-digit mpmath, started at the best local extrema of a 2^18-point (1D) or
+# 1024^2 (2D) scan.
+EXACT_EXTREMA = {
+    "cos+0.5sin2x": lambda: (cosine((1,)) + sine((2,), 0.5),
+                             -0.75 * math.sqrt(3.0), 0.75 * math.sqrt(3.0)),
+    "band16": lambda: (_random_potential(1, 16, 1), -4.3671734717054120968, 7.8148240686093872533),
+    "band64": lambda: (_random_potential(1, 64, 2), -12.393322912438083524, 14.450613752862385676),
+    "rounding": lambda: (FourierPotential(1, {
+        (1,): -0.065 + 0.685j, (-1,): -0.065 - 0.685j, (2,): -0.335 + 0.175j,
+        (-2,): -0.335 - 0.175j, (3,): 0.45 + 0.045j, (-3,): 0.45 - 0.045j}),
+        -2.1967110923404996018, 2.3559564146638403714),
+    "2d-band2": lambda: (_random_potential(2, 2, 3), -4.9123345083984300623, 4.4091807269208127241),
+    "2d-band8": lambda: (_random_potential(2, 8, 4), -23.309227455197127966, 26.09114978778751295),
+    "cell2d-seed1": _cell2d_seed1,
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_EXTREMA))
+def test_extrema_are_exact_and_never_worse_than_the_scan(case):
+    pot, vmin, vmax = EXACT_EXTREMA[case]()
+    rep = potential_extrema(pot)
+    for value, ref, arg in ((rep.min_value, vmin, rep.argmin), (rep.max_value, vmax, rep.argmax)):
+        tol = 1e-14 * max(1.0, abs(ref))
+        assert abs(value - ref) <= tol
+        assert abs(pot.evaluate(arg[None, :])[0] - value) <= tol
+    assert abs(sup_norm(pot) - max(-vmin, vmax)) <= 1e-14 * max(-vmin, vmax)
+    n = 4096 if pot.dim == 1 else 256
+    scan = pot.evaluate(potentials._grid_points([np.arange(n) * (TWO_PI / n)] * pot.dim))
+    assert rep.min_value <= np.min(scan) and rep.max_value >= np.max(scan)
+
+
+@pytest.mark.parametrize("pot, vmin, vmax", [
+    (zero_potential(1), 0.0, 0.0),
+    (zero_potential(2), 0.0, 0.0),
+    (FourierPotential(2, {(0, 0): 1.5}), 1.5, 1.5),
+    (cosine((1, 0)), -1.0, 1.0),                  # a ridge: the Hessian is singular
+    (cosine((1,)) + cosine((2,), -0.25), -1.25, 0.75),  # V'' = 0 at the max
+], ids=["zero-1d", "zero-2d", "constant", "ridge", "flat-max"])
+def test_extrema_of_degenerate_potentials(monkeypatch, pot, vmin, vmax):
+    assert sup_norm(pot, remove_mean=True) == pytest.approx(
+        max(abs(vmin - pot.mean), abs(vmax - pot.mean)), abs=1e-15)
+    batches = []
+    trig_sum = potentials._trig_sum
+
+    def counting(pts, freqs, w):
+        batches.append(len(pts))
+        return trig_sum(pts, freqs, w)
+
+    monkeypatch.setattr(potentials, "_trig_sum", counting)
+    rep = potential_extrema(pot)
+    assert abs(rep.min_value - vmin) <= 1e-15 and abs(rep.max_value - vmax) <= 1e-15
+    if vmin == vmax:
+        assert batches == []        # a constant potential is neither scanned nor polished
+    else:
+        # one scan, then Newton on a few starts, never on the whole grid
+        assert len(batches) > 2 and max(batches[1:]) <= batches[0] // 64
+
+
+def test_extrema_scan_is_bounded_in_three_dimensions(monkeypatch):
+    # the scan holds at most 2^16 points in any dimension, not res^dim
+    sizes = []
+    grid_points = potentials._grid_points
+
+    def bounded(axes):
+        sizes.append(math.prod(len(a) for a in axes))
+        assert sizes[-1] <= 2 ** 16
+        return grid_points(axes)
+
+    monkeypatch.setattr(potentials, "_grid_points", bounded)
+    pot = cosine((1, 0, 0)) + cosine((0, 1, 1), 0.5).translate((0.0, 0.3, 0.0))
+    rep = potential_extrema(pot)
+    assert sizes == [2 ** 15]
+    assert abs(rep.max_value - 1.5) <= 1e-15 and abs(rep.min_value + 1.5) <= 1e-15
 
 
 def test_wrap_angles_range():

@@ -196,6 +196,24 @@ def test_weyl_volume_2d_cosine_within_std_error(b):
     assert abs(vol.value - exact) <= vol.std_error
 
 
+def test_weyl_volume_at_a_scan_value_where_a_point_value_rounds_apart():
+    # E is V's value on weyl_volume's 4096-point scan at a point where V is
+    # steep, and the one-point evaluation there rounds apart from it.  One of
+    # the two turning-point brackets around that point then has no sign
+    # change when re-evaluated, and its end nearer zero is taken as the root
+    pot = FourierPotential(1, {(1,): -0.065 + 0.685j, (-1,): -0.065 - 0.685j,
+                               (2,): -0.335 + 0.175j, (-2,): -0.335 - 0.175j,
+                               (3,): 0.45 + 0.045j, (-3,): 0.45 - 0.045j})
+    xs = np.arange(4096) * (TWO_PI / 4096)
+    vals = pot.evaluate(xs)
+    steep = np.abs(pot.gradient(xs)) > 0.5
+    j = next(j for j in np.flatnonzero(steep) if pot.evaluate(xs[j:j + 1])[0] != vals[j])
+    energy = float(vals[j])
+    vol = weyl_volume(pot, energy, energy + 1.0)
+    assert vol.value == pytest.approx(weyl_volume(pot, energy + 1e-12, energy + 1.0).value,
+                                      abs=1e-9)
+
+
 def test_weyl_volume_empty_window():
     vol = weyl_volume(cosine((1,)), -5.0, -2.0)
     assert vol.empty and vol.value == 0.0
