@@ -85,9 +85,7 @@ def _write_manifest(outdir: Path, argv, inputs, outputs, t0, extra) -> None:
         "wall_time_s": round(time.monotonic() - t0, 3),
         **extra,
     }
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_report_json(outdir / "manifest.json", manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +209,7 @@ def _cmd_bs(args, outdir: Path):
         raise ValueError("bs-reconstruct takes a single hbar")
     K = _resolve_cutoff(args.K, pot, hbars[0], args.energy)
     spec = eigen_spectrum(assemble_hamiltonian(pot, hbars[0], K))
-    rec = bs_reconstruct(spec, pot, maslov=args.mu)
+    rec = bs_reconstruct(spec, pot)
     out = outdir / "bs.csv"
     write_bs_csv(out, rec)
     return [out]
@@ -287,7 +285,6 @@ def _build_parser():
     p = add_parser("bs-reconstruct", help="effective Hamiltonian from doublets")
     common(p)
     p.add_argument("--hbar", required=True)
-    p.add_argument("--mu", type=int, default=0)
 
     return parser, children
 
@@ -309,13 +306,19 @@ def main(argv=None) -> int:
 
     # config file values become defaults; explicit flags still win.  Each
     # subcommand parses into a fresh namespace, so the defaults have to be
-    # rewritten on every child parser, not just the top one.
+    # rewritten on every child parser, not just the top one.  A config that
+    # cannot be read is refused in the error boundary below, once --out is known.
     probe, _ = parser.parse_known_args(argv) if argv and argv[0] not in ("-h", "--help") \
         else (None, None)
-    loaded = {}
+    loaded, config_error = {}, None
     if probe is not None and getattr(probe, "config", None):
-        with open(probe.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        try:
+            with open(probe.config, "r", encoding="utf-8") as fh:
+                loaded = json.load(fh)
+            if not isinstance(loaded, dict):
+                raise ValueError(f"--config {probe.config} must hold a JSON object")
+        except (OSError, ValueError) as exc:
+            loaded, config_error = {}, exc
         parser.set_defaults(**loaded)
         for child in children.values():
             child.set_defaults(**loaded)
@@ -329,6 +332,8 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     try:
+        if config_error is not None:
+            raise config_error
         # a config key that no flag of the subcommand reads is a typo or a removed flag
         unread = sorted(set(loaded) - {a.dest for a in children[args.command]._actions})
         if unread:
@@ -352,9 +357,8 @@ def main(argv=None) -> int:
 
 def _write_error(outdir: Path, exc: Exception) -> None:
     try:
-        with open(outdir / "error.json", "w", encoding="utf-8") as fh:
-            json.dump({"error": type(exc).__name__, "message": str(exc)}, fh, indent=2)
-            fh.write("\n")
+        write_report_json(outdir / "error.json",
+                          {"error": type(exc).__name__, "message": str(exc)})
     except OSError:
         pass
 

@@ -6,6 +6,9 @@ J(E) = (2 pi)^-1 integral sqrt(2(E - V)) dx (flat plateau at max V for
 |P| <= J(max V), inverse of J above it), and a grid solver for the cell
 problem H(x, P + Du) = Hbar(P) in any dimension.  The plateau, the lower
 bound Hbar >= max V and the solver's dissipation box read the exact max V.
+The closed form is batched: J is one tanh-sinh run over every energy and
+panel (Takahasi & Mori, Publ. RIMS 9, 1974), and one bracketing root search
+(Chandrupatla, Adv. Eng. Softw. 28, 1997) inverts it for every P.
 
 The grid solver discretises with the monotone Lax-Friedrichs numerical
 Hamiltonian (Kao, Osher & Qian, J. Comput. Phys. 196, 2004), adds a
@@ -13,7 +16,8 @@ vanishing discount term delta*u, solves each discounted problem by
 pseudo-transient Newton on the sparse system, and extrapolates
 -delta*u_delta -> Hbar(P) linearly in delta.  A discounted problem that
 Newton leaves above the residual tolerance is refused with
-CellConvergenceError; there is no second solver.
+CellConvergenceError; there is no second solver.  So is a solve whose
+dissipation still falls short of the realised slopes after three passes.
 
 Each Newton step, rejected trial steps included, factors J + I/dt with
 SuperLU in a fixed geometric nested-dissection order of the grid (George,
@@ -41,12 +45,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import interpolate, optimize, sparse
+from scipy import interpolate, sparse
 from scipy.sparse.linalg import splu
 
 from .dynamics import compose_hamiltonian, symplectic_defect
 from .potentials import TWO_PI, FourierPotential, _grid_points, _trig_sum, potential_extrema
-from .spectra import _momentum_integral, write_csv
+from .spectra import _momentum_integral, _panels, _roots, write_csv
 from .symbols import PhaseSpaceFunction, _central_difference, mechanical_symbol
 
 _MIN_GRID = 32
@@ -74,9 +78,19 @@ class CellConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _action(pot: FourierPotential, energy: float, ext) -> float:
-    """J(E), E >= max V, over the period from the argmax in the report ``ext``."""
-    return _momentum_integral(pot, energy, ext.argmax, [ext.max_value])[0] / TWO_PI
+def _max_panels(pot: FourierPotential):
+    """max V of a 1D potential and its panels of E = max V (``_panels``)."""
+    if pot.dim != 1:
+        raise ValueError("the closed form is one-dimensional")
+    ext = potential_extrema(pot)
+    return ext.max_value, _panels(pot, ext.argmax[0], [ext.max_value])
+
+
+def _action(pot: FourierPotential, energy, panels):
+    """J(E) elementwise over the array ``energy`` >= max V."""
+    lo, hi, _ = panels
+    part = _momentum_integral(pot, np.asarray(energy, dtype=float)[..., None], lo, hi)[0]
+    return np.sum(part, axis=-1) / TWO_PI
 
 
 def action_J(pot: FourierPotential, energy: float) -> float:
@@ -85,40 +99,42 @@ def action_J(pot: FourierPotential, energy: float) -> float:
     Energies within 1e-12 below max V are clamped; anything lower is
     rejected.
     """
-    if pot.dim != 1:
-        raise ValueError("action integral is one-dimensional")
-    ext = potential_extrema(pot)
+    vmax, panels = _max_panels(pot)
     energy = float(energy)
-    if energy < ext.max_value - 1e-12:
-        raise ValueError(f"energy {energy} below max V = {ext.max_value}")
-    return _action(pot, max(energy, ext.max_value), ext)
+    if energy < vmax - 1e-12:
+        raise ValueError(f"energy {energy} below max V = {vmax}")
+    return float(_action(pot, max(energy, vmax), panels))
 
 
 def action_threshold(pot: FourierPotential) -> float:
     """J(max V): half-width of the flat plateau of the effective Hamiltonian."""
-    return action_J(pot, potential_extrema(pot).max_value)
+    vmax, panels = _max_panels(pot)
+    return float(_action(pot, vmax, panels))
 
 
-def effective_1d(pot: FourierPotential, P: float) -> float:
+def effective_1d(pot: FourierPotential, P):
     """Closed-form Hbar(P): max V on the plateau, J^{-1}(|P|) outside.
 
-    The extrema come from one ``potential_extrema`` per call.  The inversion
-    is by root bracketing on the strictly increasing branch; the returned
-    energy satisfies |J(E) - |P|| <= 1e-9.
+    P is a number (a float is returned) or an array (an array of its shape
+    is returned).  All P share one ``potential_extrema`` and one set of
+    panels, and one bracketing root search on [max V, max V + P^2/2 + 1]
+    inverts J for every P above the plateau; each returned energy satisfies
+    |J(E) - |P|| <= 1e-9.
     """
-    if pot.dim != 1:
-        raise ValueError("closed form is one-dimensional")
-    ext = potential_extrema(pot)
-    vmax = ext.max_value
-    p_abs = abs(float(P))
-    if p_abs <= _action(pot, vmax, ext) + 1e-14:
-        return vmax
-    hi = vmax + 0.5 * p_abs * p_abs + 1.0
-    energy = optimize.brentq(lambda e: _action(pot, e, ext) - p_abs, vmax, hi,
-                             xtol=1e-12, rtol=8.9e-16, maxiter=200)
-    if abs(_action(pot, energy, ext) - p_abs) > 1e-9:
+    vmax, panels = _max_panels(pot)
+    p_abs = np.abs(np.asarray(P, dtype=float))
+    up = p_abs > _action(pot, vmax, panels) + 1e-14
+    p = p_abs[up]
+
+    def gap(e, target):
+        return _action(pot, e, panels) - target
+
+    energy = _roots(gap, np.full(p.shape, vmax), vmax + 0.5 * p * p + 1.0, p)
+    if not np.all(np.abs(gap(energy, p)) <= 1e-9):
         raise ArithmeticError("action inversion missed its tolerance")
-    return float(energy)
+    hbar = np.full(p_abs.shape, vmax)
+    hbar[up] = energy
+    return float(hbar) if hbar.ndim == 0 else hbar
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +453,12 @@ def _solve_on(sym: _GridSymbol, P, v_min: float, v_max: float,
     alphas = np.full(n, _alpha_box(P, v_min, v_max))
     ws0 = _CellWorkspace(sym, P, alphas, _DELTAS[0])
     u_warm, res0, total = ws0.newton(np.zeros(sym.size), _NEWTON_TOL)
-    warm_delta = None
-    if res0 <= _TOL:
-        alphas = np.maximum(_ALPHA_MARGIN * ws0.realized_slope(u_warm) + 0.05, 0.5)
-        warm_delta = _DELTAS[0]
-    else:
-        u_warm = None
-    for _ in range(3):
+    if not res0 <= _TOL:     # the cascade's first solve would repeat this one
+        raise CellConvergenceError(
+            f"cell residual {res0:.3e} above {_TOL} at delta={_DELTAS[0]}", res0)
+    alphas = np.maximum(_ALPHA_MARGIN * ws0.realized_slope(u_warm) + 0.05, 0.5)
+    warm_delta = _DELTAS[0]
+    for guard in range(3):
         c_values, (ws, u), steps = _solve_cascade(
             sym, P, alphas, u_init=u_warm, init_delta=warm_delta)
         total += steps
@@ -451,6 +466,11 @@ def _solve_on(sym: _GridSymbol, P, v_min: float, v_max: float,
         realized = ws.realized_slope(u)
         if np.all(realized <= alphas + 1e-9):
             break
+        if guard == 2:
+            raise CellConvergenceError(
+                f"dissipation {alphas.tolist()} below the realised slope "
+                f"{realized.tolist()} after three passes",
+                float(np.max(np.abs(ws.residual(u)))))
         alphas = np.maximum(_ALPHA_MARGIN * realized + 0.05, alphas * 1.5)
         u_warm, warm_delta = None, None
 
@@ -564,9 +584,8 @@ def compute_certificates(axes, values, v_max: float) -> TableCertificates:
 def closed_form_table(pot: FourierPotential, p_max: float, dp: float) -> EffectiveTable:
     """1D table from the action closed form."""
     axis = _p_axis(p_max, dp)
-    vmax = potential_extrema(pot).max_value
-    # even by construction: only |P| enters
-    values = np.array([effective_1d(pot, abs(p)) for p in axis])
+    values = effective_1d(pot, axis)
+    vmax = float(values[axis.size // 2])    # P = 0 lies on the plateau
     certs = compute_certificates((axis,), values, vmax)
     return EffectiveTable(dim=1, axes=(axis,), values=values, method="closed-form",
                           residuals=None, certificates=certs, v_max=vmax)

@@ -172,8 +172,8 @@ def theorem2_check(pair: IsospectralPair, hbars: Sequence[float], cutoff: int,
     if method == "closed-form":
         if pair.left.dim != 1:
             raise ValueError("closed form needs dimension one")
-        ea = np.array([effective_1d(pair.left, float(p)) for p in p_values])
-        eb = np.array([effective_1d(pair.right, float(p)) for p in p_values])
+        ea = effective_1d(pair.left, np.asarray(p_values, dtype=float))
+        eb = effective_1d(pair.right, np.asarray(p_values, dtype=float))
     elif method == "cell-problem":
         Ha, Hb = mechanical_symbol(pair.left), mechanical_symbol(pair.right)
         ea = np.array([cell_problem_solve(Ha, np.atleast_1d(p), grid).value
@@ -253,15 +253,14 @@ class BSReconstruction:
         return float(np.max(ms))
 
 
-def bs_reconstruct(spec: SpectrumResult, pot: FourierPotential,
-                   maslov: int = 0) -> BSReconstruction:
+def bs_reconstruct(spec: SpectrumResult, pot: FourierPotential) -> BSReconstruction:
     """Pair rotational doublets into (P_ell, E_ell) samples of Hbar.
 
     Above max V the spectrum splits into +-ell doublets; each doublet mean
     estimates the energy at quantized momentum P_ell = ell*hbar (the Maslov
-    correction shifts it by maslov*hbar/4 per branch and is zero on the
-    torus).  The starting index comes from rounding the action of the first
-    doublet; everything past the trusted energy is dropped.
+    correction is zero on the torus).  The starting index comes from
+    rounding the action of the first doublet; everything past the trusted
+    energy is dropped.
     """
     if pot.dim != 1:
         raise ValueError("reconstruction is one-dimensional")
@@ -272,22 +271,14 @@ def bs_reconstruct(spec: SpectrumResult, pot: FourierPotential,
         raise ValueError("no doublets above the separatrix")
     if evs.size % 2 == 1:
         evs = evs[:-1]
-    pairs = evs.reshape(-1, 2)
-    means = pairs.mean(axis=1)
-    ell0 = int(round(action_J(pot, float(means[0])) / spec.hbar))
-    ells, momenta, energies, reference, misfits = [], [], [], [], []
-    for m, e in enumerate(means):
-        ell = ell0 + m
-        P = ell * spec.hbar - np.sign(ell) * maslov * spec.hbar / 4.0
-        ref = effective_1d(pot, float(P))
-        ells.append(ell)
-        momenta.append(float(P))
-        energies.append(float(e))
-        reference.append(ref)
-        misfits.append(abs(float(e) - ref))
-    return BSReconstruction(hbar=spec.hbar, ells=tuple(ells),
-                            momenta=tuple(momenta), energies=tuple(energies),
-                            reference=tuple(reference), misfits=tuple(misfits))
+    means = evs.reshape(-1, 2).mean(axis=1)
+    ells = int(round(action_J(pot, float(means[0])) / spec.hbar)) + np.arange(means.size)
+    momenta = ells * spec.hbar
+    reference = effective_1d(pot, momenta)
+    return BSReconstruction(hbar=spec.hbar, ells=tuple(ells.tolist()),
+                            momenta=tuple(momenta.tolist()), energies=tuple(means.tolist()),
+                            reference=tuple(reference.tolist()),
+                            misfits=tuple(np.abs(means - reference).tolist()))
 
 
 def write_bs_csv(path, rec: BSReconstruction) -> None:

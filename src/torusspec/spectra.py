@@ -7,9 +7,10 @@ so no quadrature enters the assembly.
 
 Eigenvalue counts are compared with the phase-space volume
 Vol{a < |p|^2/2 + V < b}, a deterministic integral of the momentum-ball
-measure over the torus: by adaptive quadrature between polished turning
-points in 1D (``_momentum_integral``, which also gives the action J(E) in
-``effective``), by a 256^2 grid mean of the annulus area in 2D.
+measure over the torus: in 1D by one tanh-sinh run over panels that end at
+the polished turning points and local maxima (``_panels`` and
+``_momentum_integral``, which also give the action J(E) in ``effective``),
+in 2D by a 256^2 grid mean of the annulus area.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
+from scipy.optimize.elementwise import find_root
 
-from .potentials import TWO_PI, FourierPotential, _grid_points, sup_norm
+from .potentials import TWO_PI, FourierPotential, _grid_points, potential_extrema, sup_norm
 
 _HERM_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
@@ -296,35 +298,58 @@ def count_eigenvalues(spec: SpectrumResult, a: float, b: float) -> int:
     return int(np.count_nonzero((vals > a) & (vals < b)))
 
 
-def _momentum_integral(pot: FourierPotential, energy: float, xs, vals):
-    """integral of sqrt(2 (E - V(x)))_+ over one period [x0, x0 + 2pi] of a
-    1D potential, with the quadrature's error estimate.
+# tanh-sinh stops at its default minlevel with J off by ~1e-12 while it
+# estimates 3e-16, and a zero integrand (a forbidden panel) needs atol
+_QUAD = {"minlevel": 5, "atol": 1e-14, "rtol": 1e-14}
+# relative rounding of a volume's sums, which tanh-sinh's estimate misses
+_EPS_SUM = 16 * np.finfo(float).eps
 
-    vals holds V on the uniform scan xs of [x0, x0 + 2pi), x0 = xs[0].  Each
-    sign change of V - E between neighbouring scan points (the last pair
-    wraps round) is polished to its root, the turning point.  Those roots and
-    the scan's argmax, where the integrand is least smooth near max V, are
-    the break points.  A one-point scan at x* = argmax V puts its kink on the ends.
+
+def _roots(f, lo, hi, *args):
+    """Roots of the elementwise f(x, *args) in the brackets [lo, hi], in one
+    search.  A bracket whose ends round to one sign when f is re-evaluated
+    there gives its end where |f| is smaller."""
+    res = find_root(f, (lo, hi), args=args, tolerances={"xatol": 0.0, "xrtol": 4e-16})
+    (xl, xr), (fl, fr) = res.bracket, res.f_bracket
+    return np.where(res.status == -1, np.where(np.abs(fl) <= np.abs(fr), xl, xr), res.x)
+
+
+def _panels(pot: FourierPotential, x0: float, levels):
+    """Panels (lo, hi, level index) of the period [x0, x0 + 2pi] of a 1D V.
+
+    For each level E the period splits at every local maximum of V and at the
+    crossings of V with E, bracketed on a 4096-cell scan and polished by
+    ``_roots``, so the kinks of sqrt(2 (E - V))_+ lie on panel ends.  With
+    x0 = argmax V no allowed interval wraps round, and the panels of
+    E = max V serve every E >= max V.
     """
-    def v(x):
-        return pot.evaluate(np.atleast_1d(x))[0]
+    xs = x0 + np.arange(4097) * (TWO_PI / 4096)
+    v = pot.evaluate(xs)
+    i = 1 + np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:]))
+    maxima = _roots(pot.gradient, xs[i - 1], xs[i + 1])
+    e = np.asarray(levels, dtype=float)
+    k, j = np.nonzero((v[:-1] > e[:, None]) != (v[1:] > e[:, None]))
+    cross = _roots(lambda x, lev: pot.evaluate(x) - lev, xs[j], xs[j + 1], e[k])
+    lo, hi, which = [], [], []
+    for m in range(e.size):
+        ends = np.sort(np.concatenate([[x0], maxima, cross[k == m], [x0 + TWO_PI]]))
+        lo.append(ends[:-1])
+        hi.append(ends[1:])
+        which.append(np.full(ends.size - 1, m))
+    return np.concatenate(lo), np.concatenate(hi), np.concatenate(which)
 
-    def root(lo, hi):
-        f_lo, f_hi = v(lo) - energy, v(hi) - energy
-        if f_lo * f_hi > 0.0:       # the scan and a point evaluation round apart
-            return lo if abs(f_lo) < abs(f_hi) else hi
-        return optimize.brentq(lambda x: v(x) - energy, lo, hi, xtol=1e-15)
 
-    x0 = float(xs[0])
-    ends = np.append(xs, x0 + TWO_PI)
-    signs = np.sign(np.append(vals, vals[0]) - energy)
-    pts = {float(xs[np.argmax(vals)])}
-    pts.update(root(ends[i], ends[i + 1]) for i in np.nonzero(np.diff(signs))[0])
-    pts = sorted(p for p in pts if x0 + 1e-9 < p < x0 + TWO_PI - 1e-9)
-    val, err = integrate.quad(lambda x: math.sqrt(max(2.0 * (energy - v(x)), 0.0)),
-                              x0, x0 + TWO_PI, limit=300, epsabs=1e-12, epsrel=1e-12,
-                              points=pts if pts else None)
-    return float(val), float(err)
+def _momentum_integral(pot: FourierPotential, energy, lo, hi):
+    """integral of sqrt(2 (E - V(x)))_+ over [lo, hi] of a 1D potential and
+    its error estimate, elementwise over the broadcast arrays, by one
+    tanh-sinh run whose every level evaluates V at all nodes in one call."""
+    def f(x, e):
+        return np.sqrt(np.maximum(2.0 * (e - pot.evaluate(x.reshape(-1)).reshape(x.shape)), 0.0))
+
+    res = integrate.tanhsinh(f, lo, hi, args=(energy,), **_QUAD)
+    if not np.all(res.success):
+        raise ArithmeticError("momentum integral missed its tolerance")
+    return res.integral, res.error
 
 
 @dataclass(frozen=True)
@@ -341,20 +366,23 @@ def weyl_volume(pot: FourierPotential, a: float, b: float) -> VolumeEstimate:
 
     The momentum slice at x is a shell of the ball measure: length
     2 (sqrt(2(b - V))_+ - sqrt(2(a - V))_+) in one dimension, area
-    2 pi ((b - V)_+ - (a - V)_+) in two.  In 1D the x-integral is
-    ``_momentum_integral`` at a and at b, and std_error the sum of their
-    quadrature errors.  In 2D it is the mean over a 256^2 grid, and
-    std_error its distance to the mean over the nested 128^2 grid.
+    2 pi ((b - V)_+ - (a - V)_+) in two.  In 1D the x-integral is one
+    ``_momentum_integral`` over the panels of a and of b on the period that
+    starts at the exact argmax of V, and std_error the sum of tanh-sinh's
+    error estimates plus the rounding of the sums.  In 2D it is the mean
+    over a 256^2 grid, and std_error its distance to the mean over the
+    nested 128^2 grid.
     """
     a = float(a)
     b = float(b)
     if not b > a:
         raise ValueError("window must satisfy a < b")
     if pot.dim == 1:
-        xs = np.arange(4096) * (TWO_PI / 4096)
-        vals = pot.evaluate(xs)
-        (i_b, err_b), (i_a, err_a) = (_momentum_integral(pot, e, xs, vals) for e in (b, a))
-        value, se = 2.0 * (i_b - i_a), 2.0 * (err_b + err_a)
+        lo, hi, which = _panels(pot, potential_extrema(pot).argmax[0], (b, a))
+        part, err = _momentum_integral(pot, np.array([b, a])[which], lo, hi)
+        i_b, i_a = np.bincount(which, part, minlength=2)
+        value = 2.0 * float(i_b - i_a)
+        se = 2.0 * float(np.sum(err) + _EPS_SUM * (i_b + i_a))
     elif pot.dim == 2:
         axis = np.arange(256) * (TWO_PI / 256)
         v = pot.evaluate(_grid_points([axis, axis])).reshape(256, 256)
@@ -453,6 +481,12 @@ def write_spectrum_csv(path, results) -> None:
 
 
 def write_report_json(path, payload: dict) -> None:
+    """The one JSON writer: sorted keys, two-space indent, a final newline.
+    A NaN or inf, which JSON cannot hold, raises ArithmeticError before the
+    file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ArithmeticError(f"{path} would hold a non-finite number: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -16,6 +16,7 @@ import pytest
 import torusspec
 from torusspec.cli import _build_parser, _scalar, main
 from torusspec.potentials import cosine, save_potential, zero_potential
+from torusspec.spectra import WeylCountReport
 
 GOLDEN_FREE_K1 = (
     "hbar,index,eigenvalue\n"
@@ -187,6 +188,7 @@ def test_flags_a_subcommand_ignores_are_refused(pots, tmp_path):
     assert main(["spectrum", *base, "--hbar", "1.0", "--K", "4", "--seed", "1"]) == 2
     assert main(["weyl-count", *base, "--hbar", "0.5", "--window", "0,2",
                  "--K", "8", "--samples", "20000"]) == 2
+    assert main(["bs-reconstruct", *base, "--hbar", "0.5", "--K", "8", "--mu", "1"]) == 2
 
 
 # every subcommand with minimal flags besides --potential/--out
@@ -221,6 +223,12 @@ _NAN_FLAGS = {
     "nan-plateau": ["--hbar", "0.5", "--K", "8", "--plateau", "nan"],
 }
 
+# a --config file that cannot be used: its content (None: no file) and the error
+_CONFIGS = {
+    "config-missing": (None, "FileNotFoundError"),
+    "config-list": ([1, 2], "ValueError"),
+}
+
 
 @pytest.mark.parametrize("command,case", [
     *[(c, case) for c in _SUBCOMMANDS for case in ("missing", "nan", "inf")],
@@ -232,16 +240,40 @@ _NAN_FLAGS = {
     ("effective", "nan-dp"),
     ("egorov", "nan-t"),
     ("egorov", "nan-plateau"),
+    ("spectrum", "config-missing"),
+    ("spectrum", "config-list"),
 ])
 def test_missing_and_non_finite_input_exit_2(pots, tmp_path, command, case):
     args = [command, *_SUBCOMMANDS[command], "--out", str(tmp_path / "run")]
+    error = "ValueError"
     if case in ("nan", "inf"):
         args += ["--potential", _raw_potential(tmp_path / "bad.json", float(case))]
     elif case in _NAN_FLAGS:
         args = [command, "--potential", pots["cos"], *_NAN_FLAGS[case],
                 "--out", str(tmp_path / "run")]
+    elif case in _CONFIGS:
+        content, error = _CONFIGS[case]
+        cfg = tmp_path / "config.json"
+        if content is not None:
+            cfg.write_text(json.dumps(content))
+        args = ["--config", str(cfg), *args, "--potential", pots["cos"]]
     assert main(args) == 2
-    assert json.loads((tmp_path / "run" / "error.json").read_text())["error"] == "ValueError"
+    assert json.loads((tmp_path / "run" / "error.json").read_text())["error"] == error
+
+
+def test_non_finite_report_exits_3_and_leaves_no_report(pots, tmp_path, monkeypatch):
+    # JSON cannot hold NaN: the report is refused before its file is opened
+    monkeypatch.setattr(WeylCountReport, "to_dict", lambda self: {"volume": math.nan})
+    out = tmp_path / "run"
+    rc = main(["weyl-count", "--potential", pots["cos"], "--hbar", "0.5",
+               "--window", "0,2", "--K", "8", "--out", str(out)])
+    assert rc == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ArithmeticError"
+    # error.json keeps its bytes: keys in order, two-space indent, final newline
+    assert (out / "error.json").read_text() == json.dumps(err, indent=2) + "\n"
+    assert not (out / "weyl_count.json").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_egorov_subcommand(pots, tmp_path):

@@ -1,7 +1,9 @@
 """Effective Hamiltonian: closed form, cell solver, tables, invariance."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from torusspec.effective import (CellConvergenceError, EffectiveTable,
                                  write_effective_csv)
 from torusspec.potentials import (FourierPotential, TWO_PI, cosine, potential_extrema,
                                   sine, zero_potential)
+from torusspec.spectra import weyl_volume
 from torusspec.symbols import (PhaseSpaceFunction, bump_profile, kinetic_symbol,
                                mechanical_symbol, product_symbol)
 
@@ -117,6 +120,25 @@ def test_cell_convergence_error(monkeypatch):
     with pytest.raises(CellConvergenceError) as exc:
         cell_problem_solve(mechanical_symbol(COS), 1.0, 64)
     assert exc.value.residual > 0.0
+
+
+def test_cell_failed_presolve_is_refused_at_once(monkeypatch):
+    # the cascade's first solve would repeat the failed presolve step for step
+    monkeypatch.setattr(effective, "_TOL", 1e-16)
+    lus = _counted_lus(monkeypatch)
+    with pytest.raises(CellConvergenceError, match="delta=0.1"):
+        cell_problem_solve(mechanical_symbol(COS), 1.0, 64)
+    assert len(lus) == 6
+
+
+def test_cell_guard_that_never_holds_is_refused(monkeypatch):
+    # with alpha_margin 0.3 the passes run alpha = 0.677, 1.016 and 1.524
+    # against a realised slope of 2.12: no pass is monotone, so no value
+    monkeypatch.setattr(effective, "_ALPHA_MARGIN", 0.3)
+    H = mechanical_symbol(cosine((1, 0)) + cosine((0, 1)))
+    with pytest.raises(CellConvergenceError, match="after three passes") as exc:
+        cell_problem_solve(H, (1.5, 1.5), 48)
+    assert exc.value.residual <= effective._TOL
 
 
 def test_closed_form_table_certificates(cos_closed_table):
@@ -321,19 +343,22 @@ def test_action_J_at_max_v_matches_mpmath():
 
 
 def test_action_J_at_max_v_keeps_the_kink_on_the_ends(monkeypatch):
-    # the period of J(max V) starts at x*, so no quadrature panel has to
-    # resolve the kink of sqrt(2 (max V - V)) there: 235 evaluations of V,
-    # against 991 over [0, 2 pi] with x* inside
-    calls = []
+    # the period of J(max V) starts at x* and its panels end at the other
+    # local maximum, so tanh-sinh meets the kinks of sqrt(2 (max V - V)) only
+    # on panel ends and stops at its first check: 9,225 points, of which
+    # 8,193 are the extrema scan and the panel scan.  With one panel over
+    # [0, 2 pi] and x* inside it runs to its last level (about 20,000 more
+    # points), misses by 7.7e-7 and is refused
+    points = []
     evaluate = FourierPotential.evaluate
 
     def counting(self, x):
-        calls.append(np.size(x))
+        points.append(np.size(x))
         return evaluate(self, x)
 
     monkeypatch.setattr(FourierPotential, "evaluate", counting)
     action_threshold(ROUNDING)
-    assert len(calls) <= 400
+    assert sum(points) <= 10_000
 
 
 def test_closed_form_plateau_is_exact_max_v():
@@ -346,25 +371,117 @@ def test_closed_form_plateau_is_exact_max_v():
 
 
 def test_action_J_scans_its_grid_once(monkeypatch):
-    # one potential_extrema per call, none inside the quadrature or the
-    # action inversion: the scan is the only evaluation of 4096 points
-    calls = []
-    evaluate = FourierPotential.evaluate
+    # one potential_extrema and one panel scan per call, none inside the
+    # quadrature or the action inversion, however many P are inverted
+    scans = []
+    panels = effective._panels
 
-    def counting(self, x):
-        if np.size(x) == 4096:
-            calls.append(np.size(x))
-        return evaluate(self, x)
+    def counting_extrema(pot):
+        scans.append("extrema")
+        return potential_extrema(pot)
+
+    def counting_panels(*args):
+        scans.append("panels")
+        return panels(*args)
 
     pot = COS + FourierPotential(1, {(2,): 0.1j, (-2,): -0.1j})
     vmax = potential_extrema(pot).max_value
+    monkeypatch.setattr(effective, "potential_extrema", counting_extrema)
+    monkeypatch.setattr(effective, "_panels", counting_panels)
+    for call in (lambda: action_J(pot, vmax), lambda: action_J(pot, vmax + 0.7),
+                 lambda: effective_1d(pot, 3.0),
+                 lambda: effective_1d(pot, np.linspace(-3.0, 3.0, 13))):
+        call()
+        assert scans == ["extrema", "panels"]
+        scans.clear()
+
+
+def test_closed_form_table_evaluates_v_in_few_batches(monkeypatch):
+    # one extrema report for the whole P axis, and V evaluated at all nodes
+    # of all panels in one call per tanh-sinh level
+    calls, extrema = [], []
+    evaluate = FourierPotential.evaluate
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return evaluate(self, x)
+
+    def counting_extrema(pot):
+        extrema.append(1)
+        return potential_extrema(pot)
+
     monkeypatch.setattr(FourierPotential, "evaluate", counting)
-    for energy in (vmax, vmax + 0.7):
-        action_J(pot, energy)
-        assert len(calls) == 1
-        calls.clear()
-    effective_1d(pot, 3.0)
-    assert len(calls) == 1
+    monkeypatch.setattr(effective, "potential_extrema", counting_extrema)
+    table = closed_form_table(COS, 3.0, 0.25)
+    assert len(extrema) == 1
+    assert len(calls) <= 50
+    for p, val in HBAR_COS.items():
+        assert table.values[list(table.axes[0]).index(p)] == pytest.approx(val, abs=1e-9)
+
+
+def _cos_action(energy):
+    # J(E) of cos x above the separatrix: (2/pi) sqrt(2(E + 1)) E(2/(E + 1))
+    energy = mpmath.mpf(energy)
+    return 2 / mpmath.pi * mpmath.sqrt(2 * (energy + 1)) * mpmath.ellipe(2 / (energy + 1))
+
+
+@pytest.mark.parametrize("offset", [1e-9, 1e-5, 1.0])
+def test_action_J_near_the_separatrix_matches_elliptic(offset):
+    with mpmath.workdps(40):
+        exact = _cos_action(mpmath.mpf(1) + mpmath.mpf(offset))
+        assert abs(action_J(COS, 1.0 + offset) - exact) <= 1e-15
+
+
+def test_effective_1d_array_across_the_plateau_edge():
+    # P just below and above J(max V) = 4/pi, where J'(E) diverges
+    offsets = np.array([-1e-3, 0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.5])
+    P = 4.0 / math.pi + offsets
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hbar = effective_1d(COS, P)
+    assert hbar.shape == P.shape
+    with mpmath.workdps(40):
+        threshold = 4 / mpmath.pi
+        for p, h in zip(P, hbar):
+            if p <= threshold:
+                exact = mpmath.mpf(1)
+            else:
+                exact = mpmath.findroot(lambda e: _cos_action(e) - mpmath.mpf(p),
+                                        (mpmath.mpf(1), mpmath.mpf(2)), solver="anderson")
+            assert abs(h - exact) <= 1e-14
+    assert effective_1d(COS, float(P[-1])) == hbar[-1]
+
+
+@pytest.mark.parametrize("pot,extra", [
+    (cosine((2,)), None),
+    (cosine((3,)), None),
+    # the second maximum lies 2e-7 below the first; 40-digit mpmath reference
+    (cosine((2,)) + cosine((1,), 1e-7), "1.27323986130523701533753566510"),
+])
+def test_action_J_splits_at_every_local_maximum(pot, extra):
+    # J(max V) of cos(n x) is 4/pi for every n; the maxima other than x*
+    # are panel ends, so no kink lies inside a panel
+    exact = 4.0 / math.pi if extra is None else float(extra)
+    assert abs(action_threshold(pot) - exact) <= 1e-15
+
+
+# Vol{V + p^2/2 < E} of ROUNDING at E = max of V on the 4096-point scan from
+# 0, 5.1e-9 below max V; 40-digit mpmath over panels between the turning
+# points and the other local maximum
+ROUNDING_SCANNED_MAX = 2.355956409600385
+ROUNDING_SCANNED_VOL = 25.719822297949884326
+
+
+@pytest.mark.parametrize("energy,exact", [
+    (None, 4.0 * math.pi * ROUNDING_J),
+    (ROUNDING_SCANNED_MAX, ROUNDING_SCANNED_VOL),
+])
+def test_weyl_volume_at_an_off_grid_max_v(energy, exact):
+    if energy is None:
+        energy = potential_extrema(ROUNDING).max_value
+    vol = weyl_volume(ROUNDING, -5.0, energy)
+    assert abs(vol.value - exact) <= 1e-13
+    assert abs(vol.value - exact) <= vol.std_error
 
 
 @pytest.mark.parametrize("shape", [(64,), (64, 64), (33, 48)])

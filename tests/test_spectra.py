@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize.elementwise import find_root
 from scipy.special import ellipe, ellipk, mathieu_a, mathieu_b
 
-from torusspec.potentials import FourierPotential, TWO_PI, cosine, zero_potential
+from torusspec import spectra
+from torusspec.potentials import (FourierPotential, TWO_PI, cosine, potential_extrema,
+                                  zero_potential)
 from torusspec.spectra import (FLOAT_FMT, PlaneWaveBasis, assemble_hamiltonian,
                                auto_cutoff, count_eigenvalues, cutoff_certificate,
                                eigen_spectrum, eigen_system, truncation_tail_bound,
@@ -197,17 +200,28 @@ def test_weyl_volume_2d_cosine_within_std_error(b):
 
 
 def test_weyl_volume_at_a_scan_value_where_a_point_value_rounds_apart():
-    # E is V's value on weyl_volume's 4096-point scan at a point where V is
-    # steep, and the one-point evaluation there rounds apart from it.  One of
-    # the two turning-point brackets around that point then has no sign
-    # change when re-evaluated, and its end nearer zero is taken as the root
+    # E is V's value on the panel scan (4097 points from the argmax x*) at a
+    # steep point x_j where a one-point evaluation rounds above it.  A root
+    # search over that one crossing bracket (x_j and its neighbour on the
+    # side where V is higher) then sees one sign at both ends; find_root
+    # gives up on it, and the end nearer the level, x_j, is taken
     pot = FourierPotential(1, {(1,): -0.065 + 0.685j, (-1,): -0.065 - 0.685j,
                                (2,): -0.335 + 0.175j, (-2,): -0.335 - 0.175j,
                                (3,): 0.45 + 0.045j, (-3,): 0.45 - 0.045j})
-    xs = np.arange(4096) * (TWO_PI / 4096)
+    xs = potential_extrema(pot).argmax[0] + np.arange(4097) * (TWO_PI / 4096)
     vals = pot.evaluate(xs)
-    steep = np.abs(pot.gradient(xs)) > 0.5
-    j = next(j for j in np.flatnonzero(steep) if pot.evaluate(xs[j:j + 1])[0] != vals[j])
+    grad = pot.gradient(xs)
+    j = next(j for j in np.flatnonzero(np.abs(grad) > 0.5)
+             if pot.evaluate(xs[j:j + 1])[0] > vals[j])
+    side = slice(j, j + 2) if grad[j] > 0 else slice(j - 1, j + 1)
+    lo, hi = xs[side][:1], xs[side][1:]
+    level = vals[j:j + 1]
+
+    def gap(x, lev):
+        return pot.evaluate(x) - lev
+
+    assert find_root(gap, (lo, hi), args=(level,)).status[0] == -1
+    assert spectra._roots(gap, lo, hi, level)[0] == xs[j]
     energy = float(vals[j])
     vol = weyl_volume(pot, energy, energy + 1.0)
     assert vol.value == pytest.approx(weyl_volume(pot, energy + 1e-12, energy + 1.0).value,
