@@ -1,8 +1,9 @@
 """Batch front-end: subcommands in, deterministic CSV/JSON artifacts out.
 
 Every run writes its artifacts plus a manifest.json (input hashes, package
-versions, wall time) into --out; failures leave an error.json behind.  Exit
-codes: 0 success, 2 validation error, 3 numerical non-convergence.
+versions, wall time) into --out; failures, a refused command line included,
+leave an error.json behind.  Exit codes: 0 success, 2 validation error, 3
+numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -220,9 +221,50 @@ def _cmd_bs(args, outdir: Path):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError where argparse would exit 2, so error.json reports it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _early(tokens):
+    """--config and --out among ``tokens``, read before the full parse."""
+    early = _Parser(prog="torusspec", add_help=False)
+    early.add_argument("--config")
+    early.add_argument("--out", default=".")
+    return early.parse_known_args(tokens)[0]
+
+
+def _with_config(argv, children):
+    """argv with each --config key written as its flag, once per list
+    element, right after the subcommand: the value goes through the flag's
+    type, counts for a required flag, and loses to a later explicit flag."""
+    i = 0   # the subcommand; before it the top level takes only --config and -h
+    while i < len(argv) and argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] or argv[i] in ("-h", "--help") else 2
+    config = _early(argv[:i]).config
+    if config is None or i >= len(argv) or argv[i] not in children:
+        return argv
+    with open(config, "r", encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ValueError(f"--config {config} must hold a JSON object")
+    flags = {a.dest: a.option_strings[0] for a in children[argv[i]]._actions
+             if a.option_strings and a.dest != "help"}
+    # a key that no flag of the subcommand reads is a typo or a removed flag
+    unread = sorted(set(loaded) - set(flags))
+    if unread:
+        raise ValueError(f"config keys no flag of {argv[i]} reads: {', '.join(unread)}")
+    written = [f"{flags[k]}={x}" for k, v in loaded.items()
+               for x in (v if isinstance(v, list) else [v])]
+    return argv[:i + 1] + written + argv[i + 1:]
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="torusspec")
-    parser.add_argument("--config", help="JSON file of flag defaults; flags override")
+    parser = _Parser(prog="torusspec")
+    parser.add_argument("--config", help="JSON file of flag values; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
     children = {}
 
@@ -303,41 +345,15 @@ _DISPATCH = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, children = _build_parser()
-
-    # config file values become defaults; explicit flags still win.  Each
-    # subcommand parses into a fresh namespace, so the defaults have to be
-    # rewritten on every child parser, not just the top one.  A config that
-    # cannot be read is refused in the error boundary below, once --out is known.
-    probe, _ = parser.parse_known_args(argv) if argv and argv[0] not in ("-h", "--help") \
-        else (None, None)
-    loaded, config_error = {}, None
-    if probe is not None and getattr(probe, "config", None):
-        try:
-            with open(probe.config, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-            if not isinstance(loaded, dict):
-                raise ValueError(f"--config {probe.config} must hold a JSON object")
-        except (OSError, ValueError) as exc:
-            loaded, config_error = {}, exc
-        parser.set_defaults(**loaded)
-        for child in children.values():
-            child.set_defaults(**loaded)
-
+    outdir = Path(".")
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.monotonic()
-    try:
-        if config_error is not None:
-            raise config_error
-        # a config key that no flag of the subcommand reads is a typo or a removed flag
-        unread = sorted(set(loaded) - {a.dest for a in children[args.command]._actions})
-        if unread:
-            raise ValueError(f"config keys no flag of {args.command} reads: {', '.join(unread)}")
+        # error.json goes to --out (a config's too) even when parsing fails
+        outdir = Path(_early(argv).out)
+        full = _with_config(argv, children)
+        outdir = Path(_early(full).out)
+        args = parser.parse_args(full)
+        outdir.mkdir(parents=True, exist_ok=True)
+        t0 = time.monotonic()
         # a subcommand returns its outputs, optionally with extra manifest
         # fields; "inputs" overrides the default --potential input
         produced = _DISPATCH[args.command](args, outdir)
@@ -345,22 +361,24 @@ def main(argv=None) -> int:
         inputs = extra.pop("inputs", [args.potential] if getattr(args, "potential", None) else [])
         _write_manifest(outdir, argv, inputs, produced, t0, extra)
         return 0
+    except SystemExit as exc:       # --help
+        return int(exc.code) if exc.code else 0
     except (CellConvergenceError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        _write_error(outdir, exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        _write_error(outdir, exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(outdir, exc, 3)
+    except (ValueError, KeyError, OSError) as exc:
+        return _refuse(outdir, exc, 2)
 
 
-def _write_error(outdir: Path, exc: Exception) -> None:
+def _refuse(outdir: Path, exc: Exception, code: int) -> int:
+    """Write error.json into ``outdir``, report on stderr, return ``code``."""
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
         write_report_json(outdir / "error.json",
                           {"error": type(exc).__name__, "message": str(exc)})
     except OSError:
         pass
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

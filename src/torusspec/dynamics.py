@@ -112,11 +112,17 @@ def _flow_batch(b: PhaseSpaceFunction, X, P, t: float, h: float,
     return X, P
 
 
-def flow(b: PhaseSpaceFunction, z0: PhasePoint, t: float, h: float) -> PhasePoint:
-    """Flow z0 for time t with step h; 0 < h <= 1e-2."""
+def _step(h) -> float:
+    """h as a float; refused unless 0 < h <= 1e-2."""
     h = float(h)
     if not (0.0 < h <= _MAX_STEP):
         raise ValueError("step size must lie in (0, 1e-2]")
+    return h
+
+
+def flow(b: PhaseSpaceFunction, z0: PhasePoint, t: float, h: float) -> PhasePoint:
+    """Flow z0 for time t with step h; 0 < h <= 1e-2."""
+    h = _step(h)
     X = z0.x.reshape(1, -1)
     P = z0.p.reshape(1, -1)
     if X.shape[1] != b.dim:
@@ -127,9 +133,7 @@ def flow(b: PhaseSpaceFunction, z0: PhasePoint, t: float, h: float) -> PhasePoin
 
 def trajectory(b: PhaseSpaceFunction, z0: PhasePoint, t: float, h: float):
     """Sampled trajectory (times, X, P, energies) at every step."""
-    h = float(h)
-    if not (0.0 < h <= _MAX_STEP):
-        raise ValueError("step size must lie in (0, 1e-2]")
+    h = _step(h)
     steps = max(1, int(round(abs(t) / h)))
     dt = float(t) / steps
     X = z0.x.reshape(1, -1).copy()
@@ -179,22 +183,20 @@ class SymplecticMap:
 
 
 def time_one_map(b: PhaseSpaceFunction, h: float) -> SymplecticMap:
-    h = float(h)
-    if not (0.0 < h <= _MAX_STEP):
-        raise ValueError("step size must lie in (0, 1e-2]")
-    return SymplecticMap(generator=b, time=1.0, h=h)
+    return SymplecticMap(generator=b, time=1.0, h=_step(h))
 
 
 def compose_hamiltonian(H: PhaseSpaceFunction, phi: SymplecticMap) -> PhaseSpaceFunction:
-    """Numeric symbol z -> H(phi(z)), flagged expensive: every evaluation is
-    a flow, so the cell solver tabulates it once per solver grid."""
+    """Numeric symbol z -> H(phi(z)).  Every evaluation is a flow, so
+    ``invariance_check`` evaluates it once, on one interpolation table in p
+    for all its momenta."""
     if H.dim != phi.dim:
         raise ValueError("symbol and map dimensions differ")
 
     def fn(x, eta):
         return H.fn(*phi.apply(_rows(x, H.dim), _rows(eta, H.dim)))
 
-    return PhaseSpaceFunction(dim=H.dim, fn=fn, x_bandwidth=None, expensive=True)
+    return PhaseSpaceFunction(dim=H.dim, fn=fn)
 
 
 def symplectic_defect(phi: SymplecticMap, probes: int = 32, p_box: float = 3.0) -> float:

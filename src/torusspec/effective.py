@@ -10,14 +10,16 @@ The closed form is batched: J is one tanh-sinh run over every energy and
 panel (Takahasi & Mori, Publ. RIMS 9, 1974), and one bracketing root search
 (Chandrupatla, Adv. Eng. Softw. 28, 1997) inverts it for every P.
 
-The grid solver discretises with the monotone Lax-Friedrichs numerical
-Hamiltonian (Kao, Osher & Qian, J. Comput. Phys. 196, 2004), adds a
-vanishing discount term delta*u, solves each discounted problem by
-pseudo-transient Newton on the sparse system, and extrapolates
--delta*u_delta -> Hbar(P) linearly in delta.  A discounted problem that
-Newton leaves above the residual tolerance is refused with
-CellConvergenceError; there is no second solver.  So is a solve whose
-dissipation still falls short of the realised slopes after three passes.
+The grid solver takes a mechanical symbol |p|^2/2 + V and no settings.  It
+discretises with the monotone Lax-Friedrichs numerical Hamiltonian (Kao,
+Osher & Qian, J. Comput. Phys. 196, 2004), adds a vanishing discount term
+delta*u, solves each discounted problem by pseudo-transient Newton on the
+sparse system, and extrapolates -delta*u_delta -> Hbar(P) linearly in delta.
+A discounted problem that Newton leaves above the residual tolerance is
+refused with CellConvergenceError; there is no second solver.  So is a solve
+whose dissipation still falls short of the realised slopes after three
+passes.  ``invariance_check`` runs the same scheme on H o phi, read from one
+interpolation table in p that the check builds for all its P.
 
 Each Newton step, rejected trial steps included, factors J + I/dt with
 SuperLU in a fixed geometric nested-dissection order of the grid (George,
@@ -51,7 +53,7 @@ from scipy.sparse.linalg import splu
 from .dynamics import compose_hamiltonian, symplectic_defect
 from .potentials import TWO_PI, FourierPotential, _grid_points, _trig_sum, potential_extrema
 from .spectra import _momentum_integral, _panels, _roots, write_csv
-from .symbols import PhaseSpaceFunction, _central_difference, mechanical_symbol
+from .symbols import PhaseSpaceFunction, mechanical_symbol
 
 _MIN_GRID = 32
 
@@ -197,8 +199,9 @@ def nested_dissection(shape) -> np.ndarray:
 
 
 class _GridSymbol:
-    """Evaluator of H and dH/dp_i on the fixed solver x-grid, with the
-    grid's stencil and its elimination order for the Newton LU."""
+    """Evaluator of H and dH/dp_i on the fixed solver x-grid (exact for a
+    mechanical H, else from ``build_table``), with the grid's stencil and
+    its elimination order for the Newton LU."""
 
     def __init__(self, H: PhaseSpaceFunction, axes):
         self.H = H
@@ -220,14 +223,11 @@ class _GridSymbol:
         self.pattern = (np.tile(self.rank, 2 * self.dim + 1),
                         np.concatenate([self.rank] + nbrs))
         self.mechanical = H.potential is not None
-        self.vgrid = None
-        self.spline = None
+        self.vgrid = H.potential.evaluate(self.xpts).reshape(-1) if self.mechanical else None
         self.p_range = None
-        if self.mechanical:
-            self.vgrid = H.potential.evaluate(self.xpts).reshape(-1)
 
     def build_table(self, p_lo: float, p_hi: float, res: int):
-        """Cubic interpolation in p at every x-node (expensive symbols, 1D).
+        """Cubic interpolation in p at every x-node (numeric symbols, 1D).
 
         The whole (x-node, p-node) product goes through the symbol in one
         batched call; for flow-composed symbols that means a single flow of
@@ -265,22 +265,13 @@ class _GridSymbol:
         """H(x_j, p_j) over the grid; pargs has shape (cells, dim)."""
         if self.mechanical:
             return 0.5 * np.sum(pargs ** 2, axis=-1) + self.vgrid
-        if self.spline is not None:
-            return self._table(self.spline.c, pargs)
-        return np.asarray(self.H.fn(self.xpts, pargs)).reshape(-1)
+        return self._table(self.spline.c, pargs)
 
     def slope(self, pargs):
         """dH/dp_i at (x_j, p_j), shape (cells, dim)."""
         if self.mechanical:
             return pargs.copy()
-        if self.spline is not None:
-            return self._table(self.spline_d.c, pargs)[:, None]
-        return _central_difference(lambda p: self.H.fn(self.xpts, p), pargs)
-
-
-def _alpha_box(P, v_min: float, v_max: float) -> float:
-    spread = max(v_max + 0.5 * float(np.dot(P, P)) - v_min, 0.0)
-    return float(np.linalg.norm(P)) + math.sqrt(2.0 * spread) + 1.0
+        return self._table(self.spline_d.c, pargs)[:, None]
 
 
 class _CellWorkspace:
@@ -308,10 +299,6 @@ class _CellWorkspace:
             lap = (u[sym.ip[i]] - 2 * u + u[sym.im[i]]) / (2 * sym.hs[i])
             F -= self.alphas[i] * lap
         return F
-
-    def numerical_hamiltonian(self, u):
-        """H_LF(x, P + Du) including the dissipation, as an array."""
-        return self.residual(u) - self.delta * u
 
     def jacobian(self, u, dt):
         """J + I/dt as CSC, rows and columns in the grid's elimination order."""
@@ -369,30 +356,23 @@ class _CellWorkspace:
         return u, nrm, steps
 
 
-def _solve_cascade(sym: _GridSymbol, P, alphas, u_init=None, init_delta=None):
-    """All discounted problems for one P and one dissipation choice."""
+def _solve_cascade(sym: _GridSymbol, P, alphas, u):
+    """All discounted problems for one P and one dissipation, from start u."""
     c_values = []
-    u = u_init
-    prev_delta = init_delta
+    prev_delta = _DELTAS[0]
     total_steps = 0
-    final = None
     for delta in _DELTAS:
         ws = _CellWorkspace(sym, P, alphas, delta)
-        if u is None:
-            u0 = np.zeros(sym.size)
-        else:
-            # mean scales like 1/delta, the oscillating part barely moves
-            mean = float(np.mean(u))
-            u0 = (u - mean) + mean * ((prev_delta or delta) / delta)
-        u, res, steps = ws.newton(u0, _NEWTON_TOL)
+        # mean scales like 1/delta, the oscillating part barely moves
+        mean = float(np.mean(u))
+        u, res, steps = ws.newton((u - mean) + mean * (prev_delta / delta), _NEWTON_TOL)
         total_steps += steps
         if not res <= _TOL:     # a NaN residual fails too
             raise CellConvergenceError(
                 f"cell residual {res:.3e} above {_TOL} at delta={delta}", res)
         c_values.append(-delta * float(np.mean(u)))
         prev_delta = delta
-        final = (ws, u)
-    return c_values, final, total_steps
+    return c_values, (ws, u), total_steps
 
 
 def _cell_axes(dim: int, grid) -> list:
@@ -403,64 +383,49 @@ def _cell_axes(dim: int, grid) -> list:
     return [np.arange(m) * (TWO_PI / m) for m in shape]
 
 
-def _value_range(H: PhaseSpaceFunction, v_range=None):
-    """(min V, max V): exact for mechanical symbols, else ``v_range``."""
-    if H.potential is not None:
-        rep = potential_extrema(H.potential)
-        return rep.min_value, rep.max_value
-    if v_range is None:
-        raise ValueError("numeric symbols need v_range=(min V, max V)")
-    return v_range
-
-
-def cell_problem_solve(H: PhaseSpaceFunction, P, grid: int, *,
-                       v_range=None) -> CellSolution:
-    """Solve the cell problem for one P on a uniform torus grid.
+def cell_problem_solve(H: PhaseSpaceFunction, P, grid: int) -> CellSolution:
+    """Solve the mechanical cell problem for one P on a uniform torus grid.
 
     Returns the extrapolated Hbar(P) together with the mean-zero corrector
     at the smallest discount and the sup-norm residual of the discrete cell
     equation.  Raises CellConvergenceError if any discounted solve misses
-    the residual tolerance within its Newton steps.  A numeric symbol
-    (one without a potential) needs ``v_range=(min V, max V)`` to bound its
-    dissipation.  A symbol flagged expensive is tabulated afresh on every
-    call (see ``invariance_check`` for one table shared by several P).
+    the residual tolerance within its Newton steps.  The dissipation is
+    bounded by the exact min and max V; a symbol without a potential is
+    refused (``invariance_check`` solves H o phi on its own table).
     """
+    if H.potential is None:
+        raise ValueError("cell_problem_solve takes a mechanical symbol; "
+                         "H o phi goes through invariance_check")
     axes = _cell_axes(H.dim, grid)
-    v_min, v_max = _value_range(H, v_range)
-    return _solve_on(_GridSymbol(H, axes), P, v_min, v_max)
+    ext = potential_extrema(H.potential)
+    return _solve_on(_GridSymbol(H, axes), P, ext.min_value, ext.max_value)
 
 
 def _solve_on(sym: _GridSymbol, P, v_min: float, v_max: float,
               p_range=None) -> CellSolution:
-    """One P on the grid of ``sym``.  Expensive symbols go through the
-    instance's interpolation table over ``p_range``, by default the
-    Lax-Friedrichs box around P."""
+    """One P on the grid of ``sym``.  A numeric symbol goes through the
+    instance's interpolation table over ``p_range``."""
     n = sym.dim
     P = np.atleast_1d(np.asarray(P, dtype=float))
     if P.shape != (n,):
         raise ValueError("P does not match the symbol dimension")
     if not np.all(np.isfinite(P)):
         raise ValueError(f"P = {P.tolist()} is not finite")
-    if sym.H.expensive:
-        if p_range is None:
-            box = _alpha_box(P, v_min, v_max)
-            p_range = (float(np.min(P)) - box - _TABLE_P_PAD,
-                       float(np.max(P)) + box + _TABLE_P_PAD)
+    if not sym.mechanical:
         sym.build_table(*p_range, _TABLE_P_RES)
 
     # presolve the largest discount with the conservative box dissipation,
     # then shrink alpha to the gradient range the solution actually visits
-    alphas = np.full(n, _alpha_box(P, v_min, v_max))
+    spread = max(v_max + 0.5 * float(np.dot(P, P)) - v_min, 0.0)
+    alphas = np.full(n, float(np.linalg.norm(P)) + math.sqrt(2.0 * spread) + 1.0)
     ws0 = _CellWorkspace(sym, P, alphas, _DELTAS[0])
     u_warm, res0, total = ws0.newton(np.zeros(sym.size), _NEWTON_TOL)
     if not res0 <= _TOL:     # the cascade's first solve would repeat this one
         raise CellConvergenceError(
             f"cell residual {res0:.3e} above {_TOL} at delta={_DELTAS[0]}", res0)
     alphas = np.maximum(_ALPHA_MARGIN * ws0.realized_slope(u_warm) + 0.05, 0.5)
-    warm_delta = _DELTAS[0]
     for guard in range(3):
-        c_values, (ws, u), steps = _solve_cascade(
-            sym, P, alphas, u_init=u_warm, init_delta=warm_delta)
+        c_values, (ws, u), steps = _solve_cascade(sym, P, alphas, u_warm)
         total += steps
         # guard: the dissipation must dominate the realised slopes
         realized = ws.realized_slope(u)
@@ -472,14 +437,14 @@ def _solve_on(sym: _GridSymbol, P, v_min: float, v_max: float,
                 f"{realized.tolist()} after three passes",
                 float(np.max(np.abs(ws.residual(u)))))
         alphas = np.maximum(_ALPHA_MARGIN * realized + 0.05, alphas * 1.5)
-        u_warm, warm_delta = None, None
+        u_warm = np.zeros(sym.size)
 
     (d1, d2), (c1, c2) = _DELTAS[-2:], c_values[-2:]
     value = (d1 * c2 - d2 * c1) / (d1 - d2)
 
     w = u - float(np.mean(u))
-    ham = ws.numerical_hamiltonian(w)
-    residual = float(np.max(np.abs(ham - value)))
+    # H_LF(x, P + Dw) with its dissipation: the residual less the discount
+    residual = float(np.max(np.abs(ws.residual(w) - ws.delta * w - value)))
     corr = Corrector(P=P.copy(), axes=sym.axes, values=w.reshape(sym.shape),
                      residual=residual)
     return CellSolution(value=float(value), corrector=corr,
@@ -624,8 +589,6 @@ def cell_table(pot: FourierPotential, p_max: float, dp: float, grid: int) -> Eff
 def effective_grid(pot: FourierPotential, p_max: float, dp: float, method: str,
                    grid: int = 0) -> EffectiveTable:
     if method == "closed-form":
-        if pot.dim != 1:
-            raise ValueError("closed form is one-dimensional")
         return closed_form_table(pot, p_max, dp)
     if method == "cell-problem":
         if grid < _MIN_GRID:
@@ -754,18 +717,19 @@ def invariance_check(H: PhaseSpaceFunction, phi, p_values: Sequence[float],
                      grid: int, defect_probes: int = 32) -> InvarianceReport:
     """Hbar of H and of H o phi on the same grid, plus the map's defect.
 
-    The composed symbol goes through the numeric (table-backed) route of the
-    cell solver, on one interpolation table that this check builds and owns
-    for all the requested P; for an exactly symplectic phi the two columns
-    agree up to scheme error.  H must be mechanical: the dissipation bound
-    and the table width of both symbols come from its potential's extrema.
+    The composed symbol goes through the table route of the cell solver,
+    on one interpolation table in p that this check builds and owns for all
+    the requested P; for an exactly symplectic phi the two columns agree up
+    to scheme error.  H must be mechanical: the dissipation bound and the
+    table width of both symbols come from its potential's extrema.
     """
     if H.potential is None:
         raise ValueError("invariance_check needs a mechanical H")
     axes = _cell_axes(H.dim, grid)
     base = _GridSymbol(H, axes)
     mapped = _GridSymbol(compose_hamiltonian(H, phi), axes)
-    v_min, v_max = _value_range(H)
+    ext = potential_extrema(H.potential)
+    v_min, v_max = ext.min_value, ext.max_value
     # one interpolation table for all the requested P; its width only needs
     # the slope bound sqrt(2(E - min V)), not the full LF box, because the
     # solver clips transient arguments into the table range

@@ -58,7 +58,7 @@ def flowed_symbol(a: PhaseSpaceFunction, generator: PhaseSpaceFunction,
         X, P = _flow_batch(generator, x, eta, float(t), h, scheme="rk4")
         return a.fn(wrap_angles(X), P)
 
-    return PhaseSpaceFunction(dim=a.dim, fn=fn, expensive=True)
+    return PhaseSpaceFunction(dim=a.dim, fn=fn)
 
 
 def interior_indices(dim: int, cutoff: int) -> np.ndarray:

@@ -162,20 +162,22 @@ def _spectrum_from(mat: HamiltonianMatrix, eigenvalues: np.ndarray) -> SpectrumR
     )
 
 
-def eigen_spectrum(mat: HamiltonianMatrix) -> SpectrumResult:
-    """All eigenvalues, ascending."""
+def _require_hermitian(mat: HamiltonianMatrix) -> None:
     defect = mat.hermitian_defect()
     if defect > _HERM_TOL * max(1.0, float(np.max(np.abs(mat.matrix)))):
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+
+
+def eigen_spectrum(mat: HamiltonianMatrix) -> SpectrumResult:
+    """All eigenvalues, ascending."""
+    _require_hermitian(mat)
     vals = np.linalg.eigvalsh(mat.matrix)
     return _spectrum_from(mat, vals)
 
 
 def eigen_system(mat: HamiltonianMatrix):
     """Eigenvalues and eigenvectors, with a residual check on every pair."""
-    defect = mat.hermitian_defect()
-    if defect > _HERM_TOL * max(1.0, float(np.max(np.abs(mat.matrix)))):
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+    _require_hermitian(mat)
     vals, vecs = np.linalg.eigh(mat.matrix)
     residual = np.max(np.abs(mat.matrix @ vecs - vecs * vals[None, :]), axis=0)
     allowed = _RESIDUAL_TOL * (1.0 + np.abs(vals))

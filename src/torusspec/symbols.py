@@ -6,10 +6,10 @@ a bandwidth in x, its Hamiltonian vector field, or the underlying potential
 when the symbol is mechanical, |eta|^2/2 + V(x).  The built-in symbols give
 the vector field (dH/dx, dH/deta) in one call, analytic throughout: one
 cos/sin pass of the potential for W and grad W, and one exp pair of
-bump_profile for the cutoff and its derivative.  Numeric symbols obtained by
-composing with a flow advertise themselves as expensive: the cell solver
-then evaluates them once on an interpolation table it owns instead of at
-every Newton step.
+bump_profile for the cutoff and its derivative.  A numeric symbol carries
+its evaluator only; one composed with a flow costs a flow per evaluation,
+so ``invariance_check`` evaluates it once, on one interpolation table in p
+for all its momenta.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class PhaseSpaceFunction:
     grad_x: Optional[Callable] = None
     grad_eta: Optional[Callable] = None
     potential: Optional[FourierPotential] = None   # set for |eta|^2/2 + V
-    expensive: bool = False
 
     def __call__(self, x, eta):
         return self.fn(np.asarray(x, dtype=float), np.asarray(eta, dtype=float))

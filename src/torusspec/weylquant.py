@@ -97,22 +97,13 @@ def weyl_matrix(b: PhaseSpaceFunction, hbar: float, K: int) -> WeylMatrix:
     bw_hint = b.x_bandwidth or 0
     G = max(4 * K + 4, 4 * bw_hint + 4, 64)    # > 4K: frequencies stay apart
     xg = _grid_points([np.arange(G) * (TWO_PI / G)] * n)
-    sums = PlaneWaveBasis(n, 2 * K).frequencies()
-    S = sums.shape[0]
-    vals = _symbol_rows(b, xg, 0.5 * hbar * sums.astype(float))
-    spec = np.fft.fftn(vals.reshape((S,) + (G,) * n), axes=tuple(range(1, n + 1))) / (G ** n)
-    spec = spec.reshape(S, -1)
-
+    lattice = PlaneWaveBasis(n, 2 * K)
+    vals = _symbol_rows(b, xg, 0.5 * hbar * lattice.frequencies().astype(float))
+    spec = np.fft.fftn(vals.reshape((-1,) + (G,) * n), axes=tuple(range(1, n + 1))) / (G ** n)
+    # entry (k, m) sits on lattice row k + m at x-frequency k - m
     freqs = basis.frequencies()
-    size = basis.size
-    jj = freqs[:, None, :] + freqs[None, :, :]
-    qq = freqs[:, None, :] - freqs[None, :, :]
-    s_flat = np.zeros((size, size), dtype=int)
-    q_flat = np.zeros((size, size), dtype=int)
-    for axis_i in range(n):
-        s_flat = s_flat * (4 * K + 1) + (jj[:, :, axis_i] + 2 * K)
-        q_flat = q_flat * G + np.mod(qq[:, :, axis_i], G)
-    mat = spec[s_flat, q_flat]
+    k, m = freqs[:, None, :], freqs[None, :, :]
+    mat = spec[(lattice.rows(k + m),) + tuple(np.moveaxis(np.mod(k - m, G), -1, 0))]
     return WeylMatrix(hbar=hbar, basis=basis, matrix=mat)
 
 
@@ -216,8 +207,7 @@ def symbol_from_wigner(table: WignerTable, scale: float = 1.0) -> PhaseSpaceFunc
     res = table.res
     hbar = table.hbar
     spec = np.fft.fftn(table.values.astype(complex),
-                       axes=tuple(range(1, n + 1))) / (res ** n)
-    spec = spec.reshape(table.kappas.shape[0], -1) * float(scale)
+                       axes=tuple(range(1, n + 1))) / (res ** n) * float(scale)
     lattice = PlaneWaveBasis(n, 2 * K)
 
     def lattice_rows(eta):
@@ -228,28 +218,22 @@ def symbol_from_wigner(table: WignerTable, scale: float = 1.0) -> PhaseSpaceFunc
         rows[on] = lattice.rows(kr[on])
         return rows
 
-    def xf(q, eta):
-        rows = lattice_rows(eta)
+    def coefficients(q, rows):
+        """spec at x-frequency q on lattice rows ``rows`` (-1: off it, zero)."""
         out = np.zeros(rows.shape[0], dtype=complex)
         hit = rows >= 0
-        if np.any(hit):
-            qcode = 0
-            for v in q:
-                qcode = qcode * res + (int(v) % res)
-            out[hit] = spec[rows[hit], qcode]
+        out[hit] = spec[(rows[hit],) + tuple(np.mod(q, res))]
         return out
+
+    def xf(q, eta):
+        return coefficients(q, lattice_rows(eta))
 
     def fn(x, eta):
         x = _rows(x, n)
         rows = lattice_rows(eta)
         out = np.zeros(x.shape[0], dtype=complex)
-        hit = np.nonzero(rows >= 0)[0]
         for q in itertools.product(range(-2 * K, 2 * K + 1), repeat=n):
-            qcode = 0
-            for v in q:
-                qcode = qcode * res + (int(v) % res)
-            coeffs = spec[rows[hit], qcode]
-            out[hit] += coeffs * np.exp(1j * (x[hit] @ np.asarray(q, dtype=float)))
+            out += coefficients(q, rows) * np.exp(1j * (x @ np.asarray(q, dtype=float)))
         return out.real
 
     return PhaseSpaceFunction(dim=n, fn=fn, x_bandwidth=2 * K, x_fourier=xf)

@@ -141,6 +141,75 @@ def test_config_keys_no_flag_reads_are_refused(pots, tmp_path):
     assert not (out / "spectrum.csv").exists()
 
 
+# a --config file standing in for flags: the subcommand's other flags and its artifact
+_CONFIG_AS_FLAGS = {
+    "required-pmax-dp": ({"pmax": 2, "dp": 0.5}, ["effective"], "effective.csv"),
+    "required-hbar": ({"hbar": 0.5}, ["spectrum", "--K", "4"], "spectrum.csv"),
+    "required-window": ({"window": "0,2"},
+                        ["weyl-count", "--hbar", "0.5", "--K", "8"], "weyl_count.json"),
+    "typed-shift": ({"shift": 3.14}, ["isospectral-check", "--relation", "translate",
+                                      "--hbar", "0.5", "--K", "8"], "theorem2.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONFIG_AS_FLAGS))
+def test_config_value_acts_like_its_flag(pots, tmp_path, case):
+    # a number goes through the flag's type, and a key counts for a required flag
+    content, args, artifact = _CONFIG_AS_FLAGS[case]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(content))
+    out = tmp_path / "run"
+    rc = main(["--config", str(cfg), *args, "--potential", pots["cos"], "--out", str(out)])
+    assert rc == 0
+    assert (out / artifact).is_file()
+
+
+def test_config_list_repeats_its_flag(pots, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"p": ["1.0", "2.0"]}))
+    out = tmp_path / "run"
+    rc = main(["--config", str(cfg), "cell-solve", "--potential", pots["cos"],
+               "--grid", "32", "--p", "0.5", "--out", str(out)])
+    assert rc == 0
+    rows = (out / "cell.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [1.0, 2.0, 0.5]
+
+
+def test_config_value_matches_the_explicit_flag(pots, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"pmax": 2, "dp": 0.5}))
+    base = ["effective", "--potential", pots["cos"]]
+    assert main(["--config", str(cfg), *base, "--out", str(tmp_path / "a")]) == 0
+    assert main([*base, "--pmax", "2", "--dp", "0.5", "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "effective.csv").read_bytes()
+            == (tmp_path / "b" / "effective.csv").read_bytes())
+
+
+@pytest.mark.parametrize("case", ["bad-value", "unknown-flag", "config-bad-value"])
+def test_refused_command_line_writes_error_json(pots, tmp_path, case):
+    out = tmp_path / "run"
+    args = ["cell-solve", "--potential", pots["cos"], "--p", "1.0", "--out", str(out)]
+    if case == "bad-value":
+        args += ["--grid", "abc"]
+    elif case == "unknown-flag":
+        args += ["--nope"]
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid": "abc"}))
+        args = ["--config", str(cfg), *args]
+    assert main(args) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError"
+    assert ("--grid" if case != "unknown-flag" else "--nope") in err["message"]
+
+
+def test_help_exits_0_and_writes_nothing(tmp_path):
+    out = tmp_path / "run"
+    assert main(["--help"]) == 0
+    assert main(["cell-solve", "--help", "--out", str(out)]) == 0
+    assert not out.exists()
+
+
 def test_effective_subcommand(pots, tmp_path):
     out = tmp_path / "run"
     rc = main(["effective", "--potential", pots["cos"], "--method", "closed-form",
@@ -305,7 +374,7 @@ def test_readme_examples_parse():
     def parses(line):
         try:
             parser.parse_args(shlex.split(line)[1:])
-        except SystemExit:
+        except ValueError:
             return False
         return True
 

@@ -97,7 +97,6 @@ def test_composed_hamiltonian_matches_shear_closed_form():
     p = rng.uniform(-2.0, 2.0, size=12)
     expect = 0.5 * (p - 0.1 * np.cos(x)) ** 2 + np.cos(x)
     assert np.max(np.abs(composed.fn(x, p) - expect)) < 1e-10
-    assert composed.expensive
 
 
 def test_symplectic_defect_of_shear():

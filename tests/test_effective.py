@@ -12,7 +12,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu, spsolve
 
 from torusspec import effective
-from torusspec.dynamics import SymplecticMap, compose_hamiltonian, time_one_map
+from torusspec.dynamics import SymplecticMap, time_one_map
 from torusspec.effective import (CellConvergenceError, EffectiveTable,
                                  action_J, action_threshold, cell_problem_solve,
                                  cell_table, closed_form_table, compute_certificates,
@@ -94,8 +94,9 @@ def test_cell_validation():
     with pytest.raises(ValueError):
         cell_problem_solve(H, [1.0, 2.0], 64)
     numeric = PhaseSpaceFunction(dim=1, fn=lambda x, eta: 0.5 * eta[:, 0] ** 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mechanical") as exc:
         cell_problem_solve(numeric, 1.0, 64)
+    assert "invariance_check" in str(exc.value)
     with pytest.raises(ValueError, match="mechanical"):
         invariance_check(numeric, _shear_map(), (1.0,), 64)
 
@@ -106,12 +107,13 @@ def test_cell_non_finite_momentum_refused(P):
         cell_problem_solve(mechanical_symbol(COS), P, 32)
 
 
-def test_cell_nan_residual_refused():
+def test_cell_nan_residual_refused(monkeypatch):
     # Newton takes no step on a NaN residual; the cascade must refuse it
     # rather than extrapolate a value from it
-    nan_symbol = PhaseSpaceFunction(dim=1, fn=lambda x, eta: np.full(len(eta), np.nan))
+    monkeypatch.setattr(effective._GridSymbol, "value",
+                        lambda self, pargs: np.full(len(pargs), np.nan))
     with pytest.raises(CellConvergenceError) as exc:
-        cell_problem_solve(nan_symbol, 1.0, 32, v_range=(-1.0, 1.0))
+        cell_problem_solve(mechanical_symbol(COS), 1.0, 32)
     assert math.isnan(exc.value.residual)
 
 
@@ -572,19 +574,6 @@ def test_guard_retry_matches_colamd_reference(monkeypatch):
     assert abs(sol.value - reference.value) <= 1e-9
 
 
-def test_numeric_symbol_slope_by_central_difference():
-    # no potential, no table: dH/dp comes from _GridSymbol.slope's central
-    # difference, and that Jacobian goes through the same ordered LU
-    pot = cosine((1, 0)) + cosine((0, 1), 0.8).translate((0.0, 0.4))
-    numeric = PhaseSpaceFunction(
-        dim=2, fn=lambda x, eta: 0.5 * np.sum(eta ** 2, axis=-1) + pot.evaluate(x))
-    ext = potential_extrema(pot)
-    sol = cell_problem_solve(numeric, (1.5, 1.2), 32, v_range=(ext.min_value, ext.max_value))
-    exact = cell_problem_solve(mechanical_symbol(pot), (1.5, 1.2), 32)
-    assert sol.iterations > 0
-    assert abs(sol.value - exact.value) <= 1e-6
-
-
 def test_newton_counts_only_factoring_steps(monkeypatch):
     H = mechanical_symbol(COS)
     sym = effective._GridSymbol(H, [np.arange(64) * (TWO_PI / 64)])
@@ -642,13 +631,10 @@ def test_invariance_check_builds_one_table_per_map(monkeypatch):
     assert sizes == [64 * effective._TABLE_P_RES]
 
 
-def test_each_cell_solve_builds_its_own_table(monkeypatch):
-    composed = compose_hamiltonian(mechanical_symbol(COS), _shear_map())
-    ext = potential_extrema(COS)
-    v_range = (ext.min_value, ext.max_value)
+def test_each_invariance_check_builds_its_own_table(monkeypatch):
     sizes = _count_flowed_points(monkeypatch)
-    first = cell_problem_solve(composed, 1.0, 64, v_range=v_range)
-    second = cell_problem_solve(composed, 1.0, 64, v_range=v_range)
-    # no table outlives its solve: the second call flows its own
+    first, second = (invariance_check(mechanical_symbol(COS), _shear_map(), p_values=(1.0,),
+                                      grid=64, defect_probes=2) for _ in range(2))
+    # no table outlives its call: the second call flows its own
     assert sizes == [64 * effective._TABLE_P_RES] * 2
-    assert first.value == second.value
+    assert first.mapped_values == second.mapped_values
