@@ -145,7 +145,6 @@ def _cmd_cell_solve(args, outdir: Path):
         sol = cell_problem_solve(H, P, args.grid)
         rows.append((P, sol.value, sol.corrector.residual))
         diagnostics.append({"P": P, "iterations": sol.iterations,
-                            "alphas": list(sol.alphas),
                             "discount_values": list(sol.discount_values)})
     out = outdir / "cell.csv"
     write_hbar_csv(out, pot.dim, "cell-problem", rows)

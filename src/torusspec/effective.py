@@ -5,38 +5,43 @@ cross-checked: the one-dimensional closed form built on the action integral
 J(E) = (2 pi)^-1 integral sqrt(2(E - V)) dx (flat plateau at max V for
 |P| <= J(max V), inverse of J above it), and a grid solver for the cell
 problem H(x, P + Du) = Hbar(P) in any dimension.  The plateau, the lower
-bound Hbar >= max V and the solver's dissipation box read the exact max V.
-The closed form is batched: J is one tanh-sinh run over every energy and
+bound Hbar >= max V and the interpolation table's width read the exact max
+V.  The closed form is batched: J is one tanh-sinh run over every energy and
 panel (Takahasi & Mori, Publ. RIMS 9, 1974), and one bracketing root search
 (Chandrupatla, Adv. Eng. Softw. 28, 1997) inverts it for every P.
 
 The grid solver takes a mechanical symbol |p|^2/2 + V and no settings.  It
-discretises with the monotone Lax-Friedrichs numerical Hamiltonian (Kao,
-Osher & Qian, J. Comput. Phys. 196, 2004), adds a vanishing discount term
-delta*u, solves each discounted problem by pseudo-transient Newton on the
-sparse system, and extrapolates -delta*u_delta -> Hbar(P) linearly in delta.
-A discounted problem that Newton leaves above the residual tolerance is
-refused with CellConvergenceError; there is no second solver.  So is a solve
-whose dissipation still falls short of the realised slopes after three
-passes.  ``invariance_check`` runs the same scheme on H o phi, read from one
-interpolation table in p that the check builds for all its P.
+discretises with the monotone Godunov upwind flux, which needs no added
+dissipation (Crandall & Lions, Math. Comp. 43, 1984): per axis
+a = max(P_i + D-u, p*) and b = min(P_i + D+u, p*), p* the minimiser of
+H(x, .), and H taken at whichever gives the larger value (Osher & Shu, SIAM
+J. Numer. Anal. 28, 1991; Rouy & Tourin, SIAM J. Numer. Anal. 29, 1992 for
+|p|^2/2).  A vanishing discount delta*u is added and -delta*u_delta
+extrapolates linearly in delta to Hbar(P).  Each discounted residual is
+convex in u with an M-matrix Jacobian whose row sums are delta, so plain
+Newton converges; it starts from nested iteration (Brandt, Math. Comp. 31,
+1977): the first discount solved on the grid halved down to 32 nodes per
+axis, prolonged by periodic linear interpolation and solved again on each
+finer grid.  A discounted problem left above its tolerance is refused with
+CellConvergenceError; there is no second solver.  ``invariance_check`` runs
+the same scheme on H o phi, read from one interpolation table in p, strictly
+convex, that the check builds for all its P.
 
-Each Newton step, rejected trial steps included, factors J + I/dt with
-SuperLU in a fixed geometric nested-dissection order of the grid (George,
-SIAM J. Numer. Anal. 10, 1973): the periodic seam last, the open box before
-it bisected recursively.  On 2D grids this cuts the L+U fill of SuperLU's
-default COLAMD order by 40-50%.  Rows pivot only when the diagonal falls
-below 0.01 of its column's largest entry; once the Lax-Friedrichs guard
-holds, J + I/dt is diagonally dominant.
+Each Newton step factors the Jacobian with SuperLU in a fixed geometric
+nested-dissection order of the grid (George, SIAM J. Numer. Anal. 10, 1973):
+the periodic seam last, the open box before it bisected recursively.  On
+48^2 to 128^2 grids this cuts the L+U fill of SuperLU's COLAMD order by 5-40%.
+Rows pivot only when the diagonal falls below 0.01 of its column's largest
+entry.
 
 The scheme constants are fixed: discounts delta = 0.1, 0.03, 0.01 (Hbar
-extrapolates from the last two); discounted residual 1e-6 in sup-norm and
-Newton tolerance 1e-11; at most 900 Newton steps per discount; dissipation
-tightened to 1.2 times the realised slope plus 0.05; interpolation tables
-padded by 2 in p with 256 nodes.  Table certificates hold to 1e-6.  The
-fixed tolerances that consume these results live with their checks:
-``theorem2_check`` (spectra 1e-8 (1+|E|), Hbar 5e-3) and ``egorov_scaling``
-(exact at 1e-8).
+extrapolates from the last two); Newton tolerance 1e-11 and discounted
+residual 1e-6 in sup-norm, each raised to 100 times the rounding floor
+eps (1 + max|u|) (delta + sum_i max|H_p_i| / h_i); at most 900 Newton steps
+per solve; interpolation tables padded by 2 in p with 256 nodes.  Table
+certificates hold to 1e-6.  The fixed tolerances that consume these results
+live with their checks: ``theorem2_check`` (spectra 1e-8 (1+|E|), Hbar
+5e-3) and ``egorov_scaling`` (exact at 1e-8).
 """
 
 from __future__ import annotations
@@ -57,11 +62,10 @@ from .symbols import PhaseSpaceFunction, mechanical_symbol
 
 _MIN_GRID = 32
 
-# scheme constants of the discounted Lax-Friedrichs solve (module docstring)
+# scheme constants of the discounted upwind solve (module docstring)
 _DELTAS = (1e-1, 3e-2, 1e-2)
-_TOL = 1e-6             # required sup-norm of the discounted residual
+_TOL = 1e-6             # sup-norm of the discounted residual, or 100x its rounding floor
 _NEWTON_TOL = 1e-11
-_ALPHA_MARGIN = 1.2
 _TABLE_P_PAD = 2.0      # momentum padding of interpolation tables
 _TABLE_P_RES = 256
 _CERT_TOL = 1e-6
@@ -151,7 +155,7 @@ class Corrector:
     P: np.ndarray
     axes: tuple
     values: np.ndarray
-    residual: float       # sup |H_LF(x, P + Du) - Hbar|
+    residual: float       # sup |H_G(x, P + Du) - Hbar|, H_G the upwind flux
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,6 @@ class CellSolution:
     value: float
     corrector: Corrector
     discount_values: tuple
-    alphas: tuple
     iterations: int       # Newton steps, each one sparse LU factorization
 
 
@@ -201,7 +204,8 @@ def nested_dissection(shape) -> np.ndarray:
 class _GridSymbol:
     """Evaluator of H and dH/dp_i on the fixed solver x-grid (exact for a
     mechanical H, else from ``build_table``), with the grid's stencil and
-    its elimination order for the Newton LU."""
+    its elimination order for the Newton LU.  ``pstar`` is the minimiser of
+    H(x, .) per axis, where the upwind flux switches sides."""
 
     def __init__(self, H: PhaseSpaceFunction, axes):
         self.H = H
@@ -213,7 +217,7 @@ class _GridSymbol:
         self.order = nested_dissection(self.shape)
         self.rank = np.argsort(self.order)
         self.size = self.order.size
-        self.hs = [TWO_PI / m for m in self.shape]
+        self.hs = np.array([TWO_PI / m for m in self.shape])
         idx = np.arange(self.size).reshape(self.shape)
         self.ip = [np.roll(idx, -1, axis=i).reshape(-1) for i in range(self.dim)]
         self.im = [np.roll(idx, 1, axis=i).reshape(-1) for i in range(self.dim)]
@@ -224,7 +228,19 @@ class _GridSymbol:
                         np.concatenate([self.rank] + nbrs))
         self.mechanical = H.potential is not None
         self.vgrid = H.potential.evaluate(self.xpts).reshape(-1) if self.mechanical else None
+        self.pstar = 0.0
         self.p_range = None
+
+    def halved(self) -> "_GridSymbol":
+        """The same symbol on every other node of each axis (these axes equal
+        ``_cell_axes`` of the halved grid bit for bit).  A table is sliced,
+        columns and minimisers, not built again."""
+        half = _GridSymbol(self.H, [a[::2] for a in self.axes])
+        if not self.mechanical:
+            half.p_range, half.knots = self.p_range, self.knots
+            half.coef, half.dcoef = self.coef[..., ::2], self.dcoef[..., ::2]
+            half.pstar = self.pstar[::2]
+        return half
 
     def build_table(self, p_lo: float, p_hi: float, res: int):
         """Cubic interpolation in p at every x-node (numeric symbols, 1D).
@@ -234,27 +250,38 @@ class _GridSymbol:
         the full table instead of one per p-node.  The table belongs to this
         instance: asking again for the same range and resolution is free, so
         solves of several P on one instance pay once.
+
+        A table whose second p-derivative, linear on each interval, is not
+        positive at every knot is refused with ValueError.  So each column
+        is strictly convex, and its minimiser p* is the root of dH/dp.
         """
         if self.dim != 1:
             raise ValueError("interpolation tables support one dimension")
-        if self.p_range == (p_lo, p_hi) and self.spline.x.size == res:
+        if self.p_range == (p_lo, p_hi) and self.knots.size == res:
             return
         nx = self.xpts.shape[0]
         pg = np.linspace(p_lo, p_hi, res)
         xx = np.tile(self.xpts, (pg.size, 1))
         ee = np.repeat(pg, nx)[:, None]
         vals = np.asarray(self.H.fn(xx, ee)).reshape(pg.size, nx)
-        self.spline = interpolate.CubicSpline(pg, vals, axis=0)
-        self.spline_d = self.spline.derivative()
+        spline = interpolate.CubicSpline(pg, vals, axis=0)
+        if not np.all(spline(pg, 2) > 0.0):
+            raise ValueError("the interpolation table is not strictly convex in p")
+        self.knots, self.coef, self.dcoef = pg, spline.c, spline.derivative().c
+        # dH/dp = A t^2 + B t + C on the interval from the last knot where it
+        # is <= 0; B = d2H/dp2 > 0 there, so this root form cannot cancel
+        k = np.clip(np.sum(self.dcoef[2] <= 0.0, axis=0) - 1, 0, res - 2)
+        A, B, C = (c[k, np.arange(nx)] for c in self.dcoef)
+        t = -2.0 * C / (B + np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0)))
+        self.pstar = (pg[k] + np.clip(t, 0.0, pg[k + 1] - pg[k]))[:, None]
         self.p_range = (p_lo, p_hi)
 
     def _table(self, coef, pargs):
         """Piecewise polynomial ``coef`` (one column per x-node) at (x_j, p_j),
         p clipped into the table range."""
         p = np.clip(pargs[:, 0], *self.p_range)
-        knots = self.spline.x
-        i = np.clip(np.searchsorted(knots, p) - 1, 0, knots.size - 2)
-        t = p - knots[i]
+        i = np.clip(np.searchsorted(self.knots, p) - 1, 0, self.knots.size - 2)
+        t = p - self.knots[i]
         cols = np.arange(p.size)
         out = coef[0, i, cols]
         for c in coef[1:]:
@@ -265,114 +292,105 @@ class _GridSymbol:
         """H(x_j, p_j) over the grid; pargs has shape (cells, dim)."""
         if self.mechanical:
             return 0.5 * np.sum(pargs ** 2, axis=-1) + self.vgrid
-        return self._table(self.spline.c, pargs)
+        return self._table(self.coef, pargs)
 
     def slope(self, pargs):
         """dH/dp_i at (x_j, p_j), shape (cells, dim)."""
         if self.mechanical:
             return pargs.copy()
-        return self._table(self.spline_d.c, pargs)[:, None]
+        return self._table(self.dcoef, pargs)[:, None]
+
+    def backward(self, a, b):
+        """Per axis, whether a >= p* carries a larger H than b <= p*."""
+        if self.mechanical:
+            return a >= -b
+        return (self.value(a) >= self.value(b))[:, None]
 
 
 class _CellWorkspace:
-    """One discounted problem (P, dissipation, discount) on the grid of
-    ``sym``: residual, Jacobian and Newton solve."""
+    """One discounted problem (P, discount) on the grid of ``sym``:
+    residual, Jacobian and Newton solve."""
 
-    def __init__(self, sym: _GridSymbol, P, alphas, delta):
+    def __init__(self, sym: _GridSymbol, P, delta):
         self.sym = sym
         self.P = np.asarray(P, dtype=float)
-        self.alphas = np.asarray(alphas, dtype=float)
         self.delta = float(delta)
 
-    def _pargs(self, u):
+    def _upwind(self, u):
+        """Godunov arguments q, shape (cells, dim), and where q is backward:
+        per axis the larger-H one of max(P_i + D-u, p*), min(P_i + D+u, p*)."""
         sym = self.sym
-        cols = []
-        for i in range(sym.dim):
-            cols.append(self.P[i] + (u[sym.ip[i]] - u[sym.im[i]]) / (2 * sym.hs[i]))
-        return np.stack(cols, axis=-1)
+        du = [(u - u[sym.im[i]], u[sym.ip[i]] - u) for i in range(sym.dim)]
+        a = np.maximum(np.stack([d for d, _ in du], axis=-1) / sym.hs + self.P, sym.pstar)
+        b = np.minimum(np.stack([d for _, d in du], axis=-1) / sym.hs + self.P, sym.pstar)
+        back = sym.backward(a, b)
+        return np.where(back, a, b), back
 
     def residual(self, u):
-        sym = self.sym
-        pargs = self._pargs(u)
-        F = self.delta * u + sym.value(pargs)
-        for i in range(sym.dim):
-            lap = (u[sym.ip[i]] - 2 * u + u[sym.im[i]]) / (2 * sym.hs[i])
-            F -= self.alphas[i] * lap
-        return F
+        return self.delta * u + self.sym.value(self._upwind(u)[0])
 
-    def jacobian(self, u, dt):
-        """J + I/dt as CSC, rows and columns in the grid's elimination order."""
+    def jacobian(self, u):
+        """dF/du as CSC, rows and columns in the grid's elimination order: an
+        M-matrix whose row sums are delta."""
         sym = self.sym
-        hp = sym.slope(self._pargs(u))
-        data = [np.full(sym.size, self.delta + sum(self.alphas[i] / sym.hs[i]
-                                                   for i in range(sym.dim)) + 1.0 / dt)]
+        q, back = self._upwind(u)
+        w = sym.slope(q) / sym.hs
+        wa = np.where(back, w, 0.0)     # >= 0: H rises with the backward difference
+        wb = w - wa                     # <= 0: H falls with the forward difference
+        data = [self.delta + np.sum(wa - wb, axis=1)]
         for i in range(sym.dim):
-            data.append(hp[:, i] / (2 * sym.hs[i]) - self.alphas[i] / (2 * sym.hs[i]))
-            data.append(-hp[:, i] / (2 * sym.hs[i]) - self.alphas[i] / (2 * sym.hs[i]))
+            data += [wb[:, i], -wa[:, i]]
         return sparse.coo_matrix((np.concatenate(data), sym.pattern),
                                  shape=(sym.size, sym.size)).tocsc()
 
-    def newton_step(self, u, F, dt):
-        """(J + I/dt)^{-1} F from one LU factorization in elimination order."""
-        lu = splu(self.jacobian(u, dt), permc_spec="NATURAL", diag_pivot_thresh=0.01)
+    def newton_step(self, u, F):
+        """J^{-1} F from one LU factorization in elimination order."""
+        lu = splu(self.jacobian(u), permc_spec="NATURAL", diag_pivot_thresh=0.01)
         return lu.solve(F[self.sym.order])[self.sym.rank]
 
-    def realized_slope(self, u):
-        return np.max(np.abs(self.sym.slope(self._pargs(u))), axis=0)
+    def floor(self, u):
+        """Rounding floor of the residual at u, whose mean is O(1/delta):
+        eps (1 + max|u|) (delta + sum_i max|H_p_i| / h_i)."""
+        hp = np.max(np.abs(self.sym.slope(self._upwind(u)[0])), axis=0)
+        return (np.finfo(float).eps * (1.0 + float(np.max(np.abs(u))))
+                * (self.delta + float(np.sum(hp / self.sym.hs))))
 
-    def newton(self, u0, tol):
-        """Pseudo-transient Newton: (J + I/dt) steps with dt grown as the
-        residual falls, at most 900.  Plain damped Newton crawls here because
-        the sup-norm is a poor merit function for transport-dominated
-        residuals.  Returns the iterate, its residual norm and the steps
-        taken; every step, rejected trials included, is one LU
-        factorization.  A NaN residual ends the loop at once and is returned
-        for the caller to refuse."""
-        u = u0.copy()
+    def newton(self, u):
+        """Plain Newton steps u <- u - J^{-1} F, at most 900, until the
+        sup-norm residual is within _NEWTON_TOL or 100 times its rounding
+        floor.  Returns the iterate, its residual norm and the steps taken,
+        each one LU factorization.  A NaN residual ends the loop at once and
+        is returned for the caller to refuse."""
         F = self.residual(u)
         nrm = float(np.max(np.abs(F)))
-        dt = 10.0
         steps = 0
-        stall = 0
-        scale = self.delta + float(np.sum(self.alphas / np.asarray(self.sym.hs)))
-        while steps < 900 and nrm > tol:
-            trial = u - self.newton_step(u, F, dt)
+        while steps < 900 and nrm > max(_NEWTON_TOL, 100.0 * self.floor(u)):
+            u = u - self.newton_step(u, F)
             steps += 1
-            Ft = self.residual(trial)
-            nt = float(np.max(np.abs(Ft)))
-            if not np.isfinite(nt) or nt > 2.0 * nrm:
-                dt = max(dt / 4.0, 1e-8)
-                continue
-            # the mean of u is O(1/delta), so residual evaluations carry a
-            # rounding floor ~ eps*|u|*alpha/h; treat no-progress steps as a
-            # stall only near that floor, otherwise the front is still moving
-            floor = np.finfo(float).eps * (1.0 + float(np.max(np.abs(u)))) * scale
-            stall = stall + 1 if (nt > 0.9 * nrm and nrm <= 1e3 * floor) else 0
-            u, F = trial, Ft
-            dt = min(dt * max(nrm / max(nt, 1e-300), 1.5), 1e12)
-            nrm = nt
-            if stall >= 6:
-                break
+            F = self.residual(u)
+            nrm = float(np.max(np.abs(F)))
         return u, nrm, steps
 
 
-def _solve_cascade(sym: _GridSymbol, P, alphas, u):
-    """All discounted problems for one P and one dissipation, from start u."""
-    c_values = []
-    prev_delta = _DELTAS[0]
-    total_steps = 0
-    for delta in _DELTAS:
-        ws = _CellWorkspace(sym, P, alphas, delta)
-        # mean scales like 1/delta, the oscillating part barely moves
-        mean = float(np.mean(u))
-        u, res, steps = ws.newton((u - mean) + mean * (prev_delta / delta), _NEWTON_TOL)
-        total_steps += steps
-        if not res <= _TOL:     # a NaN residual fails too
-            raise CellConvergenceError(
-                f"cell residual {res:.3e} above {_TOL} at delta={delta}", res)
-        c_values.append(-delta * float(np.mean(u)))
-        prev_delta = delta
-    return c_values, (ws, u), total_steps
+def _prolong(u):
+    """Periodic linear interpolation of the grid function u onto the grid
+    with twice its nodes per axis, flattened."""
+    for ax in range(u.ndim):
+        mid = 0.5 * (u + np.roll(u, -1, axis=ax))
+        u = np.stack([u, mid], axis=ax + 1).reshape(u.shape[:ax] + (-1,) + u.shape[ax + 1:])
+    return u.reshape(-1)
+
+
+def _nested_start(sym: _GridSymbol, P):
+    """Start of the discount cascade on the grid of ``sym``, and the Newton
+    steps it took: the first discount solved on the halved grid from its own
+    nested start and prolonged, or zeros where the grid halves no further."""
+    if not all(m % 2 == 0 and m // 2 >= _MIN_GRID for m in sym.shape):
+        return np.zeros(sym.size), 0
+    half = sym.halved()
+    u, steps = _nested_start(half, P)
+    u, _, n = _CellWorkspace(half, P, _DELTAS[0]).newton(u)
+    return _prolong(u.reshape(half.shape)), steps + n
 
 
 def _cell_axes(dim: int, grid) -> list:
@@ -389,68 +407,52 @@ def cell_problem_solve(H: PhaseSpaceFunction, P, grid: int) -> CellSolution:
     Returns the extrapolated Hbar(P) together with the mean-zero corrector
     at the smallest discount and the sup-norm residual of the discrete cell
     equation.  Raises CellConvergenceError if any discounted solve misses
-    the residual tolerance within its Newton steps.  The dissipation is
-    bounded by the exact min and max V; a symbol without a potential is
-    refused (``invariance_check`` solves H o phi on its own table).
+    the residual tolerance within its Newton steps.  A symbol without a
+    potential is refused (``invariance_check`` solves H o phi on its own
+    table).
     """
     if H.potential is None:
         raise ValueError("cell_problem_solve takes a mechanical symbol; "
                          "H o phi goes through invariance_check")
-    axes = _cell_axes(H.dim, grid)
-    ext = potential_extrema(H.potential)
-    return _solve_on(_GridSymbol(H, axes), P, ext.min_value, ext.max_value)
+    return _solve_on(_GridSymbol(H, _cell_axes(H.dim, grid)), P)
 
 
-def _solve_on(sym: _GridSymbol, P, v_min: float, v_max: float,
-              p_range=None) -> CellSolution:
-    """One P on the grid of ``sym``.  A numeric symbol goes through the
-    instance's interpolation table over ``p_range``."""
-    n = sym.dim
+def _solve_on(sym: _GridSymbol, P, p_range=None) -> CellSolution:
+    """One P on the grid of ``sym``: the discounts of ``_DELTAS`` in turn
+    from the nested start, each from the last.  A numeric symbol goes
+    through the instance's interpolation table over ``p_range``."""
     P = np.atleast_1d(np.asarray(P, dtype=float))
-    if P.shape != (n,):
+    if P.shape != (sym.dim,):
         raise ValueError("P does not match the symbol dimension")
     if not np.all(np.isfinite(P)):
         raise ValueError(f"P = {P.tolist()} is not finite")
     if not sym.mechanical:
         sym.build_table(*p_range, _TABLE_P_RES)
 
-    # presolve the largest discount with the conservative box dissipation,
-    # then shrink alpha to the gradient range the solution actually visits
-    spread = max(v_max + 0.5 * float(np.dot(P, P)) - v_min, 0.0)
-    alphas = np.full(n, float(np.linalg.norm(P)) + math.sqrt(2.0 * spread) + 1.0)
-    ws0 = _CellWorkspace(sym, P, alphas, _DELTAS[0])
-    u_warm, res0, total = ws0.newton(np.zeros(sym.size), _NEWTON_TOL)
-    if not res0 <= _TOL:     # the cascade's first solve would repeat this one
-        raise CellConvergenceError(
-            f"cell residual {res0:.3e} above {_TOL} at delta={_DELTAS[0]}", res0)
-    alphas = np.maximum(_ALPHA_MARGIN * ws0.realized_slope(u_warm) + 0.05, 0.5)
-    for guard in range(3):
-        c_values, (ws, u), steps = _solve_cascade(sym, P, alphas, u_warm)
+    u, total = _nested_start(sym, P)
+    c_values = []
+    for prev_delta, delta in zip(_DELTAS[:1] + _DELTAS, _DELTAS):
+        ws = _CellWorkspace(sym, P, delta)
+        # mean scales like 1/delta, the oscillating part barely moves
+        mean = float(np.mean(u))
+        u, res, steps = ws.newton((u - mean) + mean * (prev_delta / delta))
         total += steps
-        # guard: the dissipation must dominate the realised slopes
-        realized = ws.realized_slope(u)
-        if np.all(realized <= alphas + 1e-9):
-            break
-        if guard == 2:
+        tol = max(_TOL, 100.0 * ws.floor(u))
+        if not res <= tol:     # a NaN residual fails too
             raise CellConvergenceError(
-                f"dissipation {alphas.tolist()} below the realised slope "
-                f"{realized.tolist()} after three passes",
-                float(np.max(np.abs(ws.residual(u)))))
-        alphas = np.maximum(_ALPHA_MARGIN * realized + 0.05, alphas * 1.5)
-        u_warm = np.zeros(sym.size)
+                f"cell residual {res:.3e} above {tol:.3e} at delta={delta}", res)
+        c_values.append(-delta * float(np.mean(u)))
 
     (d1, d2), (c1, c2) = _DELTAS[-2:], c_values[-2:]
     value = (d1 * c2 - d2 * c1) / (d1 - d2)
 
     w = u - float(np.mean(u))
-    # H_LF(x, P + Dw) with its dissipation: the residual less the discount
+    # H_G(x, P + Dw): the residual less the discount
     residual = float(np.max(np.abs(ws.residual(w) - ws.delta * w - value)))
     corr = Corrector(P=P.copy(), axes=sym.axes, values=w.reshape(sym.shape),
                      residual=residual)
     return CellSolution(value=float(value), corrector=corr,
-                        discount_values=tuple(c_values),
-                        alphas=tuple(float(a) for a in alphas),
-                        iterations=total)
+                        discount_values=tuple(c_values), iterations=total)
 
 
 # ---------------------------------------------------------------------------
@@ -720,8 +722,8 @@ def invariance_check(H: PhaseSpaceFunction, phi, p_values: Sequence[float],
     The composed symbol goes through the table route of the cell solver,
     on one interpolation table in p that this check builds and owns for all
     the requested P; for an exactly symplectic phi the two columns agree up
-    to scheme error.  H must be mechanical: the dissipation bound and the
-    table width of both symbols come from its potential's extrema.
+    to scheme error.  H must be mechanical: the table width comes from its
+    potential's extrema.
     """
     if H.potential is None:
         raise ValueError("invariance_check needs a mechanical H")
@@ -729,20 +731,19 @@ def invariance_check(H: PhaseSpaceFunction, phi, p_values: Sequence[float],
     base = _GridSymbol(H, axes)
     mapped = _GridSymbol(compose_hamiltonian(H, phi), axes)
     ext = potential_extrema(H.potential)
-    v_min, v_max = ext.min_value, ext.max_value
     # one interpolation table for all the requested P; its width only needs
-    # the slope bound sqrt(2(E - min V)), not the full LF box, because the
-    # solver clips transient arguments into the table range
+    # the corrector's slope bound sqrt(2(E - min V)), because the solver
+    # clips transient arguments into the table range
     pv = np.asarray(list(p_values), dtype=float)
-    e_max = v_max + 0.5 * float(np.max(np.abs(pv))) ** 2
-    slope = math.sqrt(max(2.0 * (e_max - v_min), 0.0)) + 1.0
+    e_max = ext.max_value + 0.5 * float(np.max(np.abs(pv))) ** 2
+    slope = math.sqrt(max(2.0 * (e_max - ext.min_value), 0.0)) + 1.0
     p_range = (float(pv.min()) - slope - _TABLE_P_PAD,
                float(pv.max()) + slope + _TABLE_P_PAD)
     base_vals = []
     mapped_vals = []
     for p in p_values:
-        base_vals.append(_solve_on(base, p, v_min, v_max).value)
-        mapped_vals.append(_solve_on(mapped, p, v_min, v_max, p_range=p_range).value)
+        base_vals.append(_solve_on(base, p).value)
+        mapped_vals.append(_solve_on(mapped, p, p_range=p_range).value)
     dist = float(np.max(np.abs(np.asarray(base_vals) - np.asarray(mapped_vals))))
     defect = symplectic_defect(phi, probes=defect_probes)
     return InvarianceReport(p_values=tuple(float(p) for p in p_values),

@@ -11,9 +11,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import torusspec
+from torusspec import effective
 from torusspec.cli import _build_parser, _scalar, main
 from torusspec.potentials import cosine, save_potential, zero_potential
 from torusspec.spectra import WeylCountReport
@@ -99,11 +101,12 @@ def test_unknown_flag_exits_2(pots, tmp_path):
     assert rc == 2
 
 
-def test_cell_nonconvergence_exits_3(tmp_path):
-    hard = tmp_path / "hard.json"
-    save_potential(cosine((1,)) * 1e6, hard)
+def test_cell_nonconvergence_exits_3(pots, tmp_path, monkeypatch):
+    # a symbol that evaluates to NaN leaves every discount unconverged
+    monkeypatch.setattr(effective._GridSymbol, "value",
+                        lambda self, pargs: np.full(len(pargs), np.nan))
     out = tmp_path / "run"
-    rc = main(["cell-solve", "--potential", str(hard), "--p", "1.0",
+    rc = main(["cell-solve", "--potential", pots["cos"], "--p", "1.0",
                "--grid", "64", "--out", str(out)])
     assert rc == 3
     err = json.loads((out / "error.json").read_text())
@@ -230,9 +233,8 @@ def test_cell_solve_manifest_diagnostics(pots, tmp_path):
     diags = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert [d["P"] for d in diags] == [[2.0], [0.5]]
     for d in diags:
-        assert set(d) == {"P", "iterations", "alphas", "discount_values"}
+        assert set(d) == {"P", "iterations", "discount_values"}
         assert d["iterations"] > 0
-        assert len(d["alphas"]) == 1 and d["alphas"][0] > 0.0
         assert len(d["discount_values"]) == 3
     # diagnostics stay out of the CSV
     assert (out / "cell.csv").read_text().splitlines()[0] == "P,Hbar,method,residual"
