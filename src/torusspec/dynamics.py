@@ -188,8 +188,9 @@ def time_one_map(b: PhaseSpaceFunction, h: float) -> SymplecticMap:
 
 def compose_hamiltonian(H: PhaseSpaceFunction, phi: SymplecticMap) -> PhaseSpaceFunction:
     """Numeric symbol z -> H(phi(z)).  Every evaluation is a flow, so
-    ``invariance_check`` evaluates it once, on one interpolation table in p
-    for all its momenta."""
+    ``invariance_check`` evaluates it only to build one interpolation table
+    in p for all its momenta: one flow per level of a nested coarse x-grid,
+    resampled onto the solver grid."""
     if H.dim != phi.dim:
         raise ValueError("symbol and map dimensions differ")
 

@@ -25,7 +25,9 @@ axis, prolonged by periodic linear interpolation and solved again on each
 finer grid.  A discounted problem left above its tolerance is refused with
 CellConvergenceError; there is no second solver.  ``invariance_check`` runs
 the same scheme on H o phi, read from one interpolation table in p, strictly
-convex, that the check builds for all its P.
+convex, that the check builds for all its P.  The table evaluates H o phi on
+a nested coarse x-grid of 32, 64, ... nodes and resamples it onto the solver
+grid by trigonometric interpolation (``_GridSymbol.build_table``).
 
 Each Newton step factors the Jacobian with SuperLU in a fixed geometric
 nested-dissection order of the grid (George, SIAM J. Numer. Anal. 10, 1973):
@@ -38,10 +40,11 @@ The scheme constants are fixed: discounts delta = 0.1, 0.03, 0.01 (Hbar
 extrapolates from the last two); Newton tolerance 1e-11 and discounted
 residual 1e-6 in sup-norm, each raised to 100 times the rounding floor
 eps (1 + max|u|) (delta + sum_i max|H_p_i| / h_i); at most 900 Newton steps
-per solve; interpolation tables padded by 2 in p with 256 nodes.  Table
-certificates hold to 1e-6.  The fixed tolerances that consume these results
-live with their checks: ``theorem2_check`` (spectra 1e-8 (1+|E|), Hbar
-5e-3) and ``egorov_scaling`` (exact at 1e-8).
+per solve; interpolation tables padded by 2 in p with 256 nodes, resampled
+in x once a nested estimate is within 1e-10.  Table certificates hold to
+1e-6.  The fixed tolerances that consume these results live with their
+checks: ``theorem2_check`` (spectra 1e-8 (1+|E|), Hbar 5e-3) and
+``egorov_scaling`` (exact at 1e-8).
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ _TOL = 1e-6             # sup-norm of the discounted residual, or 100x its round
 _NEWTON_TOL = 1e-11
 _TABLE_P_PAD = 2.0      # momentum padding of interpolation tables
 _TABLE_P_RES = 256
+_TABLE_TOL = 1e-10      # nested estimate that ends a table's x-doubling
 _CERT_TOL = 1e-6
 
 
@@ -201,6 +205,17 @@ def nested_dissection(shape) -> np.ndarray:
     return np.concatenate(order)
 
 
+def _resample(vals, n: int):
+    """Trigonometric interpolant of each row of ``vals``, given on the m
+    uniform nodes j 2pi/m, at the n > m uniform nodes k 2pi/n.  The Nyquist
+    coefficient of an even m is halved: it is the cosine cos(m x / 2)."""
+    m = vals.shape[-1]
+    c = np.fft.rfft(vals, axis=-1)
+    if m % 2 == 0:
+        c[..., -1] *= 0.5
+    return np.fft.irfft(c, n, axis=-1) * (n / m)
+
+
 class _GridSymbol:
     """Evaluator of H and dH/dp_i on the fixed solver x-grid (exact for a
     mechanical H, else from ``build_table``), with the grid's stencil and
@@ -245,11 +260,19 @@ class _GridSymbol:
     def build_table(self, p_lo: float, p_hi: float, res: int):
         """Cubic interpolation in p at every x-node (numeric symbols, 1D).
 
-        The whole (x-node, p-node) product goes through the symbol in one
-        batched call; for flow-composed symbols that means a single flow of
-        the full table instead of one per p-node.  The table belongs to this
-        instance: asking again for the same range and resolution is free, so
-        solves of several P on one instance pay once.
+        H(., p) is smooth and periodic in x, so its trigonometric
+        interpolant converges geometrically (Trefethen & Weideman, SIAM Rev.
+        56, 2014).  The symbol is evaluated, in one batched call per level,
+        on a nested coarse x-grid times the p-nodes: 32 uniform x-nodes,
+        then the odd nodes of each doubled grid.  A level stops the
+        doubling when its even half, trig-interpolated onto all its nodes,
+        misses them by at most ``_TABLE_TOL``; each p-row is then resampled
+        onto the solver grid.  A grid that doubling would reach or pass is
+        evaluated on the solver nodes themselves.  ``table_nodes`` and
+        ``table_estimate`` record the level (the grid at the cap) and its
+        estimate (NaN at the cap).  The table belongs to this instance:
+        asking again for the same range and resolution is free, so solves
+        of several P on one instance pay once.
 
         A table whose second p-derivative, linear on each interval, is not
         positive at every knot is refused with ValueError.  So each column
@@ -261,9 +284,29 @@ class _GridSymbol:
             return
         nx = self.xpts.shape[0]
         pg = np.linspace(p_lo, p_hi, res)
-        xx = np.tile(self.xpts, (pg.size, 1))
-        ee = np.repeat(pg, nx)[:, None]
-        vals = np.asarray(self.H.fn(xx, ee)).reshape(pg.size, nx)
+
+        def rows(x):
+            """H at every (x-node, p-node) pair, shape (res, x.size)."""
+            xx = np.tile(x, res)[:, None]
+            ee = np.repeat(pg, x.size)[:, None]
+            return np.asarray(self.H.fn(xx, ee)).reshape(res, x.size)
+
+        m = _MIN_GRID
+        vals = rows(np.arange(m) * (TWO_PI / m))
+        estimate = math.nan
+        while m < nx:
+            nested = float(np.max(np.abs(_resample(vals[:, ::2], m) - vals)))
+            if nested <= _TABLE_TOL:
+                vals, estimate = _resample(vals, nx), nested
+                break
+            if 2 * m > nx:
+                vals, m = rows(self.xpts[:, 0]), nx
+                break
+            # j 2pi/m and 2j 2pi/(2m) round alike: the levels nest bit for bit
+            odd = rows((2 * np.arange(m) + 1) * (TWO_PI / (2 * m)))
+            vals = np.stack([vals, odd], axis=-1).reshape(res, 2 * m)
+            m *= 2
+        self.table_nodes, self.table_estimate = m, estimate
         spline = interpolate.CubicSpline(pg, vals, axis=0)
         if not np.all(spline(pg, 2) > 0.0):
             raise ValueError("the interpolation table is not strictly convex in p")
@@ -326,14 +369,15 @@ class _CellWorkspace:
         back = sym.backward(a, b)
         return np.where(back, a, b), back
 
-    def residual(self, u):
-        return self.delta * u + self.sym.value(self._upwind(u)[0])
+    def residual(self, u, q):
+        """F(u) = delta u + H_G(x, P + Du), q the Godunov arguments of u."""
+        return self.delta * u + self.sym.value(q)
 
-    def jacobian(self, u):
-        """dF/du as CSC, rows and columns in the grid's elimination order: an
-        M-matrix whose row sums are delta."""
+    def jacobian(self, q, back):
+        """dF/du at the Godunov arguments (q, back) as CSC, rows and columns
+        in the grid's elimination order: an M-matrix whose row sums are
+        delta."""
         sym = self.sym
-        q, back = self._upwind(u)
         w = sym.slope(q) / sym.hs
         wa = np.where(back, w, 0.0)     # >= 0: H rises with the backward difference
         wb = w - wa                     # <= 0: H falls with the forward difference
@@ -343,31 +387,34 @@ class _CellWorkspace:
         return sparse.coo_matrix((np.concatenate(data), sym.pattern),
                                  shape=(sym.size, sym.size)).tocsc()
 
-    def newton_step(self, u, F):
+    def newton_step(self, F, q, back):
         """J^{-1} F from one LU factorization in elimination order."""
-        lu = splu(self.jacobian(u), permc_spec="NATURAL", diag_pivot_thresh=0.01)
+        lu = splu(self.jacobian(q, back), permc_spec="NATURAL", diag_pivot_thresh=0.01)
         return lu.solve(F[self.sym.order])[self.sym.rank]
 
-    def floor(self, u):
-        """Rounding floor of the residual at u, whose mean is O(1/delta):
-        eps (1 + max|u|) (delta + sum_i max|H_p_i| / h_i)."""
-        hp = np.max(np.abs(self.sym.slope(self._upwind(u)[0])), axis=0)
+    def floor(self, u, q):
+        """Rounding floor of the residual at u (Godunov arguments q), whose
+        mean is O(1/delta): eps (1 + max|u|) (delta + sum_i max|H_p_i| / h_i)."""
+        hp = np.max(np.abs(self.sym.slope(q)), axis=0)
         return (np.finfo(float).eps * (1.0 + float(np.max(np.abs(u))))
                 * (self.delta + float(np.sum(hp / self.sym.hs))))
 
     def newton(self, u):
         """Plain Newton steps u <- u - J^{-1} F, at most 900, until the
         sup-norm residual is within _NEWTON_TOL or 100 times its rounding
-        floor.  Returns the iterate, its residual norm and the steps taken,
-        each one LU factorization.  A NaN residual ends the loop at once and
-        is returned for the caller to refuse."""
-        F = self.residual(u)
+        floor.  The Godunov arguments are formed once per iterate.  Returns
+        the iterate, its residual norm and the steps taken, each one LU
+        factorization.  A NaN residual ends the loop at once and is returned
+        for the caller to refuse."""
+        q, back = self._upwind(u)
+        F = self.residual(u, q)
         nrm = float(np.max(np.abs(F)))
         steps = 0
-        while steps < 900 and nrm > max(_NEWTON_TOL, 100.0 * self.floor(u)):
-            u = u - self.newton_step(u, F)
+        while steps < 900 and nrm > max(_NEWTON_TOL, 100.0 * self.floor(u, q)):
+            u = u - self.newton_step(F, q, back)
             steps += 1
-            F = self.residual(u)
+            q, back = self._upwind(u)
+            F = self.residual(u, q)
             nrm = float(np.max(np.abs(F)))
         return u, nrm, steps
 
@@ -437,7 +484,7 @@ def _solve_on(sym: _GridSymbol, P, p_range=None) -> CellSolution:
         mean = float(np.mean(u))
         u, res, steps = ws.newton((u - mean) + mean * (prev_delta / delta))
         total += steps
-        tol = max(_TOL, 100.0 * ws.floor(u))
+        tol = max(_TOL, 100.0 * ws.floor(u, ws._upwind(u)[0]))
         if not res <= tol:     # a NaN residual fails too
             raise CellConvergenceError(
                 f"cell residual {res:.3e} above {tol:.3e} at delta={delta}", res)
@@ -448,7 +495,7 @@ def _solve_on(sym: _GridSymbol, P, p_range=None) -> CellSolution:
 
     w = u - float(np.mean(u))
     # H_G(x, P + Dw): the residual less the discount
-    residual = float(np.max(np.abs(ws.residual(w) - ws.delta * w - value)))
+    residual = float(np.max(np.abs(ws.residual(w, ws._upwind(w)[0]) - ws.delta * w - value)))
     corr = Corrector(P=P.copy(), axes=sym.axes, values=w.reshape(sym.shape),
                      residual=residual)
     return CellSolution(value=float(value), corrector=corr,
@@ -713,6 +760,8 @@ class InvarianceReport:
     mapped_values: tuple
     max_distance: float
     symplectic_defect: float
+    table_nodes: int          # x-nodes the H o phi table evaluated (the grid at the cap)
+    table_estimate: float     # nested estimate of its resampling (NaN at the cap)
 
 
 def invariance_check(H: PhaseSpaceFunction, phi, p_values: Sequence[float],
@@ -721,9 +770,10 @@ def invariance_check(H: PhaseSpaceFunction, phi, p_values: Sequence[float],
 
     The composed symbol goes through the table route of the cell solver,
     on one interpolation table in p that this check builds and owns for all
-    the requested P; for an exactly symplectic phi the two columns agree up
-    to scheme error.  H must be mechanical: the table width comes from its
-    potential's extrema.
+    the requested P; the report records the x-nodes the table evaluated and
+    its nested estimate.  For an exactly symplectic phi the two columns
+    agree up to scheme error.  H must be mechanical: the table width comes
+    from its potential's extrema.
     """
     if H.potential is None:
         raise ValueError("invariance_check needs a mechanical H")
@@ -750,7 +800,9 @@ def invariance_check(H: PhaseSpaceFunction, phi, p_values: Sequence[float],
                            base_values=tuple(base_vals),
                            mapped_values=tuple(mapped_vals),
                            max_distance=dist,
-                           symplectic_defect=defect)
+                           symplectic_defect=defect,
+                           table_nodes=mapped.table_nodes,
+                           table_estimate=mapped.table_estimate)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ the vector field (dH/dx, dH/deta) in one call, analytic throughout: one
 cos/sin pass of the potential for W and grad W, and one exp pair of
 bump_profile for the cutoff and its derivative.  A numeric symbol carries
 its evaluator only; one composed with a flow costs a flow per evaluation,
-so ``invariance_check`` evaluates it once, on one interpolation table in p
-for all its momenta.
+so ``invariance_check`` evaluates it only to build one interpolation table
+in p for all its momenta, flowing a nested coarse x-grid that it resamples
+onto the solver grid.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
+from scipy import interpolate, sparse
 from scipy.sparse.linalg import splu, spsolve
 
 from torusspec import effective
@@ -121,7 +121,7 @@ def test_cell_convergence_error(monkeypatch):
     # Newton steps that go nowhere use up the step budget on the first
     # discount, and its finite residual is refused
     monkeypatch.setattr(effective._CellWorkspace, "newton_step",
-                        lambda self, u, F: np.zeros_like(u))
+                        lambda self, F, q, back: np.zeros_like(F))
     with pytest.raises(CellConvergenceError, match="delta=0.1") as exc:
         cell_problem_solve(mechanical_symbol(COS), 1.0, 64)
     assert effective._TOL < exc.value.residual < math.inf
@@ -579,28 +579,30 @@ def _workspaces_64():
 
 def test_newton_step_in_elimination_order_matches_spsolve():
     ws, ref, u = _workspaces_64()
-    F = ws.residual(u)
-    J = ref.jacobian(u)
+    q, back = ws._upwind(u)
+    F = ws.residual(u, q)
+    J = ref.jacobian(*ref._upwind(u))
     # the residual is quadratic in u between upwind switches, so a central
     # difference along a direction that crosses none is exact
     v = 1e-3 * np.random.default_rng(3).standard_normal(u.size)
     for w in (u + v, u - v):
         assert np.array_equal(ref._upwind(w)[1], ref._upwind(u)[1])
-    dF = 0.5 * (ref.residual(u + v) - ref.residual(u - v))
+    dF = 0.5 * (ref.residual(u + v, ref._upwind(u + v)[0])
+                - ref.residual(u - v, ref._upwind(u - v)[0]))
     assert np.max(np.abs(J @ v - dF)) <= 1e-9 * np.max(np.abs(dF))
     # an M-matrix whose row sums are the discount
     off = J - sparse.diags(J.diagonal())
     assert off.max() <= 0.0
     assert np.allclose(J @ np.ones(u.size), 0.03, rtol=0.0, atol=1e-9)
-    step = ws.newton_step(u, F)
+    step = ws.newton_step(F, q, back)
     direct = spsolve(J.tocsc(), F)
     assert np.linalg.norm(step - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 def test_nested_dissection_fill_below_colamd():
     ws, ref, u = _workspaces_64()
-    lu = splu(ws.jacobian(u), permc_spec="NATURAL", diag_pivot_thresh=0.01)
-    colamd = splu(ref.jacobian(u))
+    lu = splu(ws.jacobian(*ws._upwind(u)), permc_spec="NATURAL", diag_pivot_thresh=0.01)
+    colamd = splu(ref.jacobian(*ref._upwind(u)))
     assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
@@ -648,6 +650,22 @@ def test_newton_counts_only_factoring_steps(monkeypatch):
     assert again == nrm
 
 
+def test_newton_forms_the_upwind_arguments_once_per_iterate(monkeypatch):
+    sym = effective._GridSymbol(mechanical_symbol(COS), [np.arange(64) * (TWO_PI / 64)])
+    ws = effective._CellWorkspace(sym, np.array([1.5]), 0.1)
+    calls = []
+    upwind = effective._CellWorkspace._upwind
+
+    def counting(self, u):
+        calls.append(1)
+        return upwind(self, u)
+
+    monkeypatch.setattr(effective._CellWorkspace, "_upwind", counting)
+    _, _, steps = ws.newton(np.zeros(sym.size))
+    # the start and each iterate: residual, floor and Jacobian share them
+    assert len(calls) == steps + 1 and steps > 0
+
+
 @pytest.mark.parametrize("pot, P, grid", [(COS, 2.0, 128),
                                           (cosine((1, 0)) + cosine((0, 1)), (1.5, 1.5), 48)],
                          ids=["1d", "2d"])
@@ -685,10 +703,13 @@ def _count_flowed_points(monkeypatch):
 
 def test_invariance_check_builds_one_table_per_map(monkeypatch):
     sizes = _count_flowed_points(monkeypatch)
-    invariance_check(mechanical_symbol(COS), _shear_map(), p_values=(0.0, 1.0, 2.0),
-                     grid=64, defect_probes=2)
-    # the composed symbol is evaluated once, on the whole (x-node, p-node) table
-    assert sizes == [64 * effective._TABLE_P_RES]
+    rep = invariance_check(mechanical_symbol(COS), _shear_map(), p_values=(0.0, 1.0, 2.0),
+                           grid=64, defect_probes=2)
+    # one table for all P: 32 x-nodes, whose nested estimate misses, then the
+    # 32 odd nodes that complete the solver grid (the cap); each batch holds
+    # every p-node
+    assert sizes == [32 * effective._TABLE_P_RES] * 2
+    assert rep.table_nodes == 64 and math.isnan(rep.table_estimate)
 
 
 def test_each_invariance_check_builds_its_own_table(monkeypatch):
@@ -696,5 +717,64 @@ def test_each_invariance_check_builds_its_own_table(monkeypatch):
     first, second = (invariance_check(mechanical_symbol(COS), _shear_map(), p_values=(1.0,),
                                       grid=64, defect_probes=2) for _ in range(2))
     # no table outlives its call: the second call flows its own
-    assert sizes == [64 * effective._TABLE_P_RES] * 2
+    assert sizes == [32 * effective._TABLE_P_RES] * 4
     assert first.mapped_values == second.mapped_values
+
+
+def test_invariance_table_flows_half_the_grid_at_128(monkeypatch):
+    sizes = _count_flowed_points(monkeypatch)
+    rep = invariance_check(mechanical_symbol(COS), _shear_map(), p_values=(0.0, 1.0),
+                           grid=128, defect_probes=2)
+    # 32 nodes, then 32 more; the 64-node estimate is at rounding level, so
+    # the table is resampled onto the 128 solver nodes (128 x 256 flowed
+    # points before the nested grid)
+    assert sizes == [32 * effective._TABLE_P_RES] * 2
+    assert sum(sizes) == 64 * effective._TABLE_P_RES
+    assert rep.table_nodes == 64 and rep.table_estimate <= effective._TABLE_TOL
+
+
+@pytest.mark.parametrize("m, n", [(16, 40), (32, 128), (12, 13)])
+def test_resample_keeps_a_trig_polynomial_with_the_nyquist_mode(m, n):
+    def f(x):
+        # cos(m x / 2) is the Nyquist mode of m nodes; its sine vanishes there
+        return 1.0 + 0.3 * np.cos(x) - 0.2 * np.sin(3 * x) + 0.5 * np.cos(m // 2 * x)
+
+    coarse = f(np.arange(m) * (TWO_PI / m))
+    fine = effective._resample(np.stack([coarse, 2.0 * coarse]), n)
+    exact = f(np.arange(n) * (TWO_PI / n))
+    assert np.max(np.abs(fine - np.stack([exact, 2.0 * exact]))) <= 1e-14
+
+
+def _bench_like_composed():
+    H = mechanical_symbol(cosine((1,), 1.05).translate(0.4))
+    gen = sine((1,), 0.11).translate(2.0)
+    return compose_hamiltonian(H, time_one_map(product_symbol(gen, bump_profile(3.0, 6.0)),
+                                               1e-2))
+
+
+def _table_and_direct_flow(grid):
+    """The table of a bench-like H o phi on ``grid`` x-nodes, and the values
+    of one direct flow of every (solver x-node, p-node) pair."""
+    H = _bench_like_composed()
+    sym = effective._GridSymbol(H, effective._cell_axes(1, grid))
+    sym.build_table(-6.0, 8.0, effective._TABLE_P_RES)
+    pg = np.linspace(-6.0, 8.0, effective._TABLE_P_RES)
+    x = sym.xpts[:, 0]
+    direct = np.asarray(H.fn(np.tile(x, pg.size)[:, None], np.repeat(pg, grid)[:, None]))
+    return sym, pg, direct.reshape(pg.size, grid)
+
+
+@pytest.mark.parametrize("grid", [128, 96])
+def test_coarse_table_matches_the_full_flow(grid):
+    sym, _, direct = _table_and_direct_flow(grid)
+    # 96 is not 32 2^k: 32 and 64 nodes are flowed, then resampled onto 96
+    assert sym.table_nodes == 64 and sym.table_estimate <= effective._TABLE_TOL
+    # the spline's constant coefficients are the table's values at every
+    # p-node but the last
+    assert np.max(np.abs(sym.coef[-1] - direct[:-1])) <= 1e-10
+
+
+def test_table_at_the_cap_is_the_full_flow():
+    sym, pg, direct = _table_and_direct_flow(64)
+    assert sym.table_nodes == 64 and math.isnan(sym.table_estimate)
+    assert np.array_equal(sym.coef, interpolate.CubicSpline(pg, direct, axis=0).c)
