@@ -26,8 +26,9 @@ finer grid.  A discounted problem left above its tolerance is refused with
 CellConvergenceError; there is no second solver.  ``invariance_check`` runs
 the same scheme on H o phi, read from one interpolation table in p, strictly
 convex, that the check builds for all its P.  The table evaluates H o phi on
-a nested coarse x-grid of 32, 64, ... nodes and resamples it onto the solver
-grid by trigonometric interpolation (``_GridSymbol.build_table``).
+a nested coarse x-grid, from 32 nodes or four times the x-band of V and of
+phi's generator, and resamples it onto the solver grid by trigonometric
+interpolation (``_GridSymbol.build_table``).
 
 Each Newton step factors the Jacobian with SuperLU in a fixed geometric
 nested-dissection order of the grid (George, SIAM J. Numer. Anal. 10, 1973):
@@ -220,10 +221,13 @@ class _GridSymbol:
     """Evaluator of H and dH/dp_i on the fixed solver x-grid (exact for a
     mechanical H, else from ``build_table``), with the grid's stencil and
     its elimination order for the Newton LU.  ``pstar`` is the minimiser of
-    H(x, .) per axis, where the upwind flux switches sides."""
+    H(x, .) per axis, where the upwind flux switches sides.  ``band`` bounds
+    the x-frequencies that carry a numeric symbol's leading content (None:
+    unknown); ``build_table`` starts its nested grid there."""
 
-    def __init__(self, H: PhaseSpaceFunction, axes):
+    def __init__(self, H: PhaseSpaceFunction, axes, band: Optional[int] = None):
         self.H = H
+        self.band = band
         self.dim = H.dim
         self.axes = tuple(axes)
         self.shape = tuple(a.size for a in self.axes)
@@ -250,7 +254,7 @@ class _GridSymbol:
         """The same symbol on every other node of each axis (these axes equal
         ``_cell_axes`` of the halved grid bit for bit).  A table is sliced,
         columns and minimisers, not built again."""
-        half = _GridSymbol(self.H, [a[::2] for a in self.axes])
+        half = _GridSymbol(self.H, [a[::2] for a in self.axes], self.band)
         if not self.mechanical:
             half.p_range, half.knots = self.p_range, self.knots
             half.coef, half.dcoef = self.coef[..., ::2], self.dcoef[..., ::2]
@@ -263,12 +267,19 @@ class _GridSymbol:
         H(., p) is smooth and periodic in x, so its trigonometric
         interpolant converges geometrically (Trefethen & Weideman, SIAM Rev.
         56, 2014).  The symbol is evaluated, in one batched call per level,
-        on a nested coarse x-grid times the p-nodes: 32 uniform x-nodes,
-        then the odd nodes of each doubled grid.  A level stops the
-        doubling when its even half, trig-interpolated onto all its nodes,
-        misses them by at most ``_TABLE_TOL``; each p-row is then resampled
-        onto the solver grid.  A grid that doubling would reach or pass is
-        evaluated on the solver nodes themselves.  ``table_nodes`` and
+        on a nested coarse x-grid times the p-nodes: the first uniform grid
+        of 32 2^k x-nodes with at least 4 ``band`` nodes, then the odd nodes
+        of each doubled grid.  A level stops the doubling when its
+        even half, trig-interpolated onto all its nodes, misses them by at
+        most ``_TABLE_TOL``; each p-row is then resampled onto the solver
+        grid.  The estimate is blind to content that aliases alike on both
+        halves, such as cos(m x) on m nodes; starting at 4 ``band`` nodes
+        puts the leading content inside the even half's band, so what
+        aliases is the geometric tail.  Without a band, or where doubling
+        would reach or pass the solver grid, the symbol is evaluated on the
+        solver nodes themselves; the coarse levels are then wasted, so a
+        grid that is not 32 2^k evaluates up to L + n x-nodes, L the largest
+        32 2^k below its n (160 at n = 96).  ``table_nodes`` and
         ``table_estimate`` record the level (the grid at the cap) and its
         estimate (NaN at the cap).  The table belongs to this instance:
         asking again for the same range and resolution is free, so solves
@@ -292,7 +303,12 @@ class _GridSymbol:
             return np.asarray(self.H.fn(xx, ee)).reshape(res, x.size)
 
         m = _MIN_GRID
-        vals = rows(np.arange(m) * (TWO_PI / m))
+        while self.band is not None and m < 4 * self.band:
+            m *= 2
+        if self.band is None or m >= nx:
+            vals, m = rows(self.xpts[:, 0]), nx
+        else:
+            vals = rows(np.arange(m) * (TWO_PI / m))
         estimate = math.nan
         while m < nx:
             nested = float(np.max(np.abs(_resample(vals[:, ::2], m) - vals)))
@@ -369,8 +385,11 @@ class _CellWorkspace:
         back = sym.backward(a, b)
         return np.where(back, a, b), back
 
-    def residual(self, u, q):
-        """F(u) = delta u + H_G(x, P + Du), q the Godunov arguments of u."""
+    def residual(self, u, q=None):
+        """F(u) = delta u + H_G(x, P + Du), q the Godunov arguments of u
+        (formed here when not given)."""
+        if q is None:
+            q = self._upwind(u)[0]
         return self.delta * u + self.sym.value(q)
 
     def jacobian(self, q, back):
@@ -403,20 +422,18 @@ class _CellWorkspace:
         """Plain Newton steps u <- u - J^{-1} F, at most 900, until the
         sup-norm residual is within _NEWTON_TOL or 100 times its rounding
         floor.  The Godunov arguments are formed once per iterate.  Returns
-        the iterate, its residual norm and the steps taken, each one LU
-        factorization.  A NaN residual ends the loop at once and is returned
-        for the caller to refuse."""
-        q, back = self._upwind(u)
-        F = self.residual(u, q)
-        nrm = float(np.max(np.abs(F)))
+        the iterate, its residual norm and rounding floor, and the steps
+        taken, each one LU factorization.  A NaN residual ends the loop at
+        once and is returned for the caller to refuse."""
         steps = 0
-        while steps < 900 and nrm > max(_NEWTON_TOL, 100.0 * self.floor(u, q)):
-            u = u - self.newton_step(F, q, back)
-            steps += 1
+        while True:
             q, back = self._upwind(u)
             F = self.residual(u, q)
-            nrm = float(np.max(np.abs(F)))
-        return u, nrm, steps
+            nrm, floor = float(np.max(np.abs(F))), self.floor(u, q)
+            if steps == 900 or not nrm > max(_NEWTON_TOL, 100.0 * floor):
+                return u, nrm, floor, steps
+            u = u - self.newton_step(F, q, back)
+            steps += 1
 
 
 def _prolong(u):
@@ -436,7 +453,7 @@ def _nested_start(sym: _GridSymbol, P):
         return np.zeros(sym.size), 0
     half = sym.halved()
     u, steps = _nested_start(half, P)
-    u, _, n = _CellWorkspace(half, P, _DELTAS[0]).newton(u)
+    u, _, _, n = _CellWorkspace(half, P, _DELTAS[0]).newton(u)
     return _prolong(u.reshape(half.shape)), steps + n
 
 
@@ -482,9 +499,9 @@ def _solve_on(sym: _GridSymbol, P, p_range=None) -> CellSolution:
         ws = _CellWorkspace(sym, P, delta)
         # mean scales like 1/delta, the oscillating part barely moves
         mean = float(np.mean(u))
-        u, res, steps = ws.newton((u - mean) + mean * (prev_delta / delta))
+        u, res, floor, steps = ws.newton((u - mean) + mean * (prev_delta / delta))
         total += steps
-        tol = max(_TOL, 100.0 * ws.floor(u, ws._upwind(u)[0]))
+        tol = max(_TOL, 100.0 * floor)
         if not res <= tol:     # a NaN residual fails too
             raise CellConvergenceError(
                 f"cell residual {res:.3e} above {tol:.3e} at delta={delta}", res)
@@ -495,7 +512,7 @@ def _solve_on(sym: _GridSymbol, P, p_range=None) -> CellSolution:
 
     w = u - float(np.mean(u))
     # H_G(x, P + Dw): the residual less the discount
-    residual = float(np.max(np.abs(ws.residual(w, ws._upwind(w)[0]) - ws.delta * w - value)))
+    residual = float(np.max(np.abs(ws.residual(w) - ws.delta * w - value)))
     corr = Corrector(P=P.copy(), axes=sym.axes, values=w.reshape(sym.shape),
                      residual=residual)
     return CellSolution(value=float(value), corrector=corr,
@@ -779,7 +796,11 @@ def invariance_check(H: PhaseSpaceFunction, phi, p_values: Sequence[float],
         raise ValueError("invariance_check needs a mechanical H")
     axes = _cell_axes(H.dim, grid)
     base = _GridSymbol(H, axes)
-    mapped = _GridSymbol(compose_hamiltonian(H, phi), axes)
+    # H o phi carries the x-frequencies of V and of phi's generator, spread
+    # by the flow; a generator of unknown band leaves the table full-grid
+    gen_band = phi.generator.x_bandwidth
+    band = None if gen_band is None else H.potential.max_frequency + gen_band
+    mapped = _GridSymbol(compose_hamiltonian(H, phi), axes, band)
     ext = potential_extrema(H.potential)
     # one interpolation table for all the requested P; its width only needs
     # the corrector's slope bound sqrt(2(E - min V)), because the solver

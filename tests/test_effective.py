@@ -641,11 +641,13 @@ def test_newton_counts_only_factoring_steps(monkeypatch):
     sym = effective._GridSymbol(H, [np.arange(64) * (TWO_PI / 64)])
     ws = effective._CellWorkspace(sym, np.array([1.5]), 0.1)
     lus = _counted_lus(monkeypatch)
-    u, nrm, steps = ws.newton(np.zeros(sym.size))
+    u, nrm, floor, steps = ws.newton(np.zeros(sym.size))
     assert steps == len(lus) > 0
+    # the rounding floor is the returned iterate's
+    assert floor == ws.floor(u, ws._upwind(u)[0])
     # a state already within tol takes no step and no factorization
     lus.clear()
-    _, again, steps = ws.newton(u)
+    _, again, _, steps = ws.newton(u)
     assert (steps, len(lus)) == (0, 0)
     assert again == nrm
 
@@ -661,7 +663,7 @@ def test_newton_forms_the_upwind_arguments_once_per_iterate(monkeypatch):
         return upwind(self, u)
 
     monkeypatch.setattr(effective._CellWorkspace, "_upwind", counting)
-    _, _, steps = ws.newton(np.zeros(sym.size))
+    _, _, _, steps = ws.newton(np.zeros(sym.size))
     # the start and each iterate: residual, floor and Jacobian share them
     assert len(calls) == steps + 1 and steps > 0
 
@@ -752,13 +754,15 @@ def _bench_like_composed():
                                                1e-2))
 
 
-def _table_and_direct_flow(grid):
-    """The table of a bench-like H o phi on ``grid`` x-nodes, and the values
-    of one direct flow of every (solver x-node, p-node) pair."""
-    H = _bench_like_composed()
-    sym = effective._GridSymbol(H, effective._cell_axes(1, grid))
-    sym.build_table(-6.0, 8.0, effective._TABLE_P_RES)
-    pg = np.linspace(-6.0, 8.0, effective._TABLE_P_RES)
+def _table_and_direct_flow(grid, H=None, band=2, p_range=(-6.0, 8.0),
+                           res=effective._TABLE_P_RES):
+    """The table of H o phi (bench-like by default, whose x-band is 1 + 1)
+    on ``grid`` x-nodes, and the values of one direct flow of every (solver
+    x-node, p-node) pair."""
+    H = _bench_like_composed() if H is None else H
+    sym = effective._GridSymbol(H, effective._cell_axes(1, grid), band)
+    sym.build_table(*p_range, res)
+    pg = np.linspace(*p_range, res)
     x = sym.xpts[:, 0]
     direct = np.asarray(H.fn(np.tile(x, pg.size)[:, None], np.repeat(pg, grid)[:, None]))
     return sym, pg, direct.reshape(pg.size, grid)
@@ -777,4 +781,53 @@ def test_coarse_table_matches_the_full_flow(grid):
 def test_table_at_the_cap_is_the_full_flow():
     sym, pg, direct = _table_and_direct_flow(64)
     assert sym.table_nodes == 64 and math.isnan(sym.table_estimate)
+    assert np.array_equal(sym.coef, interpolate.CubicSpline(pg, direct, axis=0).c)
+
+
+def test_table_starts_at_four_nodes_per_period_of_the_band():
+    # below |p| = 3 the shear's bump is flat: phi moves only p, so
+    # cos(32 x) reaches H o phi unspread, and it is 1 on every node of the
+    # 32-node level and of its 16-node half alike
+    H = compose_hamiltonian(mechanical_symbol(cosine((32,))), _shear_map())
+    kw = dict(H=H, p_range=(-2.5, 2.5), res=32)
+    blind, _, direct = _table_and_direct_flow(512, band=2, **kw)
+    assert blind.table_nodes == 32 and blind.table_estimate <= effective._TABLE_TOL
+    assert np.max(np.abs(blind.coef[-1] - direct[:-1])) > 1.0
+    # 4 (32 + 1) nodes at least: the first level is 256, its half holds cos(32 x)
+    sym, _, direct = _table_and_direct_flow(512, band=33, **kw)
+    assert sym.table_nodes == 256 and sym.table_estimate <= effective._TABLE_TOL
+    assert np.max(np.abs(sym.coef[-1] - direct[:-1])) <= 1e-10
+
+
+def test_invariance_check_starts_the_table_at_the_band(monkeypatch):
+    sizes = _count_flowed_points(monkeypatch)
+    pot = cosine((1,)) + cosine((32,), 0.01)
+    rep = invariance_check(mechanical_symbol(pot), _shear_map(), p_values=(0.0, 2.0),
+                           grid=512, defect_probes=2)
+    # the band of V and of the generator is 32 + 1: one batch of 256 x-nodes,
+    # whose estimate is at rounding level
+    assert sizes == [256 * effective._TABLE_P_RES]
+    assert rep.table_nodes == 256 and rep.table_estimate <= effective._TABLE_TOL
+    assert rep.max_distance <= 1e-6
+
+
+def test_table_without_a_band_flows_the_solver_grid(monkeypatch):
+    sizes = _count_flowed_points(monkeypatch)
+    sym, pg, direct = _table_and_direct_flow(128, band=None, res=32)
+    # the table's one batch, then the direct flow it is compared with
+    assert sizes == [128 * 32] * 2 and sym.table_nodes == 128
+    assert math.isnan(sym.table_estimate)
+    assert np.array_equal(sym.coef, interpolate.CubicSpline(pg, direct, axis=0).c)
+
+
+def test_non_dyadic_grid_at_the_cap_flows_the_coarse_levels_too(monkeypatch):
+    # a generator ten times the shear's: the estimate misses at 32 and at 64
+    # nodes, and 128 passes 96, so the 96 solver nodes are flowed as well
+    phi = time_one_map(product_symbol(sine((1,), 1.0), bump_profile(3.0, 6.0)), 1e-2)
+    H = compose_hamiltonian(mechanical_symbol(COS), phi)
+    sizes = _count_flowed_points(monkeypatch)
+    sym, pg, direct = _table_and_direct_flow(96, H=H, p_range=(-2.5, 2.5), res=32)
+    # 32 + 32 + 96 = 160 x-nodes for the table, then the direct flow
+    assert sizes == [32 * 32, 32 * 32, 96 * 32, 96 * 32]
+    assert sym.table_nodes == 96 and math.isnan(sym.table_estimate)
     assert np.array_equal(sym.coef, interpolate.CubicSpline(pg, direct, axis=0).c)
