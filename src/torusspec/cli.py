@@ -97,12 +97,19 @@ def _write_manifest(outdir: Path, argv, inputs, outputs, t0, extra) -> None:
 def _cmd_spectrum(args, outdir: Path):
     pot = _load_potential(args)
     results = []
+    diagnostics = []
     for hb in _float_list(args.hbar):
         K = _resolve_cutoff(args.K, pot, hb, args.energy)
-        results.append(eigen_spectrum(assemble_hamiltonian(pot, hb, K)))
+        mat = assemble_hamiltonian(pot, hb, K)
+        spec = eigen_spectrum(mat)
+        results.append(spec)
+        # JSON holds no inf: a window the cutoff does not resolve has no bound
+        tail = spec.tail_bound if math.isfinite(spec.tail_bound) else None
+        diagnostics.append({"hbar": spec.hbar, "K": K, "N": mat.basis.size,
+                            "trusted_energy": spec.trusted_energy, "tail_bound": tail})
     out = outdir / "spectrum.csv"
     write_spectrum_csv(out, results)
-    return [out]
+    return [out], {"diagnostics": diagnostics}
 
 
 def _cmd_weyl_count(args, outdir: Path):

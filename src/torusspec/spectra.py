@@ -5,6 +5,15 @@ lexicographic order.  For trigonometric-polynomial potentials the matrix
 elements are exact: entry(k, mu) = (hbar^2/2)|mu|^2 delta_{k,mu} + c_{k-mu},
 so no quadrature enters the assembly.
 
+The spectrum comes from a real symmetric eigensolve.  V is real, so H
+commutes with complex conjugation composed with k -> -k, and the
+lexicographic box has row(-k) = N-1-row(k).  With J the row reversal this
+reads J H J = conj(H): H is centrohermitian.  In the unitary basis e_0,
+(e_k + e_-k)/sqrt2 and i(e_k - e_-k)/sqrt2, k over the first half of the
+box, such a matrix is real symmetric (A. Lee, Centrohermitian and
+skew-centrohermitian matrices, Linear Algebra Appl. 29, 1980), and a real
+solve does about a quarter of a complex one's flops.
+
 Eigenvalue counts are compared with the phase-space volume
 Vol{a < |p|^2/2 + V < b}, a deterministic integral of the momentum-ball
 measure over the torus: in 1D by one tanh-sinh run over panels that end at
@@ -65,13 +74,16 @@ class PlaneWaveBasis:
         return (np.asarray(ks, dtype=int) + self.cutoff) @ strides
 
     def require_dense(self) -> None:
-        """Refuse a dense size x size complex matrix larger than physical memory."""
+        """Refuse dense work that does not fit in physical memory: the
+        size x size complex matrix (16 N^2 bytes) plus the real symmetric
+        form of an eigensolve and LAPACK's copy of it (8 N^2 bytes each)."""
         nbytes = 16 * self.size ** 2
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if nbytes > physical:
+        if 2 * nbytes > physical:
             raise ValueError(
-                f"dense matrix of size N={self.size} needs {nbytes} bytes, "
-                f"more than the {physical} bytes of physical memory")
+                f"dense matrix of size N={self.size} needs {nbytes} bytes and its "
+                f"eigensolve {2 * nbytes} in all, more than the {physical} bytes "
+                f"of physical memory")
 
     def band_matrix(self, shifts, entry) -> np.ndarray:
         """Dense matrix with entry(q, k) at rows row(k + q) and columns row(k).
@@ -99,7 +111,23 @@ class PlaneWaveMatrix:
     matrix: np.ndarray
 
     def hermitian_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        """max |M - M^H|."""
+        m = self.matrix
+        return _strip_max(m, lambda r: np.abs(m[r] - m[:, r].conj().T))
+
+    def time_reversal_defect(self) -> float:
+        """max |J M J - conj(M)|, J the reversal k -> -k of the box rows."""
+        m = self.matrix
+        flip = m[::-1, ::-1]
+        return _strip_max(m, lambda r: np.abs(flip[r] - m[r].conj()))
+
+
+def _strip_max(matrix: np.ndarray, rows) -> float:
+    """Largest entry of rows(r) over row strips r of about 2^16 entries, so
+    no N x N temporary is made.  A NaN propagates as in np.max."""
+    step = max(1, (1 << 16) // matrix.shape[1])
+    return float(np.max([np.max(rows(slice(i, i + step)))
+                         for i in range(0, matrix.shape[0], step)]))
 
 
 @dataclass(frozen=True)
@@ -162,22 +190,62 @@ def _spectrum_from(mat: HamiltonianMatrix, eigenvalues: np.ndarray) -> SpectrumR
     )
 
 
-def _require_hermitian(mat: HamiltonianMatrix) -> None:
-    defect = mat.hermitian_defect()
-    if defect > _HERM_TOL * max(1.0, float(np.max(np.abs(mat.matrix)))):
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+def _require_symmetric(mat: HamiltonianMatrix, time_reversal: bool = False) -> None:
+    """Refuse a matrix that is not Hermitian or, with time_reversal, whose
+    J H J differs from conj(H), each past _HERM_TOL max(1, max|H|)."""
+    m = mat.matrix
+    allowed = _HERM_TOL * max(1.0, _strip_max(m, lambda r: np.abs(m[r])))
+    checks = [("Hermitian", mat.hermitian_defect)]
+    if time_reversal:
+        checks.append(("time-reversal symmetric (J H J = conj H)", mat.time_reversal_defect))
+    for name, defect in checks:
+        value = defect()
+        if value > allowed:
+            raise ValueError(f"matrix is not {name} (defect {value:.3e})")
+
+
+def _real_form(h: np.ndarray) -> np.ndarray:
+    """R = Q^H H Q for a centrohermitian H of odd size N = 2n + 1.
+
+    Q's columns are c_j = (e_j + e_j')/sqrt2, then e_n, then
+    s_j = i(e_j - e_j')/sqrt2, for j < n and j' = N-1-j.  With A = H[:n, :n],
+    B = H[:n, :n:-1] (B[j, l] = H[j, l']) and m = H[:n, n], J H J = conj(H)
+    gives the real symmetric R = [[Re(A+B), sqrt2 Re m, Im(B-A)],
+    [sqrt2 Re m^T, H[n, n], sqrt2 Im m^T], [Im(A+B), sqrt2 Im m, Re(A-B)]].
+    """
+    N = h.shape[0]
+    n = (N - 1) // 2
+    a, b, m = h[:n, :n], h[:n, :n:-1], h[:n, n]
+    r = np.empty((N, N))
+    np.add(a.real, b.real, out=r[:n, :n])
+    np.subtract(a.real, b.real, out=r[n + 1:, n + 1:])
+    np.add(a.imag, b.imag, out=r[n + 1:, :n])
+    np.subtract(b.imag, a.imag, out=r[:n, n + 1:])
+    r[:n, n] = r[n, :n] = math.sqrt(2.0) * m.real
+    r[n + 1:, n] = r[n, n + 1:] = math.sqrt(2.0) * m.imag
+    r[n, n] = h[n, n].real
+    return r
 
 
 def eigen_spectrum(mat: HamiltonianMatrix) -> SpectrumResult:
-    """All eigenvalues, ascending."""
-    _require_hermitian(mat)
-    vals = np.linalg.eigvalsh(mat.matrix)
-    return _spectrum_from(mat, vals)
+    """All eigenvalues, ascending, from one real symmetric eigensolve.
+
+    A real V makes H centrohermitian, J H J = conj(H) with J the reversal
+    k -> -k of the box (module docstring), so in the cos/sin basis e_0,
+    (e_k + e_-k)/sqrt2, i(e_k - e_-k)/sqrt2 it is the real symmetric matrix
+    of ``_real_form`` with the same eigenvalues (Lee 1980).  Both symmetries
+    are checked first: a matrix that breaks either is refused with
+    ValueError, never solved another way.  Every matrix that
+    assemble_hamiltonian builds passes the second check whenever it passes
+    the first, with the same defect.
+    """
+    _require_symmetric(mat, time_reversal=True)
+    return _spectrum_from(mat, np.linalg.eigvalsh(_real_form(mat.matrix)))
 
 
 def eigen_system(mat: HamiltonianMatrix):
     """Eigenvalues and eigenvectors, with a residual check on every pair."""
-    _require_hermitian(mat)
+    _require_symmetric(mat)
     vals, vecs = np.linalg.eigh(mat.matrix)
     residual = np.max(np.abs(mat.matrix @ vecs - vecs * vals[None, :]), axis=0)
     allowed = _RESIDUAL_TOL * (1.0 + np.abs(vals))

@@ -61,6 +61,41 @@ def test_spectrum_run_and_manifest(pots, tmp_path):
     assert set(manifest["versions"]) >= {"torusspec", "numpy", "scipy", "python"}
 
 
+def test_spectrum_manifest_diagnostics(pots, tmp_path):
+    out = tmp_path / "run"
+    rc = main(["spectrum", "--potential", pots["cos"], "--hbar", "0.5,0.25",
+               "--K", "16", "--out", str(out)])
+    assert rc == 0
+    diags = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert [(d["hbar"], d["K"], d["N"]) for d in diags] == [(0.5, 16, 33), (0.25, 16, 33)]
+    for d in diags:
+        assert d["trusted_energy"] == d["hbar"] ** 2 * 17 ** 2 / 4.0
+        assert 0.0 < d["tail_bound"] < 1.0
+    assert (out / "spectrum.csv").read_text().splitlines()[0] == "hbar,index,eigenvalue"
+    # at K = 1 no tail bound exists: the manifest holds null, the run succeeds
+    out = tmp_path / "free"
+    rc = main(["spectrum", "--potential", pots["free"], "--hbar", "1.0",
+               "--K", "1", "--out", str(out)])
+    assert rc == 0
+    assert (out / "spectrum.csv").read_text() == GOLDEN_FREE_K1
+    diags = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert diags == [{"hbar": 1.0, "K": 1, "N": 3, "trusted_energy": 1.0, "tail_bound": None}]
+
+
+def test_dense_working_set_beyond_memory_exits_2(pots, tmp_path, monkeypatch):
+    # N = 101 at K = 50: 16 N^2 bytes fit in 60 pages of 4096, 32 N^2 do not
+    real_sysconf = os.sysconf
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 60}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or real_sysconf(name))
+    out = tmp_path / "run"
+    rc = main(["spectrum", "--potential", pots["cos"], "--hbar", "0.5",
+               "--K", "50", "--out", str(out)])
+    assert rc == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ValueError" and "eigensolve 326432" in err["message"]
+    assert not (out / "spectrum.csv").exists()
+
+
 def test_identical_runs_byte_identical(pots, tmp_path):
     outs = []
     for name in ("a", "b"):

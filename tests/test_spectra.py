@@ -1,6 +1,8 @@
 """Plane-wave eigensolver: exact cases, an external oracle, counting, volume."""
 
+import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -105,6 +107,74 @@ def test_eigen_system_residuals():
     k = 3
     r = mat.matrix @ vecs[:, k] - spec.eigenvalues[k] * vecs[:, k]
     assert np.linalg.norm(r) < 1e-10
+
+
+def _seeded_potential(dim, band, seed):
+    # complex coefficients with c_q != c_{-q}: V is not even, so the cos and
+    # sin blocks of the real form couple
+    rng = np.random.default_rng(seed)
+    coeffs = {(0,) * dim: rng.uniform(-0.5, 0.5)}
+    for q in itertools.product(range(-band, band + 1), repeat=dim):
+        if q > (0,) * dim:
+            c = complex(*rng.uniform(-0.5, 0.5, 2))
+            coeffs[q], coeffs[tuple(-v for v in q)] = c, c.conjugate()
+    return FourierPotential(dim, coeffs)
+
+
+# K at the band and past it, and the free Hamiltonian; in 3D K <= 2, where
+# the tail bound is refused before its (2 * 512 + 1)^3 grid
+@pytest.mark.parametrize("pot,hbar,K", [
+    (_seeded_potential(1, 3, 12), 0.3, 3), (_seeded_potential(1, 3, 12), 0.3, 9),
+    (_seeded_potential(2, 2, 13), 0.5, 2), (_seeded_potential(2, 2, 13), 0.5, 6),
+    (_seeded_potential(3, 1, 14), 0.7, 1), (_seeded_potential(3, 1, 14), 0.7, 2),
+    (zero_potential(1), 0.6, 2), (zero_potential(2), 0.6, 2), (zero_potential(3), 0.6, 2)])
+def test_real_form_matches_the_complex_eigensolve(pot, hbar, K):
+    mat = assemble_hamiltonian(pot, hbar, K)
+    assert mat.time_reversal_defect() == 0.0
+    got = eigen_spectrum(mat).eigenvalues
+    ref = np.linalg.eigvalsh(mat.matrix)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def test_symmetry_defects_are_exact_strip_maxima():
+    # c_{-16} = conj(c_16) + 9e-13 i passes the Hermitian check; the two
+    # defects of the assembled matrix are then one and the same nonzero value
+    pot = FourierPotential(1, {(16,): 1e-3, (-16,): 1e-3 + 9e-13j, (1,): 0.5, (-1,): 0.5})
+    mat = assemble_hamiltonian(pot, 0.5, 40)
+    m = mat.matrix
+    assert mat.hermitian_defect() == float(np.max(np.abs(m - m.conj().T))) > 0.0
+    assert mat.time_reversal_defect() == float(np.max(np.abs(m[::-1, ::-1] - m.conj())))
+    assert mat.time_reversal_defect() == mat.hermitian_defect()
+    eigen_spectrum(mat)
+
+
+def test_hermitian_matrix_that_breaks_time_reversal_is_refused():
+    mat = assemble_hamiltonian(cosine((1,)), 0.5, 6)
+    broken = mat.matrix.copy()
+    row = int(mat.basis.rows([[2]])[0])            # k = 2, not its mirror k = -2
+    broken[row, row] += 0.25
+    hand = spectra.HamiltonianMatrix(hbar=mat.hbar, basis=mat.basis, matrix=broken,
+                                     potential=mat.potential)
+    assert hand.hermitian_defect() == 0.0
+    with pytest.raises(ValueError, match="time-reversal"):
+        eigen_spectrum(hand)
+    eigen_system(hand)                              # Hermitian is all it needs
+    broken[0, 1] += 1e-3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigen_spectrum(hand)
+
+
+def test_require_dense_counts_the_eigensolve_working_set(monkeypatch):
+    # N = 101: the complex matrix needs 16 N^2 = 163216 bytes, which fits
+    # in 245760, but with the real form and LAPACK's copy 32 N^2 does not
+    real_sysconf = os.sysconf
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 60}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or real_sysconf(name))
+    with pytest.raises(ValueError, match="N=101 needs 163216 bytes and its eigensolve 326432"):
+        PlaneWaveBasis(1, 50).require_dense()
+    with pytest.raises(ValueError, match="N=101"):
+        assemble_hamiltonian(zero_potential(1), 1.0, 50)
+    PlaneWaveBasis(1, 43).require_dense()           # 32 * 87^2 = 242208 fits
 
 
 def test_trusted_energy_and_count_warning():
