@@ -135,7 +135,7 @@ def _cmd_effective(args, outdir: Path):
     write_effective_csv(out_csv, table)
     out_json = outdir / "certificates.json"
     write_report_json(out_json, table.certificates.to_dict())
-    return [out_csv, out_json]
+    return [out_csv, out_json], {"diagnostics": list(table.diagnostics)}
 
 
 def _cmd_cell_solve(args, outdir: Path):
@@ -151,8 +151,7 @@ def _cmd_cell_solve(args, outdir: Path):
             raise ValueError(f"P {ptxt!r} does not match dimension {pot.dim}")
         sol = cell_problem_solve(H, P, args.grid)
         rows.append((P, sol.value, sol.corrector.residual))
-        diagnostics.append({"P": P, "iterations": sol.iterations,
-                            "discount_values": list(sol.discount_values)})
+        diagnostics.append(sol.diagnostics())
     out = outdir / "cell.csv"
     write_hbar_csv(out, pot.dim, "cell-problem", rows)
     return [out], {"diagnostics": diagnostics}

@@ -9,6 +9,23 @@ vector_field when it has one, its grad_x/grad_eta pair otherwise, and
 central differences of fn as the last resort.  Positions are stored
 unwrapped during integration and wrapped on output, so winding does not
 distort finite differences.
+
+A product generator W(x) g(eta) with an eta_cutoff (plateau, support, G)
+splits each RK4 batch into three sets of finite points:
+
+- the plateau set, |eta|_2 + |t| G (1 + 1e-9) < plateau, the factor
+  covering the rounding of G and of grad W.  No stage point of any step
+  leaves the plateau, where g is exactly 1.0 and grad g exactly 0, so every
+  stage returns the same k = (0, -grad W(x)) and x stays put.  One
+  vector_field call gives k, the step's increment (dt/6)(k + 2k + 2k + k)
+  is formed once in RK4's operand order and added once per step: the same
+  additions on the same operands as RK4's, so the endpoints agree bit for
+  bit.
+- the outside set, |eta|_2 >= support, where the field is exactly zero:
+  these points stay where they are.
+- every other point, non-finite ones included, which goes through RK4.
+
+Escape is checked on every set, so what RK4 refuses is still refused.
 """
 
 from __future__ import annotations
@@ -63,8 +80,21 @@ def _gradients(b: PhaseSpaceFunction):
 
 
 def _check_escape(p):
-    if not np.max(np.abs(p)) <= _ESCAPE:     # NaN momenta fail too
+    if not np.all(np.abs(p) <= _ESCAPE):     # NaN momenta fail too
         raise FlowEscapeError("trajectory left |p| <= 1e3 or is not finite")
+
+
+def _resting_sets(b: PhaseSpaceFunction, X, P, t: float):
+    """Row masks (plateau, outside) of the module docstring; both empty
+    unless b carries an eta_cutoff."""
+    none = np.zeros(X.shape[0], dtype=bool)
+    if b.eta_cutoff is None:
+        return none, none
+    plateau, support, grad_bound = b.eta_cutoff
+    finite = np.all(np.isfinite(X), axis=1) & np.all(np.isfinite(P), axis=1)
+    r = np.sqrt(np.sum(P ** 2, axis=1))
+    return (finite & (r + abs(t) * grad_bound * (1.0 + 1e-9) < plateau),
+            finite & (r >= support))
 
 
 def _flow_batch(b: PhaseSpaceFunction, X, P, t: float, h: float,
@@ -101,14 +131,27 @@ def _flow_batch(b: PhaseSpaceFunction, X, P, t: float, h: float,
         dx, dp = field(x, p)
         return dp, -dx
 
+    plateau, outside = _resting_sets(b, X, P, t)
+    _check_escape(P[outside])
+    if plateau.any():
+        Pf = P[plateau]
+        _, k = rhs(X[plateau], Pf)
+        shift = (dt / 6.0) * (k + 2 * k + 2 * k + k)
+        for _ in range(steps):
+            Pf += shift
+            _check_escape(Pf)
+        P[plateau] = Pf
+    moving = ~(plateau | outside)
+    Xm, Pm = X[moving], P[moving]
     for _ in range(steps):
-        k1x, k1p = rhs(X, P)
-        k2x, k2p = rhs(X + 0.5 * dt * k1x, P + 0.5 * dt * k1p)
-        k3x, k3p = rhs(X + 0.5 * dt * k2x, P + 0.5 * dt * k2p)
-        k4x, k4p = rhs(X + dt * k3x, P + dt * k3p)
-        X += (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        P += (dt / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        _check_escape(P)
+        k1x, k1p = rhs(Xm, Pm)
+        k2x, k2p = rhs(Xm + 0.5 * dt * k1x, Pm + 0.5 * dt * k1p)
+        k3x, k3p = rhs(Xm + 0.5 * dt * k2x, Pm + 0.5 * dt * k2p)
+        k4x, k4p = rhs(Xm + dt * k3x, Pm + dt * k3p)
+        Xm += (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        Pm += (dt / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        _check_escape(Pm)
+    X[moving], P[moving] = Xm, Pm
     return X, P
 
 

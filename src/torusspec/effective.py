@@ -170,6 +170,11 @@ class CellSolution:
     discount_values: tuple
     iterations: int       # Newton steps, each one sparse LU factorization
 
+    def diagnostics(self) -> dict:
+        """P, Newton steps and discount values, as the CLI manifests hold them."""
+        return {"P": self.corrector.P.tolist(), "iterations": self.iterations,
+                "discount_values": list(self.discount_values)}
+
 
 _ND_LEAF = 16   # boxes of at most this many cells keep their natural order
 
@@ -551,6 +556,7 @@ class EffectiveTable:
     residuals: Optional[np.ndarray]
     certificates: Optional[TableCertificates]
     v_max: float
+    diagnostics: tuple = ()     # per solved P; empty for closed-form tables
 
     def points(self) -> np.ndarray:
         return _grid_points(self.axes)
@@ -629,7 +635,8 @@ def cell_table(pot: FourierPotential, p_max: float, dp: float, grid: int) -> Eff
     general), so each pair {P, -P} is solved once, at the member whose first
     nonzero component is positive, and written into the mirrored index too
     (the axis is symmetric: axis[-1 - i] == -axis[i] exactly); the
-    certificates then check convexity and bounds honestly.
+    certificates then check convexity and bounds honestly.  diagnostics
+    holds each solve's ``CellSolution.diagnostics()``, in solve order.
     """
     H = mechanical_symbol(pot)
     axis = _p_axis(p_max, dp)
@@ -638,6 +645,7 @@ def cell_table(pot: FourierPotential, p_max: float, dp: float, grid: int) -> Eff
     shape = (axis.size,) * n
     values = np.full(shape, np.nan)
     residuals = np.full(shape, np.nan)
+    diagnostics = []
     for idx in itertools.product(range(axis.size), repeat=n):
         P = axis[list(idx)]
         lead = P[np.flatnonzero(P)[:1]]
@@ -647,9 +655,11 @@ def cell_table(pot: FourierPotential, p_max: float, dp: float, grid: int) -> Eff
         mirror = tuple(axis.size - 1 - i for i in idx)
         values[idx] = values[mirror] = sol.value
         residuals[idx] = residuals[mirror] = sol.corrector.residual
+        diagnostics.append(sol.diagnostics())
     certs = compute_certificates((axis,) * n, values, vmax)
     return EffectiveTable(dim=n, axes=(axis,) * n, values=values, method="cell-problem",
-                          residuals=residuals, certificates=certs, v_max=vmax)
+                          residuals=residuals, certificates=certs, v_max=vmax,
+                          diagnostics=tuple(diagnostics))
 
 
 def effective_grid(pot: FourierPotential, p_max: float, dp: float, method: str,

@@ -261,8 +261,12 @@ def truncation_tail_bound(pot: FourierPotential, hbar: float, K: int, energy: fl
     """Fourier-tail bound sum_{|k|_inf > K} (||V||_C0 / ((hbar^2/2)|k|^2 - E))^2.
 
     The potential norm enters with the mean removed (a constant shift does
-    not couple modes), so the zero potential gives a zero tail.
+    not couple modes), so the zero potential gives a zero tail.  Dimensions
+    beyond 2 are refused with ValueError, so their spectra report an
+    infinite tail bound.
     """
+    if pot.dim > 2:
+        raise ValueError("tail bound implemented for dimensions 1 and 2")
     hbar = float(hbar)
     energy = float(energy)
     K = int(K)
@@ -272,8 +276,7 @@ def truncation_tail_bound(pot: FourierPotential, hbar: float, K: int, energy: fl
     norm = sup_norm(pot, remove_mean=True)
     if norm == 0.0:
         return 0.0
-    n = pot.dim
-    if n == 1:
+    if pot.dim == 1:
         cap = max(10_000, 4 * K)
         k = np.arange(K + 1, cap + 1, dtype=float)
         total = 2.0 * float(np.sum((norm / (a * k * k - energy)) ** 2))
@@ -283,15 +286,12 @@ def truncation_tail_bound(pot: FourierPotential, hbar: float, K: int, energy: fl
         return total
     cap = max(512, 4 * K)
     axis = np.arange(-cap, cap + 1)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    sq = sum(g.astype(float) ** 2 for g in grids)
-    outside = np.maximum.reduce([np.abs(g) for g in grids]) > K
+    kx, ky = np.meshgrid(axis, axis, indexing="ij")
+    sq = kx.astype(float) ** 2 + ky.astype(float) ** 2
+    outside = np.maximum(np.abs(kx), np.abs(ky)) > K
     total = float(np.sum((norm / (a * sq[outside] - energy)) ** 2))
-    if n == 2:
-        # shells |k|_inf = m carry 8m points and |k|^2 >= m^2 on each
-        total += 4.0 * norm * norm / (a * (a * cap * cap - energy))
-    else:
-        total += (norm / (a * cap * cap - energy)) ** 2 * (2 * cap + 1) ** n / cap
+    # shells |k|_inf = m carry 8m points and |k|^2 >= m^2 on each
+    total += 4.0 * norm * norm / (a * (a * cap * cap - energy))
     return total
 
 

@@ -31,6 +31,11 @@ class PhaseSpaceFunction:
     call; the flows call it once per RK4 stage.  A symbol without one is
     flowed on grad_x and grad_eta when both are set (one call each per
     stage), and otherwise on central differences of fn.
+
+    eta_cutoff is (plateau, support, G) for a product W(x) g(eta) whose g is
+    exactly 1 on |eta|_2 < plateau and exactly 0 on |eta|_2 >= support, with
+    G >= sup |grad W|_2; the RK4 flow uses it to step only the points that
+    can reach the band between.
     """
 
     dim: int
@@ -41,6 +46,7 @@ class PhaseSpaceFunction:
     grad_x: Optional[Callable] = None
     grad_eta: Optional[Callable] = None
     potential: Optional[FourierPotential] = None   # set for |eta|^2/2 + V
+    eta_cutoff: Optional[tuple] = None         # (plateau, support, G) of W(x) g(eta)
 
     def __call__(self, x, eta):
         return self.fn(np.asarray(x, dtype=float), np.asarray(eta, dtype=float))
@@ -101,6 +107,10 @@ def product_symbol(pot: FourierPotential, eta_fn: Callable) -> PhaseSpaceFunctio
     (grad W g, W grad g) takes W and grad W from one potential call and g
     and grad g from eta_fn.value_and_gradient when the profile has one, as
     bump_profile's does; a plain callable is differenced instead.
+
+    A profile with plateau and support attributes, as bump_profile's has,
+    sets eta_cutoff to (plateau, support, G), G = sum_q |w_q| |q|_2 over the
+    half spectrum of W, which bounds sup |grad W|_2.
     """
     dim = pot.dim
     profile_vg = getattr(eta_fn, "value_and_gradient", None)
@@ -119,8 +129,13 @@ def product_symbol(pot: FourierPotential, eta_fn: Callable) -> PhaseSpaceFunctio
         g, dg = profile_vg(_rows(eta, dim))
         return dw * g[:, None], dg * w[:, None]
 
+    cutoff = None
+    if hasattr(eta_fn, "plateau") and hasattr(eta_fn, "support"):
+        grad_bound = float(np.sum(np.abs(pot.half_weights)
+                                  * np.linalg.norm(pot.half_freqs, axis=1)))
+        cutoff = (eta_fn.plateau, eta_fn.support, grad_bound)
     return PhaseSpaceFunction(dim=dim, fn=fn, x_bandwidth=pot.max_frequency,
-                              x_fourier=xf, vector_field=vf)
+                              x_fourier=xf, vector_field=vf, eta_cutoff=cutoff)
 
 
 def bump_profile(plateau: float, support: float) -> Callable:
@@ -133,7 +148,9 @@ def bump_profile(plateau: float, support: float) -> Callable:
     to s.  Its attribute value_and_gradient maps an (m, dim) batch to
     (s, grad_eta s), the gradient from the same exp pair: the analytic
     s'(t) = -f g (1/t^2 + 1/(1-t)^2) / (f + g)^2 times
-    eta / (|eta| (support - plateau)).
+    eta / (|eta| (support - plateau)).  Its attributes plateau and support
+    give the radii: for |eta|_2 < plateau the profile is exactly 1.0 with
+    gradient exactly 0, for |eta|_2 >= support both are exactly 0.
     """
     r0 = float(plateau)
     r1 = float(support)
@@ -166,4 +183,5 @@ def bump_profile(plateau: float, support: float) -> Callable:
         return s, grad
 
     profile.value_and_gradient = value_and_gradient
+    profile.plateau, profile.support = r0, r1
     return profile

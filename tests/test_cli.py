@@ -275,6 +275,24 @@ def test_cell_solve_manifest_diagnostics(pots, tmp_path):
     assert (out / "cell.csv").read_text().splitlines()[0] == "P,Hbar,method,residual"
 
 
+def test_effective_cell_problem_manifest_diagnostics(pots, tmp_path):
+    out = tmp_path / "run"
+    rc = main(["effective", "--potential", pots["cos"], "--method", "cell-problem",
+               "--pmax", "1", "--dp", "0.5", "--grid", "64", "--out", str(out)])
+    assert rc == 0
+    diags = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    # the pairs {P, -P} are solved once each, at P >= 0
+    assert [d["P"] for d in diags] == [[0.0], [0.5], [1.0]]
+    solve = tmp_path / "solve"
+    assert main(["cell-solve", "--potential", pots["cos"], "--p", "0.0", "--p", "0.5",
+                 "--p", "1.0", "--grid", "64", "--out", str(solve)]) == 0
+    assert diags == json.loads((solve / "manifest.json").read_text())["diagnostics"]
+    # diagnostics stay out of the artifacts
+    assert (out / "effective.csv").read_text().splitlines()[0] == "P,Hbar,method,residual"
+    assert set(json.loads((out / "certificates.json").read_text())) == {
+        "convex", "convex_defect", "even_defect", "bound_defect"}
+
+
 def test_cell_solve_grid_below_minimum_exits_2(pots, tmp_path):
     # --grid 0 is an input like --grid 16, not a request for the default
     for grid in ("0", "16"):

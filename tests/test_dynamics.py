@@ -1,5 +1,6 @@
 """Flows, symplectic maps, and symbol composition."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -306,3 +307,82 @@ def test_builtin_symbols_flow_without_central_differences(monkeypatch):
                   product_symbol(pot, bump_profile(3.0, 6.0))):
             for scheme in (None, "rk4"):
                 _flow_batch(b, X, P, 0.1, 1e-2, scheme=scheme)
+
+
+# -- empty batches and the three sets of a product generator's RK4 batch --
+
+
+@pytest.mark.parametrize("scheme", [None, "rk4"])
+def test_empty_batch_flows_to_empty_arrays(scheme):
+    # mechanical: Verlet, or RK4 when forced; product symbol: RK4 with the split
+    for b in (mechanical_symbol(cosine((1, 0))),
+              product_symbol(cosine((1, 0), 0.2), bump_profile(3.0, 6.0))):
+        X, P = _flow_batch(b, np.empty((0, 2)), np.empty((0, 2)), 1.0, 1e-2, scheme=scheme)
+        assert X.shape == P.shape == (0, 2)
+
+
+def test_empty_batch_through_a_symplectic_map():
+    for b in (mechanical_symbol(cosine((1,))), _shear_map().generator):
+        X, P = time_one_map(b, 1e-2).apply(np.empty((0, 1)), np.empty((0, 1)))
+        assert X.shape == P.shape == (0, 1)
+
+
+def test_bump_profile_and_product_symbol_carry_the_cutoff():
+    prof = bump_profile(3.0, 6.0)
+    assert (prof.plateau, prof.support) == (3.0, 6.0)
+    pot = cosine((1, 2), 0.5) + sine((1, 0), 0.3)
+    # sup |grad W|_2 <= 0.5 |(1, 2)| + 0.3 |(1, 0)|
+    assert product_symbol(pot, prof).eta_cutoff == (3.0, 6.0, 0.5 * math.sqrt(5.0) + 0.3)
+    assert product_symbol(pot, lambda eta: prof(eta)).eta_cutoff is None
+    assert mechanical_symbol(pot).eta_cutoff is None
+
+
+def test_rk4_steps_only_the_points_that_can_reach_the_band():
+    # 0.1 sin x bounds |grad W| by G = 0.1: over t = 1 a plateau point with
+    # |eta| < 3 - 0.1 never reaches the band, one with |eta| >= 6 never moves
+    X, P = _band_batch(1, m=400)
+    r = np.abs(P[:, 0])
+    assert np.min(np.abs(r - 2.9)) > 1e-6
+    near = np.sum((r >= 2.9) & (r < 6.0))
+    plateau = np.sum(r < 2.9)
+    assert near > 0 and plateau > 0 and np.sum(r >= 6.0) > 0
+    b = product_symbol(_SHEAR_POT, bump_profile(3.0, 6.0))
+    rows = []
+    field = b.vector_field
+
+    def counted(x, eta):
+        rows.append(x.shape[0])
+        return field(x, eta)
+
+    b.vector_field = counted
+    _flow_batch(b, X, P, 1.0, 1e-2)
+    assert sum(rows) == 4 * 100 * near + plateau
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("x,eta,profile", [
+    (0.5, math.nan, (3.0, 6.0)),        # non-finite: goes through RK4
+    (math.inf, 1.0, (3.0, 6.0)),
+    (0.5, 1500.0, (3.0, 6.0)),          # outside set, refused at the first step
+    (0.5, -1500.0, (2000.0, 3000.0)),   # plateau set
+])
+def test_every_set_keeps_the_escape_refusal(x, eta, profile):
+    b = product_symbol(_SHEAR_POT, bump_profile(*profile))
+    X = np.array([[x], [1.0], [0.2]])
+    P = np.array([[eta], [4.5], [0.1]])
+    with pytest.raises(FlowEscapeError):
+        _flow_batch(b, X, P, 1.0, 1e-2)
+
+
+@pytest.mark.parametrize("pot", [
+    cosine((1,), 0.3) + sine((2,), 0.2).translate(0.4),
+    cosine((1, 2), 0.5) + sine((1, 0), 0.3) + cosine((0, 1), 0.2).translate((0.1, 0.7)),
+])
+@pytest.mark.parametrize("t", [1.0, -1.0])
+def test_split_flow_is_bit_identical_to_all_rk4(pot, t):
+    b = product_symbol(pot, bump_profile(3.0, 6.0))
+    reference = dataclasses.replace(b, eta_cutoff=None)
+    X, P = _band_batch(pot.dim, m=2000)
+    got = _flow_batch(b, X, P, t, 1e-2)
+    want = _flow_batch(reference, X, P, t, 1e-2)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

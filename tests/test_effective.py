@@ -1,5 +1,6 @@
 """Effective Hamiltonian: closed form, cell solver, tables, invariance."""
 
+import dataclasses
 import math
 import warnings
 
@@ -281,15 +282,33 @@ def test_invariance_under_momentum_shear():
     assert rep.base_values[0] == pytest.approx(HBAR_COS[2.0], abs=1e-4)
 
 
+def test_invariance_report_is_the_same_with_an_all_rk4_generator():
+    # the bench's seed-1 inputs; the generator without its eta_cutoff flows
+    # every table point through RK4, and every report field must agree
+    rng = np.random.default_rng(1)
+    amp = rng.uniform(0.9, 1.1)
+    H = mechanical_symbol(cosine((1,), amp).translate(rng.uniform(0.0, TWO_PI)))
+    gen = sine((1,), rng.uniform(0.08, 0.12)).translate(rng.uniform(0.0, TWO_PI))
+    b = product_symbol(gen, bump_profile(3.0, 6.0))
+    split, reference = (invariance_check(H, time_one_map(g, 1e-2), (0.0, 1.0, 2.0), 128,
+                                         defect_probes=16)
+                        for g in (b, dataclasses.replace(b, eta_cutoff=None)))
+    assert dataclasses.asdict(split) == dataclasses.asdict(reference)
+
+
 def test_cell_table_mirrors_only_under_p_to_minus_p():
     # cos(x1 + x2) is even under P -> -P but not under P2 -> -P2 alone:
     # Hbar(1, -1) = 2 exactly, while Hbar(1, 1) sits on the plateau
     pot = cosine((1, 1))
     H = mechanical_symbol(pot)
     table = cell_table(pot, 1.0, 1.0, 48)
-    direct = cell_problem_solve(H, (1, -1), 48).value
-    assert table.values[2, 0] == direct
+    direct = cell_problem_solve(H, (1, -1), 48)
+    assert table.values[2, 0] == direct.value
     assert table.values[0, 2] == table.values[2, 0]
+    # one diagnostics entry per solve, the mirrored half of the grid excluded
+    assert [d["P"] for d in table.diagnostics] == [
+        [0.0, 0.0], [0.0, 1.0], [1.0, -1.0], [1.0, 0.0], [1.0, 1.0]]
+    assert table.diagnostics[2] == direct.diagnostics()
 
 
 def test_cell_2d_separable_potential():

@@ -121,8 +121,7 @@ def _seeded_potential(dim, band, seed):
     return FourierPotential(dim, coeffs)
 
 
-# K at the band and past it, and the free Hamiltonian; in 3D K <= 2, where
-# the tail bound is refused before its (2 * 512 + 1)^3 grid
+# K at the band and past it, and the free Hamiltonian
 @pytest.mark.parametrize("pot,hbar,K", [
     (_seeded_potential(1, 3, 12), 0.3, 3), (_seeded_potential(1, 3, 12), 0.3, 9),
     (_seeded_potential(2, 2, 13), 0.5, 2), (_seeded_potential(2, 2, 13), 0.5, 6),
@@ -204,6 +203,17 @@ def test_tail_bound_precondition():
     # the window must be resolved: (hbar^2/2) K^2 > E
     with pytest.raises(ValueError):
         truncation_tail_bound(cosine((1,)), 0.1, 4, 2.0)
+
+
+def test_three_dimensional_tail_bound_is_refused():
+    # the refusal comes before any lattice is built: the spectrum reports an
+    # infinite bound instead of allocating (2 * 512 + 1)^3 grids
+    pot = _seeded_potential(3, 1, 14)
+    with pytest.raises(ValueError, match="dimensions 1 and 2"):
+        truncation_tail_bound(pot, 0.7, 4, 1.0)
+    spec = eigen_spectrum(assemble_hamiltonian(pot, 0.7, 4))
+    assert spec.eigenvalues.size == 9 ** 3
+    assert spec.tail_bound == math.inf
 
 
 def test_tail_bound_zero_for_constant_potential():
