@@ -2,8 +2,10 @@
 
 A symbol carries its evaluator plus whatever structure is known about it:
 an exact x-Fourier transform (used by the quantiser to avoid quadrature),
-a bandwidth in x, its Hamiltonian vector field, or the underlying potential
-when the symbol is mechanical, |eta|^2/2 + V(x).  The built-in symbols give
+a bandwidth in x, its Hamiltonian vector field, the underlying potential
+when the symbol is mechanical, |eta|^2/2 + V(x), or the radii of the
+momentum cutoff of a product W(x) g(eta), which lets the flows step only
+the points that can reach the cutoff's band.  The built-in symbols give
 the vector field (dH/dx, dH/deta) in one call, analytic throughout: one
 cos/sin pass of the potential for W and grad W, and one exp pair of
 bump_profile for the cutoff and its derivative.  A numeric symbol carries
