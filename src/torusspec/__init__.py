@@ -14,20 +14,19 @@ from .potentials import (FourierPotential, cosine, load_potential,
                          zero_potential)
 from .spectra import (HamiltonianMatrix, PlaneWaveBasis, SpectrumResult,
                       assemble_hamiltonian, auto_cutoff, count_eigenvalues,
-                      cutoff_certificate, eigen_spectrum, eigen_system,
-                      truncation_tail_bound, weyl_count_report, weyl_volume)
-from .symbols import (PhaseSpaceFunction, bump_profile, kinetic_symbol,
-                      mechanical_symbol, product_symbol)
+                      eigen_spectrum, truncation_tail_bound, weyl_count_report,
+                      weyl_volume)
+from .symbols import (PhaseSpaceFunction, bump_profile, mechanical_symbol,
+                      product_symbol)
 from .weylquant import (WeylMatrix, cv_bound, projector_check, weyl_matrix,
                         wigner_pairing, wigner_transform)
-from .dynamics import (PhasePoint, SymplecticMap, energy_drift, flow,
-                       symplectic_defect, time_one_map, trajectory)
+from .dynamics import PhasePoint, SymplecticMap, symplectic_defect, time_one_map
 from .effective import (EffectiveTable, action_J, cell_problem_solve,
                         closed_form_table, effective_1d, effective_grid,
-                        infsup_upper, invariance_check, sublevel_set)
+                        invariance_check)
 from .propagation import egorov_residual, egorov_scaling, propagate
 from .isospectral import (IsospectralPair, Theorem2Report, bs_reconstruct,
-                          make_pair, pair_from_potentials, spectra_compare,
-                          theorem2_check, weyl_first_invariant)
+                          make_pair, spectra_compare, theorem2_check,
+                          weyl_first_invariant)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -35,19 +35,24 @@ _PI_FORM = re.compile(r"^([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?$")
 
 
 def _scalar(text: str) -> float:
-    """Parse '1.5', 'pi', '-pi/2', '2pi' and friends."""
+    """Parse '1.5', 'pi', '-pi/2', '2pi' and friends; a value that is not
+    finite, or a zero denominator, is refused with ValueError."""
     text = text.strip()
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    m = _PI_FORM.match(text)
-    if not m:
-        raise ValueError(f"cannot parse number {text!r}")
-    coeff = m.group(1)
-    num = float(coeff) if coeff not in ("", "+", "-") else (-1.0 if coeff == "-" else 1.0)
-    den = float(m.group(2)) if m.group(2) else 1.0
-    return num * math.pi / den
+        m = _PI_FORM.match(text)
+        if not m:
+            raise ValueError(f"cannot parse number {text!r}") from None
+        coeff = m.group(1)
+        num = float(coeff) if coeff not in ("", "+", "-") else (-1.0 if coeff == "-" else 1.0)
+        den = float(m.group(2)) if m.group(2) else 1.0
+        if den == 0.0:
+            raise ValueError(f"zero denominator in {text!r}")
+        value = num * math.pi / den
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def _float_list(text: str):

@@ -58,13 +58,6 @@ class PhasePoint:
             raise ValueError("position and momentum shapes differ")
 
 
-@dataclass(frozen=True)
-class FlowDiagnostics:
-    energy_drift: float
-    steps: int
-    scheme: str
-
-
 def _gradients(b: PhaseSpaceFunction):
     """(x, eta) -> (dH/dx, dH/deta) for a symbol without a vector_field:
     its grad_x/grad_eta pair when both are set, central differences of fn
@@ -163,43 +156,6 @@ def _step(h) -> float:
     return h
 
 
-def flow(b: PhaseSpaceFunction, z0: PhasePoint, t: float, h: float) -> PhasePoint:
-    """Flow z0 for time t with step h; 0 < h <= 1e-2."""
-    h = _step(h)
-    X = z0.x.reshape(1, -1)
-    P = z0.p.reshape(1, -1)
-    if X.shape[1] != b.dim:
-        raise ValueError("phase point dimension does not match the generator")
-    X, P = _flow_batch(b, X, P, float(t), h)
-    return PhasePoint(wrap_angles(X[0]), P[0])
-
-
-def trajectory(b: PhaseSpaceFunction, z0: PhasePoint, t: float, h: float):
-    """Sampled trajectory (times, X, P, energies) at every step."""
-    h = _step(h)
-    steps = max(1, int(round(abs(t) / h)))
-    dt = float(t) / steps
-    X = z0.x.reshape(1, -1).copy()
-    P = z0.p.reshape(1, -1).copy()
-    times = [0.0]
-    xs = [X[0].copy()]
-    ps = [P[0].copy()]
-    energies = [float(np.asarray(b.fn(X, P))[0])]
-    for k in range(steps):
-        X, P = _flow_batch(b, X, P, dt, h)
-        times.append((k + 1) * dt)
-        xs.append(wrap_angles(X[0]))
-        ps.append(P[0].copy())
-        energies.append(float(np.asarray(b.fn(X, P))[0]))
-    return (np.array(times), np.array(xs), np.array(ps), np.array(energies))
-
-
-def energy_drift(b: PhaseSpaceFunction, z0: PhasePoint, t: float, h: float) -> float:
-    """max_k |b(z_k) - b(z_0)| along the sampled trajectory."""
-    _, _, _, energies = trajectory(b, z0, t, h)
-    return float(np.max(np.abs(energies - energies[0])))
-
-
 @dataclass(frozen=True)
 class SymplecticMap:
     """Time-t map of a Hamiltonian generator, with its exact-inverse partner."""
@@ -218,6 +174,8 @@ class SymplecticMap:
         return wrap_angles(X), P
 
     def __call__(self, z: PhasePoint) -> PhasePoint:
+        if z.x.size != self.dim:
+            raise ValueError("phase point dimension does not match the generator")
         X, P = self.apply(z.x.reshape(1, -1), z.p.reshape(1, -1))
         return PhasePoint(X[0], P[0])
 
@@ -273,11 +231,3 @@ def symplectic_defect(phi: SymplecticMap, probes: int = 32, p_box: float = 3.0) 
     Z = np.concatenate([XF, PF], axis=1).reshape(probes, 2 * n, 2, 2 * n)
     jac = np.swapaxes((Z[:, :, 0] - Z[:, :, 1]) / (2 * step), 1, 2)
     return float(np.max(np.abs(np.linalg.det(jac) - 1.0)))
-
-
-def map_diagnostics(phi: SymplecticMap, z0: PhasePoint) -> FlowDiagnostics:
-    """Energy drift along one orbit plus the scheme actually used."""
-    drift = energy_drift(phi.generator, z0, phi.time, phi.h)
-    scheme = "verlet" if phi.generator.potential is not None else "rk4"
-    steps = max(1, int(round(abs(phi.time) / phi.h)))
-    return FlowDiagnostics(energy_drift=drift, steps=steps, scheme=scheme)

@@ -60,7 +60,7 @@ from scipy import interpolate, sparse
 from scipy.sparse.linalg import splu
 
 from .dynamics import compose_hamiltonian, symplectic_defect
-from .potentials import TWO_PI, FourierPotential, _grid_points, _trig_sum, potential_extrema
+from .potentials import TWO_PI, FourierPotential, _grid_points, potential_extrema
 from .spectra import _momentum_integral, _panels, _roots, write_csv
 from .symbols import PhaseSpaceFunction, mechanical_symbol
 
@@ -412,8 +412,13 @@ class _CellWorkspace:
                                  shape=(sym.size, sym.size)).tocsc()
 
     def newton_step(self, F, q, back):
-        """J^{-1} F from one LU factorization in elimination order."""
-        lu = splu(self.jacobian(q, back), permc_spec="NATURAL", diag_pivot_thresh=0.01)
+        """J^{-1} F from one LU factorization in elimination order; a
+        Jacobian that SuperLU finds singular raises CellConvergenceError."""
+        try:
+            lu = splu(self.jacobian(q, back), permc_spec="NATURAL", diag_pivot_thresh=0.01)
+        except RuntimeError as exc:     # "Factor is exactly singular"
+            raise CellConvergenceError(f"Newton Jacobian at delta={self.delta}: {exc}",
+                                       float(np.max(np.abs(F)))) from exc
         return lu.solve(F[self.sym.order])[self.sym.rank]
 
     def floor(self, u, q):
@@ -507,9 +512,11 @@ def _solve_on(sym: _GridSymbol, P, p_range=None) -> CellSolution:
         u, res, floor, steps = ws.newton((u - mean) + mean * (prev_delta / delta))
         total += steps
         tol = max(_TOL, 100.0 * floor)
-        if not res <= tol:     # a NaN residual fails too
+        # a NaN residual fails too, and so does an overflowed rounding floor
+        if not res <= tol < math.inf:
             raise CellConvergenceError(
-                f"cell residual {res:.3e} above {tol:.3e} at delta={delta}", res)
+                f"cell residual {res:.3e} not within the finite tolerance {tol:.3e} "
+                f"at delta={delta}", res)
         c_values.append(-delta * float(np.mean(u)))
 
     (d1, d2), (c1, c2) = _DELTAS[-2:], c_values[-2:]
@@ -525,7 +532,7 @@ def _solve_on(sym: _GridSymbol, P, p_range=None) -> CellSolution:
 
 
 # ---------------------------------------------------------------------------
-# tables, certificates, sublevel sets
+# tables and certificates
 # ---------------------------------------------------------------------------
 
 
@@ -673,111 +680,9 @@ def effective_grid(pot: FourierPotential, p_max: float, dp: float, method: str,
     raise ValueError(f"unknown method {method!r}")
 
 
-@dataclass(frozen=True)
-class SublevelSet:
-    points: np.ndarray
-    empty: bool
-    convex_certified: bool
-
-
-def _shifted(flags: np.ndarray, step) -> np.ndarray:
-    """out[x] = flags[x - step], False where x - step is off the grid."""
-    out = np.zeros_like(flags)
-    dst, src = [], []
-    for s, m in zip(step, flags.shape):
-        if abs(s) >= m:
-            return out
-        dst.append(slice(max(s, 0), m + min(s, 0)))
-        src.append(slice(max(-s, 0), m - max(s, 0)))
-    out[tuple(dst)] = flags[tuple(src)]
-    return out
-
-
-def _flanked(flags: np.ndarray, v) -> np.ndarray:
-    """Cells with a member of ``flags`` on either side of them along v."""
-    v = np.asarray(v)
-    before, after = np.zeros_like(flags), np.zeros_like(flags)
-    for k in range(1, max(flags.shape)):
-        before |= _shifted(flags, k * v)
-        after |= _shifted(flags, -k * v)
-    return before & after
-
-
-def sublevel_set(table: EffectiveTable, energy: float) -> SublevelSet:
-    """Grid points with Hbar <= E, certified convex as a discrete set.
-
-    The certificate asks, for every primitive lattice direction v, that the
-    members on each grid line parallel to v form one contiguous run: a
-    non-member with members on both sides of it along v voids it.  This is
-    the same as asking every lattice point on the segment between two
-    members to be a member.  A line that holds a hole holds at least three
-    points, so v only ranges over |v_i| <= (m_i - 1) // 2.
-    """
-    energy = float(energy)
-    flags = table.values <= energy
-    coords = np.argwhere(flags)
-    if coords.size == 0:
-        return SublevelSet(points=np.empty((0, table.dim)), empty=True,
-                           convex_certified=True)
-    reach = [(m - 1) // 2 for m in flags.shape]
-    convex = not any(np.any(_flanked(flags, v) & ~flags) for v in _directions(reach))
-    pts = np.stack([np.asarray(table.axes[i])[coords[:, i]]
-                    for i in range(table.dim)], axis=-1)
-    return SublevelSet(points=pts, empty=False, convex_certified=convex)
-
-
 # ---------------------------------------------------------------------------
-# variational upper bound and symplectic invariance
+# symplectic invariance
 # ---------------------------------------------------------------------------
-
-
-def infsup_upper(H: PhaseSpaceFunction, P, bandwidth: int = 3) -> float:
-    """Upper bound inf_v sup_x H(x, P + grad v) over trig polynomials v.
-
-    Derivative-free coordinate descent with a shrinking step over the
-    cosine/sine coefficients up to the given bandwidth, at most 400 sweeps
-    over a 128-point grid per axis; the incumbent is always returned, so the
-    result is an upper bound for the grid-restricted objective whatever the
-    sweep budget.
-    """
-    if bandwidth < 1 or bandwidth > 4:
-        raise ValueError("bandwidth must lie in 1..4")
-    n = H.dim
-    P = np.atleast_1d(np.asarray(P, dtype=float))
-    pts = _grid_points([np.arange(128) * (TWO_PI / 128)] * n)
-
-    qs = np.array([q for q in itertools.product(range(-bandwidth, bandwidth + 1), repeat=n)
-                   if any(q) and q > tuple(-v for v in q)], dtype=float)
-    # gradient harmonics of v = sum a_k cos(q_k.x) + b_k sin(q_k.x): the
-    # coefficient pair (a, b) of q enters grad v with weight iq (a - ib)
-    unit = np.eye(len(qs))
-    pairs = np.stack([1j * unit, unit], axis=-1).reshape(len(qs), -1)   # theta = a0, b0, a1, ...
-    weights = (pairs[:, :, None] * qs[:, None, :]).reshape(len(qs), -1)
-    harmonics = _trig_sum(pts, qs, weights).reshape(len(pts), -1, n).transpose(1, 0, 2).copy()
-
-    def objective(theta):
-        g = np.tensordot(theta, harmonics, axes=1)
-        vals = np.asarray(H.fn(pts, g + P[None, :]))
-        return float(np.max(vals))
-
-    theta = np.zeros(2 * len(qs))
-    best = objective(theta)
-    step = 0.5
-    sweeps = 0
-    while step > 1e-4 and sweeps < 400:
-        improved = False
-        for k in range(theta.size):
-            for sgn in (1.0, -1.0):
-                trial = theta.copy()
-                trial[k] += sgn * step
-                val = objective(trial)
-                if val < best - 1e-14:
-                    theta, best = trial, val
-                    improved = True
-        sweeps += 1
-        if not improved:
-            step *= 0.5
-    return best
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .spectra import SpectrumResult, assemble_hamiltonian, eigen_spectrum, write
 from .symbols import mechanical_symbol
 
 _PROBE_TOL = 1e-10
-_MATCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,6 @@ class IsospectralPair:
     left: FourierPotential
     right: FourierPotential
     relation: str
-    verified: bool
 
 
 def _probe_defect(left: FourierPotential, right: FourierPotential,
@@ -66,47 +64,7 @@ def make_pair(pot: FourierPotential, relation: str, shift=None) -> IsospectralPa
     defect = _probe_defect(pot, right, relation, shift)
     if defect > _PROBE_TOL:
         raise ArithmeticError(f"pair construction probe defect {defect:.3e}")
-    return IsospectralPair(left=pot, right=right, relation=relation, verified=True)
-
-
-def pair_from_potentials(left: FourierPotential, right: FourierPotential) -> IsospectralPair:
-    """Wrap two given potentials, detecting a translation/reflection if any.
-
-    The detection solves c_R(q) = c_L(q) exp(i q.a) for a common shift a
-    (optionally after reflecting).  If neither fits, the pair is returned
-    with verified=False: spectra may still be compared, but equality is a
-    hypothesis, not a certificate.
-    """
-    if left.dim != right.dim:
-        raise ValueError("dimensions differ")
-
-    def sup_defect(a: FourierPotential, b: FourierPotential) -> float:
-        rng = np.random.default_rng(11)
-        x = rng.uniform(0.0, TWO_PI, size=(64, a.dim))
-        return float(np.max(np.abs(a.evaluate(x) - b.evaluate(x))))
-
-    def try_shift(base: FourierPotential) -> Optional[np.ndarray]:
-        # read the shift off single-axis frequencies, then verify globally
-        shift = np.zeros(base.dim)
-        for i in range(base.dim):
-            for q, c in base.items():
-                if q[i] == 0 or any(q[j] for j in range(base.dim) if j != i):
-                    continue
-                cr = right.coefficient(q)
-                if abs(c) < 1e-13 or abs(cr) < 1e-13:
-                    continue
-                shift[i] = np.angle(cr / c) / q[i]
-                break
-        cand = base.translate(shift)
-        return shift if sup_defect(cand, right) <= _MATCH_TOL else None
-
-    shift = try_shift(left)
-    if shift is not None:
-        return IsospectralPair(left, right, "translate", verified=True)
-    shift = try_shift(left.reflect())
-    if shift is not None:
-        return IsospectralPair(left, right, "compose", verified=True)
-    return IsospectralPair(left, right, "unknown", verified=False)
+    return IsospectralPair(left=pot, right=right, relation=relation)
 
 
 def spectra_compare(a: SpectrumResult, b: SpectrumResult,

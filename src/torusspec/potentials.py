@@ -72,10 +72,11 @@ def _real_part(vals):
 
 
 def _as_freq(q, dim: int) -> tuple:
-    if np.isscalar(q):
-        qt = (int(q),)
-    else:
-        qt = tuple(int(v) for v in q)
+    """q as a tuple of dim ints; a component that is not an integer is refused."""
+    comps = (q,) if np.isscalar(q) else tuple(q)
+    qt = tuple(int(v) for v in comps)
+    if qt != comps:
+        raise ValueError(f"frequency {list(comps)} has a component that is not an integer")
     if len(qt) != dim:
         raise ValueError(f"frequency {qt} does not match dimension {dim}")
     return qt
@@ -362,14 +363,21 @@ def potential_from_dict(data: dict) -> FourierPotential:
     try:
         dim = int(data["dim"])
         entries = data["coeffs"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError("potential file must carry 'dim' and 'coeffs'") from exc
+    if dim != data["dim"]:
+        raise ValueError(f"dim {data['dim']!r} is not an integer")
     coeffs = {}
-    for entry in entries:
-        q = _as_freq(entry["q"], dim)
-        if max(abs(v) for v in q) > MAX_FILE_FREQUENCY:
-            raise ValueError(f"frequency {q} beyond the supported band |q|<= {MAX_FILE_FREQUENCY}")
-        coeffs[q] = coeffs.get(q, 0.0j) + complex(float(entry["re"]), float(entry.get("im", 0.0)))
+    try:
+        for entry in entries:
+            q = _as_freq(entry["q"], dim)
+            if max(abs(v) for v in q) > MAX_FILE_FREQUENCY:
+                raise ValueError(
+                    f"frequency {q} beyond the supported band |q|<= {MAX_FILE_FREQUENCY}")
+            coeffs[q] = coeffs.get(q, 0.0j) + complex(float(entry["re"]),
+                                                      float(entry.get("im", 0.0)))
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed potential entry ({type(exc).__name__}: {exc})") from exc
     return FourierPotential(dim, coeffs)
 
 

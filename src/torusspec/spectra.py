@@ -38,7 +38,6 @@ from scipy.optimize.elementwise import find_root
 from .potentials import TWO_PI, FourierPotential, _grid_points, potential_extrema, sup_norm
 
 _HERM_TOL = 1e-12
-_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -175,30 +174,14 @@ def _trusted_energy(hbar: float, K: int) -> float:
     return hbar * hbar * (K + 1) ** 2 / 4.0
 
 
-def _spectrum_from(mat: HamiltonianMatrix, eigenvalues: np.ndarray) -> SpectrumResult:
-    e_trust = _trusted_energy(mat.hbar, mat.basis.cutoff)
-    try:
-        tail = truncation_tail_bound(mat.potential, mat.hbar, mat.basis.cutoff, e_trust)
-    except ValueError:
-        tail = math.inf
-    return SpectrumResult(
-        hbar=mat.hbar,
-        cutoff=mat.basis.cutoff,
-        eigenvalues=np.sort(eigenvalues.real),
-        trusted_energy=e_trust,
-        tail_bound=tail,
-    )
-
-
-def _require_symmetric(mat: HamiltonianMatrix, time_reversal: bool = False) -> None:
-    """Refuse a matrix that is not Hermitian or, with time_reversal, whose
-    J H J differs from conj(H), each past _HERM_TOL max(1, max|H|)."""
+def _require_symmetric(mat: HamiltonianMatrix) -> None:
+    """Refuse a matrix that is not Hermitian or whose J H J differs from
+    conj(H), each past _HERM_TOL max(1, max|H|)."""
     m = mat.matrix
     allowed = _HERM_TOL * max(1.0, _strip_max(m, lambda r: np.abs(m[r])))
-    checks = [("Hermitian", mat.hermitian_defect)]
-    if time_reversal:
-        checks.append(("time-reversal symmetric (J H J = conj H)", mat.time_reversal_defect))
-    for name, defect in checks:
+    for name, defect in (("Hermitian", mat.hermitian_defect),
+                         ("time-reversal symmetric (J H J = conj H)",
+                          mat.time_reversal_defect)):
         value = defect()
         if value > allowed:
             raise ValueError(f"matrix is not {name} (defect {value:.3e})")
@@ -239,19 +222,15 @@ def eigen_spectrum(mat: HamiltonianMatrix) -> SpectrumResult:
     assemble_hamiltonian builds passes the second check whenever it passes
     the first, with the same defect.
     """
-    _require_symmetric(mat, time_reversal=True)
-    return _spectrum_from(mat, np.linalg.eigvalsh(_real_form(mat.matrix)))
-
-
-def eigen_system(mat: HamiltonianMatrix):
-    """Eigenvalues and eigenvectors, with a residual check on every pair."""
     _require_symmetric(mat)
-    vals, vecs = np.linalg.eigh(mat.matrix)
-    residual = np.max(np.abs(mat.matrix @ vecs - vecs * vals[None, :]), axis=0)
-    allowed = _RESIDUAL_TOL * (1.0 + np.abs(vals))
-    if np.any(residual > allowed):
-        raise ArithmeticError("eigenpair residual beyond tolerance")
-    return _spectrum_from(mat, vals), vecs
+    eigenvalues = np.linalg.eigvalsh(_real_form(mat.matrix))
+    e_trust = _trusted_energy(mat.hbar, mat.basis.cutoff)
+    try:
+        tail = truncation_tail_bound(mat.potential, mat.hbar, mat.basis.cutoff, e_trust)
+    except ValueError:
+        tail = math.inf
+    return SpectrumResult(hbar=mat.hbar, cutoff=mat.basis.cutoff, eigenvalues=eigenvalues,
+                          trusted_energy=e_trust, tail_bound=tail)
 
 
 # -- truncation control --------------------------------------------------
@@ -293,54 +272,6 @@ def truncation_tail_bound(pot: FourierPotential, hbar: float, K: int, energy: fl
     # shells |k|_inf = m carry 8m points and |k|^2 >= m^2 on each
     total += 4.0 * norm * norm / (a * (a * cap * cap - energy))
     return total
-
-
-@dataclass(frozen=True)
-class CutoffCertificate:
-    """Constants of the exponential mode-reduction estimate, for reporting.
-
-    g_cutoff is the number of retained modes demanded by the estimate; it is
-    astronomically large for small hbar, which is why runs use a user cutoff
-    plus the a-posteriori tail bound instead.
-    """
-
-    energy_scale: float
-    c_bar: float
-    constant: float
-    g_cutoff: float
-    tail_at_quarter: float
-
-
-def cutoff_certificate(pot: FourierPotential, energy_scale: float, hbar: float) -> CutoffCertificate:
-    """Constants C(b) = ||V|| * Cbar(b) * (sum |k|^-3)^(1/2) and the cutoff g."""
-    b = float(energy_scale)
-    if b <= 0:
-        raise ValueError("energy scale must be positive")
-    hbar = float(hbar)
-    if not (0.0 < hbar <= 1.0):
-        raise ValueError("hbar out of range (0, 1]")
-    # sup over 0 < h <= 1 of h^-2 exp(-1/(2h)) is at h = 1/4
-    sup_h = 16.0 * math.exp(-2.0)
-    c_bar = 4.0 * (2.0 * b) ** (-0.5) * sup_h
-    n = pot.dim
-    if n == 1:
-        zsum = 2.0 * sum(1.0 / k ** 3 for k in range(1, 200_000))
-    else:
-        cap = 400
-        axis = np.arange(-cap, cap + 1)
-        grids = np.meshgrid(*([axis] * n), indexing="ij")
-        r = np.sqrt(sum(g.astype(float) ** 2 for g in grids))
-        r[r == 0] = np.inf
-        zsum = float(np.sum(r ** -3.0))
-    norm = sup_norm(pot)
-    constant = norm * c_bar * math.sqrt(zsum)
-    return CutoffCertificate(
-        energy_scale=b,
-        c_bar=c_bar,
-        constant=constant,
-        g_cutoff=2.0 * b * hbar ** -2 * math.exp(1.0 / hbar),
-        tail_at_quarter=constant * math.exp(-1.0 / (4.0 * hbar)),
-    )
 
 
 def auto_cutoff(pot: FourierPotential, hbar: float, energy: float) -> int:

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .potentials import FourierPotential, zero_potential
+from .potentials import FourierPotential
 
 
 @dataclass
@@ -94,11 +94,6 @@ def mechanical_symbol(pot: FourierPotential) -> PhaseSpaceFunction:
         dim=dim, fn=fn, x_bandwidth=pot.max_frequency, x_fourier=xf,
         vector_field=vf, potential=pot,
     )
-
-
-def kinetic_symbol(dim: int = 1) -> PhaseSpaceFunction:
-    """b(x, eta) = |eta|^2 / 2 (free motion generator)."""
-    return mechanical_symbol(zero_potential(dim))
 
 
 def product_symbol(pot: FourierPotential, eta_fn: Callable) -> PhaseSpaceFunction:

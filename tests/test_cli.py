@@ -148,6 +148,18 @@ def test_cell_nonconvergence_exits_3(pots, tmp_path, monkeypatch):
     assert err["error"] == "CellConvergenceError"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("p", ["1e15", "1e308"])
+def test_cell_solve_at_huge_momentum_exits_3(pots, tmp_path, p):
+    # 1e15: a singular Newton Jacobian; 1e308: an overflowed rounding floor
+    out = tmp_path / "run"
+    rc = main(["cell-solve", "--potential", pots["cos"], "--p", p, "--grid", "64",
+               "--out", str(out)])
+    assert rc == 3
+    assert json.loads((out / "error.json").read_text())["error"] == "CellConvergenceError"
+    assert not (out / "cell.csv").exists()
+
+
 def test_config_defaults_flags_override(pots, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"K": "2"}))
@@ -345,6 +357,18 @@ _NAN_FLAGS = {
     "nan-dp": ["--pmax", "1", "--dp", "nan"],
     "nan-t": ["--hbar", "0.5", "--K", "8", "--t", "nan"],
     "nan-plateau": ["--hbar", "0.5", "--K", "8", "--plateau", "nan"],
+    "inf-t": ["--hbar", "0.5,0.25", "--K", "8", "--t", "inf"],
+    "zero-den-t": ["--hbar", "0.5,0.25", "--K", "8", "--t", "pi/0"],
+    "zero-den-hbar": ["--hbar", "pi/0", "--K", "8"],
+    "inf-energy": ["--hbar", "0.5", "--energy", "inf"],
+    "inf-pmax": ["--pmax", "inf", "--dp", "0.5"],
+}
+
+# a potential file that is not a list of {"q": integer vector, "re", "im"}
+_BAD_POTENTIALS = {
+    "coeffs-not-a-list": {"dim": 1, "coeffs": 5},
+    "entry-not-an-object": {"dim": 1, "coeffs": [[1, 2]]},
+    "fractional-q": {"dim": 1, "coeffs": [{"q": [1.5], "re": 0.5}, {"q": [-1.5], "re": 0.5}]},
 }
 
 # a --config file that cannot be used: its content (None: no file) and the error
@@ -364,6 +388,12 @@ _CONFIGS = {
     ("effective", "nan-dp"),
     ("egorov", "nan-t"),
     ("egorov", "nan-plateau"),
+    ("egorov", "inf-t"),
+    ("egorov", "zero-den-t"),
+    ("spectrum", "zero-den-hbar"),
+    ("spectrum", "inf-energy"),
+    ("effective", "inf-pmax"),
+    *[("spectrum", case) for case in _BAD_POTENTIALS],
     ("spectrum", "config-missing"),
     ("spectrum", "config-list"),
 ])
@@ -375,6 +405,10 @@ def test_missing_and_non_finite_input_exit_2(pots, tmp_path, command, case):
     elif case in _NAN_FLAGS:
         args = [command, "--potential", pots["cos"], *_NAN_FLAGS[case],
                 "--out", str(tmp_path / "run")]
+    elif case in _BAD_POTENTIALS:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_BAD_POTENTIALS[case]))
+        args += ["--potential", str(bad)]
     elif case in _CONFIGS:
         content, error = _CONFIGS[case]
         cfg = tmp_path / "config.json"

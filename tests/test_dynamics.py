@@ -8,12 +8,11 @@ import pytest
 
 from torusspec import dynamics, potentials, symbols
 from torusspec.dynamics import (FlowEscapeError, PhasePoint, SymplecticMap,
-                                _flow_batch, compose_hamiltonian, energy_drift, flow,
-                                map_diagnostics, symplectic_defect, time_one_map,
-                                trajectory)
-from torusspec.potentials import FourierPotential, TWO_PI, cosine, sine
+                                _flow_batch, compose_hamiltonian, symplectic_defect,
+                                time_one_map)
+from torusspec.potentials import FourierPotential, TWO_PI, cosine, sine, zero_potential
 from torusspec.symbols import (PhaseSpaceFunction, _central_difference, bump_profile,
-                               kinetic_symbol, mechanical_symbol, product_symbol)
+                               mechanical_symbol, product_symbol)
 
 # generator 0.1 sin(x) cut off in momentum; on the plateau the time-1 flow is
 # the exact shear (x, p) -> (x, p - 0.1 cos x)
@@ -24,26 +23,42 @@ def _shear_map():
     return time_one_map(product_symbol(_SHEAR_POT, bump_profile(3.0, 6.0)), 1e-2)
 
 
+def _free(dim=1):
+    return mechanical_symbol(zero_potential(dim))
+
+
+def _energies(b, z0, t, h):
+    """b along the orbit of z0, sampled after every step of h."""
+    steps = max(1, int(round(abs(t) / h)))
+    X, P = z0.x.reshape(1, -1), z0.p.reshape(1, -1)
+    energies = [b.fn(X, P)[0]]
+    for _ in range(steps):
+        X, P = _flow_batch(b, X, P, t / steps, h)
+        energies.append(b.fn(X, P)[0])
+    return np.array(energies)
+
+
 def test_free_flow_is_exact_drift():
-    z = flow(kinetic_symbol(1), PhasePoint(1.0, 0.7), 1.0, 1e-2)
+    z = time_one_map(_free(), 1e-2)(PhasePoint(1.0, 0.7))
     assert abs(z.x[0] - 1.7) < 1e-12
     assert z.p[0] == 0.7
 
 
 def test_flow_wraps_position():
-    z = flow(kinetic_symbol(1), PhasePoint(6.0, 1.0), 1.0, 1e-2)
+    z = time_one_map(_free(), 1e-2)(PhasePoint(6.0, 1.0))
     assert 0.0 <= z.x[0] < TWO_PI
     assert abs(z.x[0] - (7.0 - TWO_PI)) < 1e-12
 
 
 def test_pendulum_energy_drift_small():
     H = mechanical_symbol(cosine((1,)))
-    drift = energy_drift(H, PhasePoint(0.3, 1.2), 10.0, 1e-2)
-    assert 0.0 < drift < 1e-3
+    energies = _energies(H, PhasePoint(0.3, 1.2), 10.0, 1e-2)
+    assert 0.0 < np.max(np.abs(energies - energies[0])) < 1e-3
 
 
 def test_free_energy_drift_zero():
-    assert energy_drift(kinetic_symbol(1), PhasePoint(0.3, 1.2), 2.0, 1e-2) == 0.0
+    energies = _energies(_free(), PhasePoint(0.3, 1.2), 2.0, 1e-2)
+    assert np.max(np.abs(energies - energies[0])) == 0.0
 
 
 def test_flow_reversibility():
@@ -56,13 +71,9 @@ def test_flow_reversibility():
 
 
 def test_step_size_validation():
-    H = kinetic_symbol(1)
-    with pytest.raises(ValueError):
-        flow(H, PhasePoint(0.0, 0.0), 1.0, 0.0)
-    with pytest.raises(ValueError):
-        flow(H, PhasePoint(0.0, 0.0), 1.0, 0.02)
-    with pytest.raises(ValueError):
-        time_one_map(H, 0.02)
+    for h in (0.0, 0.02):
+        with pytest.raises(ValueError):
+            time_one_map(_free(), h)
 
 
 def test_phase_point_validation():
@@ -73,14 +84,12 @@ def test_phase_point_validation():
 
 def test_flow_dimension_mismatch():
     with pytest.raises(ValueError):
-        flow(kinetic_symbol(1), PhasePoint([1.0, 2.0], [0.0, 0.0]), 1.0, 1e-2)
+        time_one_map(_free(), 1e-2)(PhasePoint([1.0, 2.0], [0.0, 0.0]))
 
 
 def test_trajectory_sampling():
-    H = mechanical_symbol(cosine((1,)))
-    times, xs, ps, energies = trajectory(H, PhasePoint(0.3, 1.2), 0.5, 1e-2)
-    assert times.shape == (51,) and xs.shape == (51, 1) and ps.shape == (51, 1)
-    assert times[-1] == pytest.approx(0.5)
+    energies = _energies(mechanical_symbol(cosine((1,))), PhasePoint(0.3, 1.2), 0.5, 1e-2)
+    assert energies.shape == (51,)
     assert np.max(np.abs(energies - energies[0])) < 1e-4
 
 
@@ -129,22 +138,24 @@ def test_symplectic_defect_matches_per_probe_loop():
 def test_flow_escape_detected():
     H = mechanical_symbol(cosine((1,)) * 1e6)
     with pytest.raises(FlowEscapeError):
-        flow(H, PhasePoint(1.0, 0.0), 1.0, 1e-2)
+        time_one_map(H, 1e-2)(PhasePoint(1.0, 0.0))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("z0", [PhasePoint(0.0, math.nan), PhasePoint(math.inf, 0.0)])
 def test_flow_of_non_finite_point_refused(z0):
     with pytest.raises(FlowEscapeError):
-        flow(mechanical_symbol(cosine((1,))), z0, 1.0, 1e-2)
+        time_one_map(mechanical_symbol(cosine((1,))), 1e-2)(z0)
 
 
-def test_map_diagnostics_scheme_selection():
-    pend = map_diagnostics(time_one_map(mechanical_symbol(cosine((1,))), 1e-2),
-                           PhasePoint(0.3, 1.2))
-    assert pend.scheme == "verlet" and pend.steps == 100
-    shear = map_diagnostics(_shear_map(), PhasePoint(0.3, 0.5))
-    assert shear.scheme == "rk4"
+def test_mechanical_generators_take_verlet_and_others_rk4():
+    # Verlet reads grad V itself; RK4 calls the vector field once per stage,
+    # four times in each of the 100 steps for a point in the cutoff's band
+    for b, calls in ((mechanical_symbol(cosine((1,))), 0), (_shear_map().generator, 400)):
+        field, seen = b.vector_field, []
+        b.vector_field = lambda x, eta: seen.append(1) or field(x, eta)
+        time_one_map(b, 1e-2)(PhasePoint(0.3, 4.5))
+        assert len(seen) == calls
 
 
 def test_rk4_with_central_difference_gradients_matches_analytic():
@@ -303,7 +314,7 @@ def test_builtin_symbols_flow_without_central_differences(monkeypatch):
     for dim in (1, 2):
         X, P = _band_batch(dim)
         pot = cosine((1,) * dim, 0.2)
-        for b in (mechanical_symbol(pot), kinetic_symbol(dim),
+        for b in (mechanical_symbol(pot), _free(dim),
                   product_symbol(pot, bump_profile(3.0, 6.0))):
             for scheme in (None, "rk4"):
                 _flow_batch(b, X, P, 0.1, 1e-2, scheme=scheme)

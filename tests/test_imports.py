@@ -1,11 +1,16 @@
 """Lint of the library sources: imports sit at module level and are used by
-their module, every parameter of a def is read by its body, and every
-private module-level name is read by some module of the package."""
+their module, every parameter of a def is read by its body, every private
+module-level name is read by some module of the package, and every exported
+name is read by the package, an acceptance criterion or a bench workload."""
 
 import ast
+import inspect
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "torusspec"
+import torusspec
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "torusspec"
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -110,3 +115,27 @@ def test_no_unread_private_module_names():
     unread = {name: sorted(_private_definitions(tree) - read)
               for name, tree in trees.items()}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def _reads_outside_own_definition(tree: ast.Module) -> set:
+    """Names tree loads or reads as attributes, leaving out what a
+    module-level def or class reads of its own name."""
+    read = set()
+    for node in tree.body:
+        names = {n.id for n in ast.walk(node)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        read |= names - {getattr(node, "name", None)}
+    return read
+
+
+def test_every_exported_name_is_read():
+    # a name that only its own unit tests reach is API nothing uses
+    paths = [*sorted(SRC.glob("*.py")), ROOT / "tests" / "test_acceptance.py",
+             ROOT / "bench" / "workloads.py"]
+    read = set()
+    for path in paths:
+        read |= _reads_outside_own_definition(ast.parse(path.read_text(encoding="utf-8")))
+    exported = {name for name in torusspec.__all__
+                if not inspect.ismodule(getattr(torusspec, name))}
+    assert sorted(exported - read) == []

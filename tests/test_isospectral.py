@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from torusspec.isospectral import (BSReconstruction, IsospectralPair, bs_reconstruct,
-                                   make_pair, pair_from_potentials, spectra_compare,
-                                   theorem2_check, weyl_first_invariant, write_bs_csv)
+                                   make_pair, spectra_compare, theorem2_check,
+                                   weyl_first_invariant, write_bs_csv)
 from torusspec.potentials import FourierPotential, TWO_PI, cosine, zero_potential
 from torusspec.spectra import assemble_hamiltonian, eigen_spectrum
 
@@ -21,7 +21,7 @@ def _free_spec(hbar, K):
 
 def test_make_pair_translate():
     pair = make_pair(ASYM, "translate", math.pi / 3.0)
-    assert pair.verified and pair.relation == "translate"
+    assert pair.relation == "translate"
     xs = np.linspace(0.0, TWO_PI, 17)
     assert np.max(np.abs(pair.right.evaluate(xs) - ASYM.evaluate(xs + math.pi / 3.0))) < 1e-12
 
@@ -29,7 +29,7 @@ def test_make_pair_translate():
 def test_make_pair_reflect_and_compose():
     for relation, shift in (("reflect", None), ("compose", 0.7)):
         pair = make_pair(ASYM, relation, shift)
-        assert pair.verified and pair.relation == relation
+        assert pair.relation == relation
 
 
 def test_make_pair_validation():
@@ -37,15 +37,6 @@ def test_make_pair_validation():
         make_pair(ASYM, "translate")
     with pytest.raises(ValueError):
         make_pair(ASYM, "rotate", 1.0)
-
-
-def test_pair_detection():
-    pair = pair_from_potentials(ASYM, ASYM.translate(0.7))
-    assert pair.verified and pair.relation == "translate"
-    pair = pair_from_potentials(ASYM, ASYM.reflect())
-    assert pair.verified and pair.relation == "compose"
-    pair = pair_from_potentials(ASYM, ASYM * 1.1)
-    assert not pair.verified and pair.relation == "unknown"
 
 
 def test_spectra_compare_windows():
@@ -77,7 +68,7 @@ def test_theorem2_cell_method_consistent():
 
 
 def test_theorem2_flags_violation():
-    pair = IsospectralPair(cosine((1,)), cosine((1,)) * 1.1, "unknown", False)
+    pair = IsospectralPair(cosine((1,)), cosine((1,)) * 1.1, "unknown")
     rep = theorem2_check(pair, hbars=(0.5,), cutoff=8, p_values=(2.0,))
     assert rep.verdict == "violated"
 

@@ -222,10 +222,19 @@ def test_serialization_round_trip(tmp_path):
     assert "dim" in data
 
 
-def test_load_rejects_garbage(tmp_path):
+@pytest.mark.parametrize("data", [
+    {"dim": 1},
+    {"dim": 1.5, "coeffs": []},
+    {"dim": 1, "coeffs": 5},
+    {"dim": 1, "coeffs": [[1, 2]]},
+    {"dim": 1, "coeffs": [{"q": [1]}]},
+    {"dim": 1, "coeffs": [{"q": [1.5], "re": 0.5}, {"q": [-1.5], "re": 0.5}]},
+], ids=["no-coeffs", "fractional-dim", "coeffs-not-a-list", "entry-not-an-object",
+        "entry-without-re", "fractional-q"])
+def test_load_rejects_garbage(tmp_path, data):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"dim": 1}))
-    with pytest.raises((ValueError, KeyError)):
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError):
         load_potential(path)
 
 

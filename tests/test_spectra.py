@@ -13,9 +13,9 @@ from torusspec import spectra
 from torusspec.potentials import (FourierPotential, TWO_PI, cosine, potential_extrema,
                                   zero_potential)
 from torusspec.spectra import (FLOAT_FMT, PlaneWaveBasis, assemble_hamiltonian,
-                               auto_cutoff, count_eigenvalues, cutoff_certificate,
-                               eigen_spectrum, eigen_system, truncation_tail_bound,
-                               weyl_count_report, weyl_volume, write_spectrum_csv)
+                               auto_cutoff, count_eigenvalues, eigen_spectrum,
+                               truncation_tail_bound, weyl_count_report, weyl_volume,
+                               write_spectrum_csv)
 
 
 def test_basis_enumeration_1d():
@@ -101,14 +101,6 @@ def test_hbar_range_validated():
         assemble_hamiltonian(zero_potential(1), 1.5, 4)
 
 
-def test_eigen_system_residuals():
-    mat = assemble_hamiltonian(cosine((1,)), 0.5, 10)
-    spec, vecs = eigen_system(mat)
-    k = 3
-    r = mat.matrix @ vecs[:, k] - spec.eigenvalues[k] * vecs[:, k]
-    assert np.linalg.norm(r) < 1e-10
-
-
 def _seeded_potential(dim, band, seed):
     # complex coefficients with c_q != c_{-q}: V is not even, so the cos and
     # sin blocks of the real form couple
@@ -157,7 +149,6 @@ def test_hermitian_matrix_that_breaks_time_reversal_is_refused():
     assert hand.hermitian_defect() == 0.0
     with pytest.raises(ValueError, match="time-reversal"):
         eigen_spectrum(hand)
-    eigen_system(hand)                              # Hermitian is all it needs
     broken[0, 1] += 1e-3
     with pytest.raises(ValueError, match="not Hermitian"):
         eigen_spectrum(hand)
@@ -219,14 +210,6 @@ def test_three_dimensional_tail_bound_is_refused():
 def test_tail_bound_zero_for_constant_potential():
     pot = FourierPotential(1, {(0,): 5.0})
     assert truncation_tail_bound(pot, 1.0, 8, 2.0) == 0.0
-
-
-def test_cutoff_certificate_reports():
-    cert = cutoff_certificate(cosine((1,)), 2.0, 0.5)
-    assert cert.constant > 0
-    assert cert.g_cutoff > cert.constant
-    assert cert.tail_at_quarter == pytest.approx(
-        cert.constant * math.exp(-1.0 / 2.0), rel=1e-12)
 
 
 def test_auto_cutoff_formula():
