@@ -16,19 +16,24 @@ dissipation (Crandall & Lions, Math. Comp. 43, 1984): per axis
 a = max(P_i + D-u, p*) and b = min(P_i + D+u, p*), p* the minimiser of
 H(x, .), and H taken at whichever gives the larger value (Osher & Shu, SIAM
 J. Numer. Anal. 28, 1991; Rouy & Tourin, SIAM J. Numer. Anal. 29, 1992 for
-|p|^2/2).  A vanishing discount delta*u is added and -delta*u_delta
-extrapolates linearly in delta to Hbar(P).  Each discounted residual is
-convex in u with an M-matrix Jacobian whose row sums are delta, so plain
-Newton converges; it starts from nested iteration (Brandt, Math. Comp. 31,
-1977): the first discount solved on the grid halved down to 32 nodes per
-axis, prolonged by periodic linear interpolation and solved again on each
-finer grid.  A discounted problem left above its tolerance is refused with
-CellConvergenceError; there is no second solver.  ``invariance_check`` runs
-the same scheme on H o phi, read from one interpolation table in p, strictly
-convex, that the check builds for all its P.  The table evaluates H o phi on
-a nested coarse x-grid, from 32 nodes or four times the x-band of V and of
-phi's generator, and resamples it onto the solver grid by trigonometric
-interpolation (``_GridSymbol.build_table``).
+|p|^2/2).  It solves the ergodic cell problem H_G(x, P + Du) = c, mean u = 0,
+for (u, c), and Hbar(P) is c (Gomes & Oberman, SIAM J. Control Optim. 43,
+2004; Cacace & Camilli, SIAM J. Sci. Comput. 38, 2016).  Newton factors the
+upwind Jacobian, an M-matrix with zero row sums, with a small diagonal
+shift; one LU gives J^-1 F and J^-1 1 > 0, and the mean condition fixes the
+step in c.  Nested iteration (Brandt, Math. Comp. 31, 1977) starts it: on
+the grid halved down to 32 nodes per axis one discounted problem
+delta u + H_G = 0, convex, gives u less its mean and c = -delta mean u; each
+level's solve is prolonged by periodic linear interpolation to the next.
+In 1D the upwind slopes solve p_i^2/2 + V(x_i) = c, so P = mean p_i is the
+trapezoid rule for J(c); on the plateau c is the largest nodal V.  A solve
+left above its tolerance is refused with CellConvergenceError; there is no
+second solver.  ``invariance_check`` runs the same scheme on H o phi, read
+from one interpolation table in p, strictly convex, that the check builds
+for all its P.  The table evaluates H o phi on a nested coarse x-grid, from
+32 nodes or four times the x-band of V and of phi's generator, and
+resamples it onto the solver grid by trigonometric interpolation
+(``_GridSymbol.build_table``).
 
 Each Newton step factors the Jacobian with SuperLU in a fixed geometric
 nested-dissection order of the grid (George, SIAM J. Numer. Anal. 10, 1973):
@@ -37,15 +42,15 @@ the periodic seam last, the open box before it bisected recursively.  On
 Rows pivot only when the diagonal falls below 0.01 of its column's largest
 entry.
 
-The scheme constants are fixed: discounts delta = 0.1, 0.03, 0.01 (Hbar
-extrapolates from the last two); Newton tolerance 1e-11 and discounted
-residual 1e-6 in sup-norm, each raised to 100 times the rounding floor
-eps (1 + max|u|) (delta + sum_i max|H_p_i| / h_i); at most 900 Newton steps
-per solve; interpolation tables padded by 2 in p with 256 nodes, resampled
-in x once a nested estimate is within 1e-10.  Table certificates hold to
-1e-6.  The fixed tolerances that consume these results live with their
-checks: ``theorem2_check`` (spectra 1e-8 (1+|E|), Hbar 5e-3) and
-``egorov_scaling`` (exact at 1e-8).
+The scheme constants are fixed: start discount delta = 0.1; Jacobian shift
+1e-3 (smaller ones stall H o phi table solves on the plateau); Newton
+tolerance 1e-11 and cell residual 1e-6 in sup-norm, each raised to 100 times
+the rounding floor eps ((1 + max|u|) sum_i max|H_p_i| / h_i + |c|); at most
+900 Newton steps per solve; interpolation tables padded by 2 in p with 256
+nodes, resampled in x once a nested estimate is within 1e-10.  Table
+certificates hold to 1e-6.  The fixed tolerances that consume these results
+live with their checks: ``theorem2_check`` (spectra 1e-8 (1+|E|), Hbar
+5e-3) and ``egorov_scaling`` (exact at 1e-8).
 """
 
 from __future__ import annotations
@@ -61,14 +66,15 @@ from scipy.sparse.linalg import splu
 
 from .dynamics import compose_hamiltonian, symplectic_defect
 from .potentials import TWO_PI, FourierPotential, _grid_points, potential_extrema
-from .spectra import _momentum_integral, _panels, _roots, write_csv
+from .spectra import _momentum_integral, _panels, _roots, _physical_memory, write_csv
 from .symbols import PhaseSpaceFunction, mechanical_symbol
 
 _MIN_GRID = 32
 
-# scheme constants of the discounted upwind solve (module docstring)
-_DELTAS = (1e-1, 3e-2, 1e-2)
-_TOL = 1e-6             # sup-norm of the discounted residual, or 100x its rounding floor
+# scheme constants of the ergodic upwind solve (module docstring)
+_START_DELTA = 0.1      # discount of the one solve that starts the coarsest level
+_SHIFT = 1e-3           # added to the Newton Jacobian's diagonal, not to the residual
+_TOL = 1e-6             # sup-norm of the cell residual, or 100x its rounding floor
 _NEWTON_TOL = 1e-11
 _TABLE_P_PAD = 2.0      # momentum padding of interpolation tables
 _TABLE_P_RES = 256
@@ -77,7 +83,8 @@ _CERT_TOL = 1e-6
 
 
 class CellConvergenceError(RuntimeError):
-    """Discounted cell problem failed to reach the residual tolerance."""
+    """Cell problem refused: its Newton Jacobian is singular, or the
+    residual missed its finite tolerance (``residual`` holds the miss)."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -167,13 +174,13 @@ class Corrector:
 class CellSolution:
     value: float
     corrector: Corrector
-    discount_values: tuple
+    level_values: tuple   # c on each nested level, coarse to fine; the last is value
     iterations: int       # Newton steps, each one sparse LU factorization
 
     def diagnostics(self) -> dict:
-        """P, Newton steps and discount values, as the CLI manifests hold them."""
+        """P, Newton steps and level values, as the CLI manifests hold them."""
         return {"P": self.corrector.P.tolist(), "iterations": self.iterations,
-                "discount_values": list(self.discount_values)}
+                "level_values": list(self.level_values)}
 
 
 _ND_LEAF = 16   # boxes of at most this many cells keep their natural order
@@ -372,8 +379,8 @@ class _GridSymbol:
 
 
 class _CellWorkspace:
-    """One discounted problem (P, discount) on the grid of ``sym``:
-    residual, Jacobian and Newton solve."""
+    """One problem (P, delta) on the grid of ``sym``: the discounted residual
+    delta u + H_G, its Jacobian, and the Newton solves that use them."""
 
     def __init__(self, sym: _GridSymbol, P, delta):
         self.sym = sym
@@ -390,11 +397,8 @@ class _CellWorkspace:
         back = sym.backward(a, b)
         return np.where(back, a, b), back
 
-    def residual(self, u, q=None):
-        """F(u) = delta u + H_G(x, P + Du), q the Godunov arguments of u
-        (formed here when not given)."""
-        if q is None:
-            q = self._upwind(u)[0]
+    def residual(self, u, q):
+        """F(u) = delta u + H_G(x, P + Du), q the Godunov arguments of u."""
         return self.delta * u + self.sym.value(q)
 
     def jacobian(self, q, back):
@@ -412,37 +416,52 @@ class _CellWorkspace:
                                  shape=(sym.size, sym.size)).tocsc()
 
     def newton_step(self, F, q, back):
-        """J^{-1} F from one LU factorization in elimination order; a
-        Jacobian that SuperLU finds singular raises CellConvergenceError."""
+        """J^{-1} F, F one right-hand side or columns of them, from one LU
+        factorization in elimination order; a Jacobian that SuperLU finds
+        singular raises CellConvergenceError with F's (first column's) norm."""
         try:
             lu = splu(self.jacobian(q, back), permc_spec="NATURAL", diag_pivot_thresh=0.01)
         except RuntimeError as exc:     # "Factor is exactly singular"
-            raise CellConvergenceError(f"Newton Jacobian at delta={self.delta}: {exc}",
-                                       float(np.max(np.abs(F)))) from exc
+            res = float(np.max(np.abs(F if F.ndim == 1 else F[:, 0])))
+            raise CellConvergenceError(f"Newton Jacobian on the grid of shape "
+                                       f"{self.sym.shape}: {exc}", res) from exc
         return lu.solve(F[self.sym.order])[self.sym.rank]
 
-    def floor(self, u, q):
-        """Rounding floor of the residual at u (Godunov arguments q), whose
-        mean is O(1/delta): eps (1 + max|u|) (delta + sum_i max|H_p_i| / h_i)."""
+    def floor(self, u, q, c=None):
+        """Rounding floor of the residual at u (Godunov arguments q): for the
+        discounted residual, whose mean is O(1/delta),
+        eps (1 + max|u|) (delta + sum_i max|H_p_i| / h_i); for the ergodic
+        residual H_G - c, eps ((1 + max|u|) sum_i max|H_p_i| / h_i + |c|)."""
         hp = np.max(np.abs(self.sym.slope(q)), axis=0)
-        return (np.finfo(float).eps * (1.0 + float(np.max(np.abs(u))))
-                * (self.delta + float(np.sum(hp / self.sym.hs))))
+        scale, slopes = 1.0 + float(np.max(np.abs(u))), float(np.sum(hp / self.sym.hs))
+        if c is None:
+            return np.finfo(float).eps * scale * (self.delta + slopes)
+        return np.finfo(float).eps * (scale * slopes + abs(c))
 
-    def newton(self, u):
-        """Plain Newton steps u <- u - J^{-1} F, at most 900, until the
-        sup-norm residual is within _NEWTON_TOL or 100 times its rounding
-        floor.  The Godunov arguments are formed once per iterate.  Returns
-        the iterate, its residual norm and rounding floor, and the steps
-        taken, each one LU factorization.  A NaN residual ends the loop at
-        once and is returned for the caller to refuse."""
+    def newton(self, u, c=None):
+        """Newton steps, at most 900, until the sup-norm residual is within
+        _NEWTON_TOL or 100 times its rounding floor.  Without c, on the
+        discounted problem: u <- u - J^{-1} F.  With c, on the ergodic
+        problem H_G(x, P + Du) = c, mean u = 0, where delta only shifts J's
+        diagonal: x = J^{-1} F and y = J^{-1} 1 from one LU,
+        dc = (mean u - mean x) / mean y, u <- u - x - dc y and c <- c - dc.
+        The Godunov arguments are formed once per iterate.  Returns the
+        iterate (u, or (u, c)), its residual norm and rounding floor, and
+        the steps taken, each one LU factorization.  A NaN residual ends the
+        loop at once and is returned for the caller to refuse."""
         steps = 0
         while True:
             q, back = self._upwind(u)
-            F = self.residual(u, q)
-            nrm, floor = float(np.max(np.abs(F))), self.floor(u, q)
+            F = self.residual(u, q) if c is None else self.sym.value(q) - c
+            nrm, floor = float(np.max(np.abs(F))), self.floor(u, q, c)
             if steps == 900 or not nrm > max(_NEWTON_TOL, 100.0 * floor):
-                return u, nrm, floor, steps
-            u = u - self.newton_step(F, q, back)
+                return (u if c is None else (u, c)), nrm, floor, steps
+            if c is None:
+                u = u - self.newton_step(F, q, back)
+            else:
+                x, y = self.newton_step(np.stack([F, np.ones_like(F)], axis=1), q, back).T
+                dc = (float(np.mean(u)) - float(np.mean(x))) / float(np.mean(y))
+                u, c = u - x - dc * y, c - dc
             steps += 1
 
 
@@ -456,34 +475,46 @@ def _prolong(u):
 
 
 def _nested_start(sym: _GridSymbol, P):
-    """Start of the discount cascade on the grid of ``sym``, and the Newton
-    steps it took: the first discount solved on the halved grid from its own
-    nested start and prolonged, or zeros where the grid halves no further."""
+    """Start (u, c) of the ergodic solve on the grid of ``sym``, the c of each
+    coarser level and the Newton steps taken: the ergodic solve on the
+    halved grid from its own nested start, prolonged; where the grid halves
+    no further, the _START_DELTA discounted solve from u = 0, whose mean
+    moves out of u into c = -delta mean u."""
     if not all(m % 2 == 0 and m // 2 >= _MIN_GRID for m in sym.shape):
-        return np.zeros(sym.size), 0
+        u, _, _, steps = _CellWorkspace(sym, P, _START_DELTA).newton(np.zeros(sym.size))
+        mean = float(np.mean(u))
+        return u - mean, -_START_DELTA * mean, (), steps
     half = sym.halved()
-    u, steps = _nested_start(half, P)
-    u, _, _, n = _CellWorkspace(half, P, _DELTAS[0]).newton(u)
-    return _prolong(u.reshape(half.shape)), steps + n
+    u, c, levels, steps = _nested_start(half, P)
+    (u, c), _, _, n = _CellWorkspace(half, P, _SHIFT).newton(u, c)
+    return _prolong(u.reshape(half.shape)), c, levels + (c,), steps + n
 
 
 def _cell_axes(dim: int, grid) -> list:
-    """Uniform torus grid axes, ``grid`` points per axis (or one per axis)."""
+    """Uniform torus grid axes, ``grid`` points per axis (or one per axis).
+    A grid whose ``_GridSymbol`` arrays (7 dim + 5 words of 8 bytes per
+    cell, and the axes) exceed physical memory is refused before anything
+    is allocated."""
     shape = (int(grid),) * dim if np.isscalar(grid) else tuple(int(g) for g in grid)
     if min(shape) < _MIN_GRID:
         raise ValueError(f"grid below {_MIN_GRID} per axis is rejected")
+    nbytes = 8 * ((7 * len(shape) + 5) * math.prod(shape) + sum(shape))
+    physical = _physical_memory()
+    if nbytes > physical:
+        raise ValueError(f"a cell grid of shape {shape} needs {nbytes} bytes, more than "
+                         f"the {physical} bytes of physical memory")
     return [np.arange(m) * (TWO_PI / m) for m in shape]
 
 
 def cell_problem_solve(H: PhaseSpaceFunction, P, grid: int) -> CellSolution:
     """Solve the mechanical cell problem for one P on a uniform torus grid.
 
-    Returns the extrapolated Hbar(P) together with the mean-zero corrector
-    at the smallest discount and the sup-norm residual of the discrete cell
-    equation.  Raises CellConvergenceError if any discounted solve misses
-    the residual tolerance within its Newton steps.  A symbol without a
-    potential is refused (``invariance_check`` solves H o phi on its own
-    table).
+    Returns Hbar(P) = c of the ergodic solve together with its mean-zero
+    corrector and the sup-norm residual of the discrete cell equation.
+    Raises CellConvergenceError if a Newton Jacobian is singular or the
+    finest solve misses the residual tolerance within its Newton steps.  A
+    symbol without a potential is refused (``invariance_check`` solves
+    H o phi on its own table).
     """
     if H.potential is None:
         raise ValueError("cell_problem_solve takes a mechanical symbol; "
@@ -492,9 +523,9 @@ def cell_problem_solve(H: PhaseSpaceFunction, P, grid: int) -> CellSolution:
 
 
 def _solve_on(sym: _GridSymbol, P, p_range=None) -> CellSolution:
-    """One P on the grid of ``sym``: the discounts of ``_DELTAS`` in turn
-    from the nested start, each from the last.  A numeric symbol goes
-    through the instance's interpolation table over ``p_range``."""
+    """One P on the grid of ``sym``: the ergodic solve from the nested start.
+    A numeric symbol goes through the instance's interpolation table over
+    ``p_range``."""
     P = np.atleast_1d(np.asarray(P, dtype=float))
     if P.shape != (sym.dim,):
         raise ValueError("P does not match the symbol dimension")
@@ -503,32 +534,16 @@ def _solve_on(sym: _GridSymbol, P, p_range=None) -> CellSolution:
     if not sym.mechanical:
         sym.build_table(*p_range, _TABLE_P_RES)
 
-    u, total = _nested_start(sym, P)
-    c_values = []
-    for prev_delta, delta in zip(_DELTAS[:1] + _DELTAS, _DELTAS):
-        ws = _CellWorkspace(sym, P, delta)
-        # mean scales like 1/delta, the oscillating part barely moves
-        mean = float(np.mean(u))
-        u, res, floor, steps = ws.newton((u - mean) + mean * (prev_delta / delta))
-        total += steps
-        tol = max(_TOL, 100.0 * floor)
-        # a NaN residual fails too, and so does an overflowed rounding floor
-        if not res <= tol < math.inf:
-            raise CellConvergenceError(
-                f"cell residual {res:.3e} not within the finite tolerance {tol:.3e} "
-                f"at delta={delta}", res)
-        c_values.append(-delta * float(np.mean(u)))
-
-    (d1, d2), (c1, c2) = _DELTAS[-2:], c_values[-2:]
-    value = (d1 * c2 - d2 * c1) / (d1 - d2)
-
-    w = u - float(np.mean(u))
-    # H_G(x, P + Dw): the residual less the discount
-    residual = float(np.max(np.abs(ws.residual(w) - ws.delta * w - value)))
-    corr = Corrector(P=P.copy(), axes=sym.axes, values=w.reshape(sym.shape),
-                     residual=residual)
-    return CellSolution(value=float(value), corrector=corr,
-                        discount_values=tuple(c_values), iterations=total)
+    u, c, levels, total = _nested_start(sym, P)
+    (u, c), res, floor, steps = _CellWorkspace(sym, P, _SHIFT).newton(u, c)
+    tol = max(_TOL, 100.0 * floor)
+    # a NaN residual fails too, and so does an overflowed rounding floor
+    if not res <= tol < math.inf:
+        raise CellConvergenceError(f"cell residual {res:.3e} not within the finite "
+                                   f"tolerance {tol:.3e} on the grid of shape {sym.shape}", res)
+    corr = Corrector(P=P.copy(), axes=sym.axes, values=u.reshape(sym.shape), residual=res)
+    return CellSolution(value=float(c), corrector=corr, level_values=levels + (float(c),),
+                        iterations=total + steps)
 
 
 # ---------------------------------------------------------------------------
@@ -576,15 +591,11 @@ def _p_axis(p_max: float, dp: float) -> np.ndarray:
     return dp * np.arange(-m, m + 1)
 
 
-def _directions(reach) -> list:
-    """Primitive lattice steps v with |v_i| <= reach[i], one of each pair
-    +/-v (the one whose first nonzero component is positive)."""
-    dirs = []
-    for v in itertools.product(*(range(-r, r + 1) for r in reach)):
-        nonzero = [c for c in v if c]
-        if nonzero and nonzero[0] > 0 and math.gcd(*v) == 1:
-            dirs.append(v)
-    return dirs
+def _directions(dim: int) -> list:
+    """Grid-line steps v in {-1, 0, 1}^dim, one of each pair +/-v (the one
+    whose first nonzero component is positive)."""
+    return [v for v in itertools.product((-1, 0, 1), repeat=dim)
+            if any(v) and next(c for c in v if c) > 0]
 
 
 def compute_certificates(axes, values, v_max: float) -> TableCertificates:
@@ -592,34 +603,18 @@ def compute_certificates(axes, values, v_max: float) -> TableCertificates:
     dim = len(axes)
     # midpoint convexity along every grid line (axes and diagonals)
     convex_defect = -math.inf
-    for d in _directions((1,) * dim):
-        lo = values
-        for ax, step in enumerate(d):
-            if step:
-                lo = np.roll(lo, step, axis=ax)
-        hi = values
-        for ax, step in enumerate(d):
-            if step:
-                hi = np.roll(hi, -step, axis=ax)
-        mid = values - 0.5 * (lo + hi)
+    every = tuple(range(dim))
+    for d in _directions(dim):
+        lo, hi = np.roll(values, d, axis=every), np.roll(values, [-s for s in d], axis=every)
         # drop wrapped rows: only interior triples count
-        mask = np.ones_like(values, dtype=bool)
-        for ax, step in enumerate(d):
-            if step:
-                sl = [slice(None)] * dim
-                sl[ax] = 0
-                mask[tuple(sl)] = False
-                sl[ax] = -1
-                mask[tuple(sl)] = False
-        if np.any(mask):
-            convex_defect = max(convex_defect, float(np.max(mid[mask])))
-    even_defect = float(np.max(np.abs(values - values[tuple(slice(None, None, -1)
-                                                            for _ in range(dim))])))
-    pts = _grid_points(axes)
-    upper = 0.5 * np.sum(pts ** 2, axis=1) + v_max
+        inner = tuple(slice(1, -1) if s else slice(None) for s in d)
+        mid = (values - 0.5 * (lo + hi))[inner]
+        if mid.size:
+            convex_defect = max(convex_defect, float(np.max(mid)))
+    even_defect = float(np.max(np.abs(values - np.flip(values))))
+    upper = 0.5 * np.sum(_grid_points(axes) ** 2, axis=1) + v_max
     flat = values.reshape(-1)
-    bound_defect = max(float(np.max(v_max - flat)), float(np.max(flat - upper)))
-    bound_defect = max(bound_defect, 0.0)
+    bound_defect = max(float(np.max(v_max - flat)), float(np.max(flat - upper)), 0.0)
     convex = all(d <= _CERT_TOL for d in (convex_defect, even_defect, bound_defect))
     return TableCertificates(convex=convex, convex_defect=convex_defect,
                              even_defect=even_defect, bound_defect=bound_defect)

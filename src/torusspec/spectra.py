@@ -40,6 +40,11 @@ from .potentials import TWO_PI, FourierPotential, _grid_points, potential_extrem
 _HERM_TOL = 1e-12
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, the budget of every refusal before allocation."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 @dataclass(frozen=True)
 class PlaneWaveBasis:
     """Integer frequency box |k|_inf <= cutoff, lexicographic order."""
@@ -76,8 +81,7 @@ class PlaneWaveBasis:
         """Refuse dense work that does not fit in physical memory: the
         size x size complex matrix (16 N^2 bytes) plus the real symmetric
         form of an eigensolve and LAPACK's copy of it (8 N^2 bytes each)."""
-        nbytes = 16 * self.size ** 2
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        nbytes, physical = 16 * self.size ** 2, _physical_memory()
         if 2 * nbytes > physical:
             raise ValueError(
                 f"dense matrix of size N={self.size} needs {nbytes} bytes and its "

@@ -137,7 +137,7 @@ def test_unknown_flag_exits_2(pots, tmp_path):
 
 
 def test_cell_nonconvergence_exits_3(pots, tmp_path, monkeypatch):
-    # a symbol that evaluates to NaN leaves every discount unconverged
+    # a symbol that evaluates to NaN leaves every level unconverged
     monkeypatch.setattr(effective._GridSymbol, "value",
                         lambda self, pargs: np.full(len(pargs), np.nan))
     out = tmp_path / "run"
@@ -280,9 +280,13 @@ def test_cell_solve_manifest_diagnostics(pots, tmp_path):
     diags = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert [d["P"] for d in diags] == [[2.0], [0.5]]
     for d in diags:
-        assert set(d) == {"P", "iterations", "discount_values"}
+        assert set(d) == {"P", "iterations", "level_values"}
         assert d["iterations"] > 0
-        assert len(d["discount_values"]) == 3
+        # c on the 32 and 64 grids, coarse to fine: the last is the CSV's Hbar
+        assert len(d["level_values"]) == 2
+    rows = (out / "cell.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == pytest.approx(
+        [d["level_values"][-1] for d in diags], rel=1e-12)
     # diagnostics stay out of the CSV
     assert (out / "cell.csv").read_text().splitlines()[0] == "P,Hbar,method,residual"
 
@@ -362,6 +366,8 @@ _NAN_FLAGS = {
     "zero-den-hbar": ["--hbar", "pi/0", "--K", "8"],
     "inf-energy": ["--hbar", "0.5", "--energy", "inf"],
     "inf-pmax": ["--pmax", "inf", "--dp", "0.5"],
+    # not a NaN: a cell grid beyond physical memory, refused before allocation
+    "huge-grid": ["--p", "1.0", "--grid", "1000000000000"],
 }
 
 # a potential file that is not a list of {"q": integer vector, "re", "im"}
@@ -381,6 +387,7 @@ _CONFIGS = {
 @pytest.mark.parametrize("command,case", [
     *[(c, case) for c in _SUBCOMMANDS for case in ("missing", "nan", "inf")],
     ("cell-solve", "nan-p"),
+    ("cell-solve", "huge-grid"),
     ("spectrum", "nan-hbar"),
     ("spectrum", "nan-energy"),
     ("weyl-count", "nan-window"),
