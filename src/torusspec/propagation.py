@@ -19,7 +19,7 @@ import numpy as np
 from ._linalg import operator_norm, unitarity_defect
 from .dynamics import _flow_batch
 from .potentials import FourierPotential, wrap_angles
-from .spectra import HamiltonianMatrix, PlaneWaveBasis, assemble_hamiltonian
+from .spectra import HamiltonianMatrix, PlaneWaveBasis, _from_cos_sin, assemble_hamiltonian
 from .symbols import PhaseSpaceFunction, mechanical_symbol
 from .weylquant import weyl_matrix
 
@@ -27,8 +27,13 @@ _UNITARITY_TOL = 1e-10
 
 
 def propagate(ham: HamiltonianMatrix, t: float) -> np.ndarray:
-    """Unitary exp(-i t H / hbar) as a dense matrix on the plane-wave basis."""
-    evals, vecs = np.linalg.eigh(ham.matrix)
+    """Unitary exp(-i t H / hbar) as a dense matrix on the plane-wave basis.
+
+    ham.matrix is the real symmetric R = Q^H H Q of assemble_hamiltonian, so
+    a real eigh gives R = W diag(lambda) W^T, and H's eigenvectors are Q W.
+    """
+    evals, w = np.linalg.eigh(ham.matrix)
+    vecs = _from_cos_sin(w)
     phases = np.exp(-1j * float(t) * evals / ham.hbar)
     U = (vecs * phases[None, :]) @ vecs.conj().T
     defect = unitarity_defect(U)

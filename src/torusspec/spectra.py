@@ -5,14 +5,17 @@ lexicographic order.  For trigonometric-polynomial potentials the matrix
 elements are exact: entry(k, mu) = (hbar^2/2)|mu|^2 delta_{k,mu} + c_{k-mu},
 so no quadrature enters the assembly.
 
-The spectrum comes from a real symmetric eigensolve.  V is real, so H
-commutes with complex conjugation composed with k -> -k, and the
+The matrix is assembled and solved in real symmetric form.  V is real, so
+H commutes with complex conjugation composed with k -> -k, and the
 lexicographic box has row(-k) = N-1-row(k).  With J the row reversal this
 reads J H J = conj(H): H is centrohermitian.  In the unitary basis e_0,
 (e_k + e_-k)/sqrt2 and i(e_k - e_-k)/sqrt2, k over the first half of the
 box, such a matrix is real symmetric (A. Lee, Centrohermitian and
 skew-centrohermitian matrices, Linear Algebra Appl. 29, 1980), and a real
-solve does about a quarter of a complex one's flops.
+solve does about a quarter of a complex one's flops.  ``FourierPotential``
+refuses coefficients with c_{-q} != conj(c_q), so ``assemble_hamiltonian``
+writes that real matrix straight from the coefficients and the complex one
+is never formed.
 
 Eigenvalue counts are compared with the phase-space volume
 Vol{a < |p|^2/2 + V < b}, a deterministic integral of the momentum-ball
@@ -36,8 +39,6 @@ from scipy import integrate
 from scipy.optimize.elementwise import find_root
 
 from .potentials import TWO_PI, FourierPotential, _grid_points, potential_extrema, sup_norm
-
-_HERM_TOL = 1e-12
 
 
 def _physical_memory() -> int:
@@ -65,10 +66,6 @@ class PlaneWaveBasis:
         rng = range(-self.cutoff, self.cutoff + 1)
         return np.array(list(itertools.product(rng, repeat=self.dim)), dtype=int)
 
-    def index(self) -> dict:
-        """Map frequency tuple -> row index."""
-        return {tuple(k): i for i, k in enumerate(self.frequencies())}
-
     def rows(self, ks) -> np.ndarray:
         """Row indices of in-box frequency vectors ks, shape (m, dim).
 
@@ -78,9 +75,10 @@ class PlaneWaveBasis:
         return (np.asarray(ks, dtype=int) + self.cutoff) @ strides
 
     def require_dense(self) -> None:
-        """Refuse dense work that does not fit in physical memory: the
-        size x size complex matrix (16 N^2 bytes) plus the real symmetric
-        form of an eigensolve and LAPACK's copy of it (8 N^2 bytes each)."""
+        """Refuse dense work that does not fit in physical memory: two
+        size x size complex matrices (16 N^2 bytes each), as ``propagate``
+        holds its eigenvectors and U at once.  A Weyl matrix takes one, and
+        the real form of eigen_spectrum with LAPACK's copy of it as much."""
         nbytes, physical = 16 * self.size ** 2, _physical_memory()
         if 2 * nbytes > physical:
             raise ValueError(
@@ -113,29 +111,16 @@ class PlaneWaveMatrix:
     basis: PlaneWaveBasis
     matrix: np.ndarray
 
-    def hermitian_defect(self) -> float:
-        """max |M - M^H|."""
-        m = self.matrix
-        return _strip_max(m, lambda r: np.abs(m[r] - m[:, r].conj().T))
-
-    def time_reversal_defect(self) -> float:
-        """max |J M J - conj(M)|, J the reversal k -> -k of the box rows."""
-        m = self.matrix
-        flip = m[::-1, ::-1]
-        return _strip_max(m, lambda r: np.abs(flip[r] - m[r].conj()))
-
-
-def _strip_max(matrix: np.ndarray, rows) -> float:
-    """Largest entry of rows(r) over row strips r of about 2^16 entries, so
-    no N x N temporary is made.  A NaN propagates as in np.max."""
-    step = max(1, (1 << 16) // matrix.shape[1])
-    return float(np.max([np.max(rows(slice(i, i + step)))
-                         for i in range(0, matrix.shape[0], step)]))
-
 
 @dataclass(frozen=True)
 class HamiltonianMatrix(PlaneWaveMatrix):
-    """Assembled plane-wave matrix together with its provenance."""
+    """The Schrodinger operator -(hbar^2/2) Lap + V on a plane-wave basis,
+    with the potential it came from.
+
+    Unlike a WeylMatrix, whose matrix is on the basis e_k itself, matrix is
+    the real symmetric R = Q^H H Q of ``assemble_hamiltonian``: on the
+    cos/sin basis, whose columns Q are listed there.
+    """
 
     potential: FourierPotential
 
@@ -157,7 +142,19 @@ class SpectrumResult:
 
 
 def assemble_hamiltonian(pot: FourierPotential, hbar: float, K: int) -> HamiltonianMatrix:
-    """Assemble the (2K+1)^n square matrix.  Exact for trig-polynomial V."""
+    """The (2K+1)^n square matrix of H in its real cos/sin form.  Exact for
+    trig-polynomial V.
+
+    H has entries H[row(k), row(l)] = (hbar^2/2)|l|^2 delta_{k,l} + c_{k-l}.
+    The matrix is R = Q^H H Q, where Q's columns are c_j = (e_j + e_j')/sqrt2,
+    then e_m, then s_j = i(e_j - e_j')/sqrt2, for j < m = (N-1)/2 and
+    j' = N-1-j, the row of -k_j.  With A[j, l] = c_{k_j - k_l} plus the
+    kinetic term on the diagonal, B[j, l] = H[j, l'] = c_{k_j + k_l} and
+    v[j] = c_{k_j}, J H J = conj(H) makes R the real symmetric
+    [[Re(A+B), sqrt2 Re v, Im(B-A)], [sqrt2 Re v^T, H[m, m], sqrt2 Im v^T],
+    [Im(A+B), sqrt2 Im v, Re(A-B)]].  A, B and v are read from one table
+    of c_q over the doubled box |q|_inf <= 2K, which holds every k -+ l.
+    """
     hbar = float(hbar)
     if not (0.0 < hbar <= 1.0):
         raise ValueError("hbar out of range (0, 1]")
@@ -166,10 +163,41 @@ def assemble_hamiltonian(pot: FourierPotential, hbar: float, K: int) -> Hamilton
         raise ValueError(
             f"cutoff K={K} below potential bandwidth {pot.max_frequency}")
     basis = PlaneWaveBasis(pot.dim, K)
-    mat = basis.band_matrix(pot.coeffs, lambda q, k: pot.coeffs[q])
-    kin = 0.5 * hbar * hbar * np.sum(basis.frequencies().astype(float) ** 2, axis=1)
-    mat[np.diag_indices(basis.size)] += kin
-    return HamiltonianMatrix(hbar=hbar, basis=basis, matrix=mat, potential=pot)
+    basis.require_dense()
+    N, m = basis.size, basis.size // 2
+    doubled = PlaneWaveBasis(pot.dim, 2 * K)
+    table = np.zeros(doubled.size, dtype=complex)
+    table[doubled.rows(np.reshape(list(pot.coeffs), (-1, pot.dim)))] = list(pot.coeffs.values())
+    half = basis.frequencies()[:m + 1]
+    kin = 0.5 * hbar * hbar * np.sum(half.astype(float) ** 2, axis=1)
+    # a row of the doubled box is linear in k: row(k -+ l) = u_k -+ u_l +- u_0
+    u = doubled.rows(half)
+    a = table[np.subtract.outer(u[:m] + u[m], u[:m])]
+    a[np.diag_indices(m)] += kin[:m]
+    b = table[np.add.outer(u[:m] - u[m], u[:m])]
+    v = table[u[:m]]
+    r = np.empty((N, N))
+    np.add(a.real, b.real, out=r[:m, :m])
+    np.subtract(a.real, b.real, out=r[m + 1:, m + 1:])
+    np.add(a.imag, b.imag, out=r[m + 1:, :m])
+    np.subtract(b.imag, a.imag, out=r[:m, m + 1:])
+    r[:m, m] = r[m, :m] = math.sqrt(2.0) * v.real
+    r[m + 1:, m] = r[m, m + 1:] = math.sqrt(2.0) * v.imag
+    r[m, m] = (table[u[m]] + kin[m]).real
+    return HamiltonianMatrix(hbar=hbar, basis=basis, matrix=r, potential=pot)
+
+
+def _from_cos_sin(w: np.ndarray) -> np.ndarray:
+    """Q w: the columns of w, given on the cos/sin basis of
+    assemble_hamiltonian, as complex vectors on the plane-wave basis.  Q has
+    two nonzeros per column, so row j < m of Q w is (w[j] + i w[m+1+j])/sqrt2,
+    row m is w[m] and row N-1-j is (w[j] - i w[m+1+j])/sqrt2."""
+    m = w.shape[0] // 2
+    vecs = np.empty(w.shape, dtype=complex)
+    vecs[:m] = (w[:m] + 1j * w[m + 1:]) / math.sqrt(2.0)
+    vecs[m] = w[m]
+    vecs[m + 1:] = vecs[:m][::-1].conj()
+    return vecs
 
 
 def _trusted_energy(hbar: float, K: int) -> float:
@@ -178,56 +206,11 @@ def _trusted_energy(hbar: float, K: int) -> float:
     return hbar * hbar * (K + 1) ** 2 / 4.0
 
 
-def _require_symmetric(mat: HamiltonianMatrix) -> None:
-    """Refuse a matrix that is not Hermitian or whose J H J differs from
-    conj(H), each past _HERM_TOL max(1, max|H|)."""
-    m = mat.matrix
-    allowed = _HERM_TOL * max(1.0, _strip_max(m, lambda r: np.abs(m[r])))
-    for name, defect in (("Hermitian", mat.hermitian_defect),
-                         ("time-reversal symmetric (J H J = conj H)",
-                          mat.time_reversal_defect)):
-        value = defect()
-        if value > allowed:
-            raise ValueError(f"matrix is not {name} (defect {value:.3e})")
-
-
-def _real_form(h: np.ndarray) -> np.ndarray:
-    """R = Q^H H Q for a centrohermitian H of odd size N = 2n + 1.
-
-    Q's columns are c_j = (e_j + e_j')/sqrt2, then e_n, then
-    s_j = i(e_j - e_j')/sqrt2, for j < n and j' = N-1-j.  With A = H[:n, :n],
-    B = H[:n, :n:-1] (B[j, l] = H[j, l']) and m = H[:n, n], J H J = conj(H)
-    gives the real symmetric R = [[Re(A+B), sqrt2 Re m, Im(B-A)],
-    [sqrt2 Re m^T, H[n, n], sqrt2 Im m^T], [Im(A+B), sqrt2 Im m, Re(A-B)]].
-    """
-    N = h.shape[0]
-    n = (N - 1) // 2
-    a, b, m = h[:n, :n], h[:n, :n:-1], h[:n, n]
-    r = np.empty((N, N))
-    np.add(a.real, b.real, out=r[:n, :n])
-    np.subtract(a.real, b.real, out=r[n + 1:, n + 1:])
-    np.add(a.imag, b.imag, out=r[n + 1:, :n])
-    np.subtract(b.imag, a.imag, out=r[:n, n + 1:])
-    r[:n, n] = r[n, :n] = math.sqrt(2.0) * m.real
-    r[n + 1:, n] = r[n, n + 1:] = math.sqrt(2.0) * m.imag
-    r[n, n] = h[n, n].real
-    return r
-
-
 def eigen_spectrum(mat: HamiltonianMatrix) -> SpectrumResult:
-    """All eigenvalues, ascending, from one real symmetric eigensolve.
-
-    A real V makes H centrohermitian, J H J = conj(H) with J the reversal
-    k -> -k of the box (module docstring), so in the cos/sin basis e_0,
-    (e_k + e_-k)/sqrt2, i(e_k - e_-k)/sqrt2 it is the real symmetric matrix
-    of ``_real_form`` with the same eigenvalues (Lee 1980).  Both symmetries
-    are checked first: a matrix that breaks either is refused with
-    ValueError, never solved another way.  Every matrix that
-    assemble_hamiltonian builds passes the second check whenever it passes
-    the first, with the same defect.
-    """
-    _require_symmetric(mat)
-    eigenvalues = np.linalg.eigvalsh(_real_form(mat.matrix))
+    """All eigenvalues, ascending, from one real symmetric eigensolve of the
+    cos/sin form that assemble_hamiltonian builds, which has the eigenvalues
+    of H (Lee 1980), with the trusted energy and the tail bound there."""
+    eigenvalues = np.linalg.eigvalsh(mat.matrix)
     e_trust = _trusted_energy(mat.hbar, mat.basis.cutoff)
     try:
         tail = truncation_tail_bound(mat.potential, mat.hbar, mat.basis.cutoff, e_trust)
@@ -269,10 +252,14 @@ def truncation_tail_bound(pot: FourierPotential, hbar: float, K: int, energy: fl
         return total
     cap = max(512, 4 * K)
     axis = np.arange(-cap, cap + 1)
-    kx, ky = np.meshgrid(axis, axis, indexing="ij")
-    sq = kx.astype(float) ** 2 + ky.astype(float) ** 2
-    outside = np.maximum(np.abs(kx), np.abs(ky)) > K
-    total = float(np.sum((norm / (a * sq[outside] - energy)) ** 2))
+    ax2 = axis.astype(float) ** 2
+    far = np.abs(axis) > K
+    x = np.add.outer(ax2, ax2)[far[:, None] | far[None, :]]
+    x *= a
+    x -= energy
+    np.divide(norm, x, out=x)
+    x **= 2
+    total = float(np.sum(x))
     # shells |k|_inf = m carry 8m points and |k|^2 >= m^2 on each
     total += 4.0 * norm * norm / (a * (a * cap * cap - energy))
     return total

@@ -134,11 +134,6 @@ class WignerTable:
     def momenta(self) -> np.ndarray:
         return 0.5 * self.hbar * self.kappas.astype(float)
 
-    def norm_sum(self) -> float:
-        """sum_eta integral W dx, which must reproduce ||psi||^2."""
-        cell = (TWO_PI / self.res) ** self.dim
-        return float(np.sum(self.values) * cell)
-
 
 def wigner_transform(psi: np.ndarray, basis: PlaneWaveBasis, hbar: float,
                      res: int | None = None) -> WignerTable:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from torusspec._linalg import unitarity_defect
-from torusspec.potentials import cosine, zero_potential
+from torusspec.potentials import FourierPotential, cosine, zero_potential
 from torusspec.propagation import (default_cutoff_rule, egorov_residual,
                                    egorov_scaling, heisenberg, interior_indices,
                                    propagate)
 from torusspec.spectra import assemble_hamiltonian
-from torusspec.symbols import bump_profile, product_symbol
+from torusspec.symbols import bump_profile, mechanical_symbol, product_symbol
+from torusspec.weylquant import weyl_matrix
 
 
 def test_propagator_is_unitary():
@@ -28,10 +29,22 @@ def test_free_propagator_phases_exact():
     assert np.max(np.abs(off)) < 1e-12
 
 
+def test_propagator_2d_matches_the_complex_eigensolve():
+    # complex coefficients and off-axis terms (POT_2D of test_weylquant); at
+    # dyadic hbar the Weyl matrix of |eta|^2/2 + V is H on the plane-wave basis
+    pot = (cosine((1, 1)) + cosine((1, -2)).translate((0.3, 0.0)) * 0.4
+           + FourierPotential(2, {(0, 1): 0.3j, (0, -1): -0.3j}))
+    h = weyl_matrix(mechanical_symbol(pot), 0.5, 5).matrix
+    evals, vecs = np.linalg.eigh(h)
+    ref = (vecs * np.exp(-1j * 0.9 * evals / 0.5)) @ vecs.conj().T
+    U = propagate(assemble_hamiltonian(pot, 0.5, 5), 0.9)
+    assert np.max(np.abs(U - ref)) <= 1e-12
+
+
 def test_heisenberg_of_conserved_quantity():
-    ham = assemble_hamiltonian(cosine((1,)), 0.5, 8)
-    Ht = heisenberg(ham, ham.matrix, 2.3)
-    assert np.max(np.abs(Ht - ham.matrix)) < 1e-10
+    h = weyl_matrix(mechanical_symbol(cosine((1,))), 0.5, 8).matrix
+    Ht = heisenberg(assemble_hamiltonian(cosine((1,)), 0.5, 8), h, 2.3)
+    assert np.max(np.abs(Ht - h)) < 1e-10
 
 
 def test_heisenberg_composes_in_time():
@@ -43,7 +56,6 @@ def test_heisenberg_composes_in_time():
 
 
 def weyl_obs(hbar):
-    from torusspec.weylquant import weyl_matrix
     a = product_symbol(cosine((1,)), bump_profile(2.0, 4.0))
     return weyl_matrix(a, hbar, 6).matrix
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ def test_basis_enumeration_1d():
     freqs = basis.frequencies()
     assert basis.size == 7
     assert freqs[0, 0] == -3 and freqs[-1, 0] == 3
-    assert basis.index()[(2,)] == 5
+    assert basis.rows([[2]])[0] == 5
 
 
 def test_basis_enumeration_2d_lexicographic():
@@ -40,31 +41,91 @@ def test_free_spectrum_exact():
     assert np.max(np.abs(spec.eigenvalues - expect)) < 1e-12
 
 
+def _entry_rule_matrix(pot, hbar, K):
+    """The complex matrix by the entry rule, entry(k, mu) =
+    (hbar^2/2)|mu|^2 delta_{k,mu} + c_{k-mu}, one coefficient at a time."""
+    freqs = PlaneWaveBasis(pot.dim, K).frequencies()
+    diff = freqs[:, None, :] - freqs[None, :, :]
+    h = np.zeros(diff.shape[:2], dtype=complex)
+    for q, c in pot.coeffs.items():
+        h[np.all(diff == q, axis=-1)] = c
+    h[np.diag_indices(len(freqs))] += 0.5 * hbar * hbar * np.sum(freqs.astype(float) ** 2, axis=1)
+    return h
+
+
+def _real_form(h):
+    """Reference R = Q^H H Q for a centrohermitian H of odd size N = 2n + 1.
+
+    Q's columns are c_j = (e_j + e_j')/sqrt2, then e_n, then
+    s_j = i(e_j - e_j')/sqrt2, for j < n and j' = N-1-j.  With A = H[:n, :n],
+    B = H[:n, :n:-1] (B[j, l] = H[j, l']) and m = H[:n, n], J H J = conj(H)
+    gives the real symmetric R = [[Re(A+B), sqrt2 Re m, Im(B-A)],
+    [sqrt2 Re m^T, H[n, n], sqrt2 Im m^T], [Im(A+B), sqrt2 Im m, Re(A-B)]].
+    """
+    N = h.shape[0]
+    n = (N - 1) // 2
+    a, b, m = h[:n, :n], h[:n, :n:-1], h[:n, n]
+    r = np.empty((N, N))
+    np.add(a.real, b.real, out=r[:n, :n])
+    np.subtract(a.real, b.real, out=r[n + 1:, n + 1:])
+    np.add(a.imag, b.imag, out=r[n + 1:, :n])
+    np.subtract(b.imag, a.imag, out=r[:n, n + 1:])
+    r[:n, n] = r[n, :n] = math.sqrt(2.0) * m.real
+    r[n + 1:, n] = r[n, n + 1:] = math.sqrt(2.0) * m.imag
+    r[n, n] = h[n, n].real
+    return r
+
+
+def _cos_sin_basis(N):
+    """The unitary Q of _real_form, column by column."""
+    n = (N - 1) // 2
+    q = np.zeros((N, N), dtype=complex)
+    for j in range(n):
+        q[j, j] = q[N - 1 - j, j] = 1.0 / math.sqrt(2.0)
+        q[j, n + 1 + j], q[N - 1 - j, n + 1 + j] = 1j / math.sqrt(2.0), -1j / math.sqrt(2.0)
+    q[n, n] = 1.0
+    return q
+
+
+def _assert_exact_real_form(mat, h):
+    # exactly symmetric whenever H is exactly Hermitian, i.e. c_{-q} = conj(c_q)
+    r = mat.matrix
+    assert r.dtype == np.float64
+    assert np.array_equal(r, _real_form(h))
+    if np.array_equal(h, h.conj().T):
+        assert np.array_equal(r, r.T)
+
+
 def test_matrix_is_hermitian_and_banded():
+    # back on the plane-wave basis, Q R Q^H is the Hermitian banded H
     pot = cosine((1,)) + FourierPotential(1, {(2,): 0.3j, (-2,): -0.3j})
     mat = assemble_hamiltonian(pot, 0.5, 12)
-    assert mat.hermitian_defect() < 1e-15
-    m = mat.matrix
+    q = _cos_sin_basis(mat.basis.size)
+    m = q @ mat.matrix @ q.conj().T
+    assert np.max(np.abs(m - m.conj().T)) < 1e-15
     # entries vanish beyond the potential bandwidth
     for j in range(25):
         for k in range(25):
             if abs(j - k) > 2:
-                assert m[j, k] == 0
+                assert abs(m[j, k]) < 1e-15
 
 
 @pytest.mark.parametrize("hbar", [0.1, 0.3])
 def test_assembly_matches_matrix_element_rule(hbar):
-    # entry(k, mu) = (hbar^2/2)|mu|^2 delta_{k,mu} + c_{k-mu}, entry by entry
+    # entry(k, mu) = (hbar^2/2)|mu|^2 delta_{k,mu} + c_{k-mu}, entry by entry,
+    # then the cos/sin form of that complex matrix, bit for bit
     pot = (cosine((1, 1)) + cosine((2, -1)).translate((0.0, 0.7)) * 0.5
            + FourierPotential(2, {(0, 0): 0.2, (1, 0): 0.1 - 0.2j, (-1, 0): 0.1 + 0.2j}))
     mat = assemble_hamiltonian(pot, hbar, 4)
     freqs = mat.basis.frequencies()
+    h = np.empty((len(freqs), len(freqs)), dtype=complex)
     for j, k in enumerate(freqs):
         for m, mu in enumerate(freqs):
             expect = pot.coefficient(tuple(k - mu))
             if j == m:
                 expect = 0.5 * hbar * hbar * float(np.sum(mu.astype(float) ** 2)) + expect
-            assert mat.matrix[j, m] == expect
+            h[j, m] = expect
+    _assert_exact_real_form(mat, h)
 
 
 def test_spectrum_against_mathieu_characteristic_values():
@@ -113,50 +174,42 @@ def _seeded_potential(dim, band, seed):
     return FourierPotential(dim, coeffs)
 
 
-# K at the band and past it, and the free Hamiltonian
+# K at the band and past it, the free Hamiltonian, coefficients that pass
+# the Hermitian check without being exact conjugates (c_{-16} = conj(c_16)
+# + 9e-13 i), and a 2D box of the size the spectral benchmark solves
 @pytest.mark.parametrize("pot,hbar,K", [
     (_seeded_potential(1, 3, 12), 0.3, 3), (_seeded_potential(1, 3, 12), 0.3, 9),
     (_seeded_potential(2, 2, 13), 0.5, 2), (_seeded_potential(2, 2, 13), 0.5, 6),
     (_seeded_potential(3, 1, 14), 0.7, 1), (_seeded_potential(3, 1, 14), 0.7, 2),
-    (zero_potential(1), 0.6, 2), (zero_potential(2), 0.6, 2), (zero_potential(3), 0.6, 2)])
+    (zero_potential(1), 0.6, 2), (zero_potential(2), 0.6, 2), (zero_potential(3), 0.6, 2),
+    (FourierPotential(1, {(16,): 1e-3, (-16,): 1e-3 + 9e-13j, (1,): 0.5, (-1,): 0.5}), 0.5, 40),
+    (_seeded_potential(2, 2, 13), 0.5, 20)])
 def test_real_form_matches_the_complex_eigensolve(pot, hbar, K):
     mat = assemble_hamiltonian(pot, hbar, K)
-    assert mat.time_reversal_defect() == 0.0
+    h = _entry_rule_matrix(pot, hbar, K)
+    _assert_exact_real_form(mat, h)
     got = eigen_spectrum(mat).eigenvalues
-    ref = np.linalg.eigvalsh(mat.matrix)
+    ref = np.linalg.eigvalsh(h)
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
-def test_symmetry_defects_are_exact_strip_maxima():
-    # c_{-16} = conj(c_16) + 9e-13 i passes the Hermitian check; the two
-    # defects of the assembled matrix are then one and the same nonzero value
-    pot = FourierPotential(1, {(16,): 1e-3, (-16,): 1e-3 + 9e-13j, (1,): 0.5, (-1,): 0.5})
-    mat = assemble_hamiltonian(pot, 0.5, 40)
-    m = mat.matrix
-    assert mat.hermitian_defect() == float(np.max(np.abs(m - m.conj().T))) > 0.0
-    assert mat.time_reversal_defect() == float(np.max(np.abs(m[::-1, ::-1] - m.conj())))
-    assert mat.time_reversal_defect() == mat.hermitian_defect()
-    eigen_spectrum(mat)
-
-
-def test_hermitian_matrix_that_breaks_time_reversal_is_refused():
-    mat = assemble_hamiltonian(cosine((1,)), 0.5, 6)
-    broken = mat.matrix.copy()
-    row = int(mat.basis.rows([[2]])[0])            # k = 2, not its mirror k = -2
-    broken[row, row] += 0.25
-    hand = spectra.HamiltonianMatrix(hbar=mat.hbar, basis=mat.basis, matrix=broken,
-                                     potential=mat.potential)
-    assert hand.hermitian_defect() == 0.0
-    with pytest.raises(ValueError, match="time-reversal"):
-        eigen_spectrum(hand)
-    broken[0, 1] += 1e-3
-    with pytest.raises(ValueError, match="not Hermitian"):
-        eigen_spectrum(hand)
+def test_spectrum_holds_no_complex_matrix():
+    # the real form and the eigensolve's copy of it peak near 16 N^2 traced
+    # bytes; a complex N x N matrix (16 N^2) beside the real form would not fit
+    pot = _seeded_potential(2, 2, 13)
+    eigen_spectrum(assemble_hamiltonian(pot, 0.5, 20))
+    tracemalloc.start()
+    try:
+        N = eigen_spectrum(assemble_hamiltonian(pot, 0.5, 20)).eigenvalues.size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * N * N
 
 
 def test_require_dense_counts_the_eigensolve_working_set(monkeypatch):
-    # N = 101: the complex matrix needs 16 N^2 = 163216 bytes, which fits
-    # in 245760, but with the real form and LAPACK's copy 32 N^2 does not
+    # N = 101: one complex matrix needs 16 N^2 = 163216 bytes, which fits
+    # in 245760, but propagate's two (its eigenvectors and U) do not
     real_sysconf = os.sysconf
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 60}
     monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or real_sysconf(name))
