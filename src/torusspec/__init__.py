@@ -20,7 +20,7 @@ from .symbols import (PhaseSpaceFunction, bump_profile, mechanical_symbol,
                       product_symbol)
 from .weylquant import (WeylMatrix, cv_bound, projector_check, weyl_matrix,
                         wigner_pairing, wigner_transform)
-from .dynamics import PhasePoint, SymplecticMap, symplectic_defect, time_one_map
+from .dynamics import SymplecticMap, symplectic_defect, time_one_map
 from .effective import (EffectiveTable, action_J, cell_problem_solve,
                         closed_form_table, effective_1d, effective_grid,
                         invariance_check)

@@ -1,14 +1,10 @@
 """Classical Hamiltonian flows on torus phase space.
 
-Separable generators |eta|^2/2 + V(x) are integrated by the kick-drift-kick
-(Stormer-Verlet) splitting, which is symplectic and second order, with one
-grad V per step: a step's closing half kick and the next step's opening
-one share it.  Anything else falls back to the classical fourth-order
-Runge-Kutta method with one vector-field call per stage: the symbol's own
-vector_field when it has one, its grad_x/grad_eta pair otherwise, and
-central differences of fn as the last resort.  Positions are stored
-unwrapped during integration and wrapped on output, so winding does not
-distort finite differences.
+Every flow is the classical fourth-order Runge-Kutta method on the
+generator's vector_field, one call per stage; a generator without one is
+refused when its SymplecticMap is built, before any step.  Positions are
+stored unwrapped during integration and wrapped on output, so winding does
+not distort finite differences.
 
 A product generator W(x) g(eta) with an eta_cutoff (plateau, support, G)
 splits each RK4 batch into three sets of finite points:
@@ -30,46 +26,21 @@ Escape is checked on every set, so what RK4 refuses is still refused.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .potentials import TWO_PI, wrap_angles
-from .symbols import PhaseSpaceFunction, _central_difference, _rows
+from .symbols import PhaseSpaceFunction, _rows
 
 _MAX_STEP = 1e-2
+_MAX_STEPS = 10 ** 4     # steps of one flow: |t| <= 100 at the largest step
 _ESCAPE = 1e3
 
 
 class FlowEscapeError(RuntimeError):
     """Raised when a trajectory leaves |p|_inf <= 1e3."""
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    x: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        object.__setattr__(self, "p", np.atleast_1d(np.asarray(self.p, dtype=float)))
-        if self.x.shape != self.p.shape:
-            raise ValueError("position and momentum shapes differ")
-
-
-def _gradients(b: PhaseSpaceFunction):
-    """(x, eta) -> (dH/dx, dH/deta) for a symbol without a vector_field:
-    its grad_x/grad_eta pair when both are set, central differences of fn
-    otherwise."""
-    if b.grad_x is not None and b.grad_eta is not None:
-        return lambda x, eta: (b.grad_x(x, eta), b.grad_eta(x, eta))
-
-    def field(x, eta):
-        return (_central_difference(lambda z: b.fn(z, eta), x),
-                _central_difference(lambda z: b.fn(x, z), eta))
-
-    return field
 
 
 def _check_escape(p):
@@ -90,14 +61,9 @@ def _resting_sets(b: PhaseSpaceFunction, X, P, t: float):
             finite & (r >= support))
 
 
-def _flow_batch(b: PhaseSpaceFunction, X, P, t: float, h: float,
-                scheme: Optional[str] = None):
-    """Advance a batch of phase points by time t (t may be negative).
-
-    scheme None picks Verlet for mechanical generators and RK4 otherwise;
-    "rk4" forces the higher-order integrator (useful when the O(h^2) Verlet
-    error would drown what is being measured).
-    """
+def _flow_batch(b: PhaseSpaceFunction, X, P, t: float, h: float):
+    """Advance a batch of phase points by time t (t may be negative) in
+    round(|t|/h) RK4 steps, at least one."""
     X = np.array(X, dtype=float, copy=True)
     P = np.array(P, dtype=float, copy=True)
     if t == 0.0:
@@ -105,23 +71,8 @@ def _flow_batch(b: PhaseSpaceFunction, X, P, t: float, h: float,
     steps = max(1, int(round(abs(t) / h)))
     dt = t / steps
 
-    if b.potential is not None and scheme != "rk4":
-        vgrad = b.potential.gradient
-        # Stormer-Verlet: half kick, drift, half kick; the closing kick's
-        # gradient opens the next step
-        grad = vgrad(X).reshape(X.shape)
-        for _ in range(steps):
-            P -= 0.5 * dt * grad
-            X += dt * P
-            grad = vgrad(X).reshape(X.shape)
-            P -= 0.5 * dt * grad
-            _check_escape(P)
-        return X, P
-
-    field = b.vector_field or _gradients(b)
-
     def rhs(x, p):
-        dx, dp = field(x, p)
+        dx, dp = b.vector_field(x, p)
         return dp, -dx
 
     plateau, outside = _resting_sets(b, X, P, t)
@@ -148,21 +99,29 @@ def _flow_batch(b: PhaseSpaceFunction, X, P, t: float, h: float,
     return X, P
 
 
-def _step(h) -> float:
-    """h as a float; refused unless 0 < h <= 1e-2."""
-    h = float(h)
-    if not (0.0 < h <= _MAX_STEP):
-        raise ValueError("step size must lie in (0, 1e-2]")
-    return h
-
-
 @dataclass(frozen=True)
 class SymplecticMap:
-    """Time-t map of a Hamiltonian generator, with its exact-inverse partner."""
+    """Time-t map of a Hamiltonian generator, flowed by RK4 in steps of h.
+
+    Refused with ValueError unless 0 < h <= 1e-2, round(|t|/h) is at most
+    _MAX_STEPS and the generator has a vector_field.
+    """
 
     generator: PhaseSpaceFunction
     time: float
     h: float
+
+    def __post_init__(self):
+        time, h = float(self.time), float(self.h)
+        if not (0.0 < h <= _MAX_STEP):
+            raise ValueError("step size must lie in (0, 1e-2]")
+        ratio = abs(time) / h
+        if not math.isfinite(ratio) or round(ratio) > _MAX_STEPS:
+            raise ValueError(f"flow time {time!r} needs more than {_MAX_STEPS} steps of {h}")
+        if self.generator.vector_field is None:
+            raise ValueError("the generator has no vector_field to flow")
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "h", h)
 
     @property
     def dim(self) -> int:
@@ -170,28 +129,22 @@ class SymplecticMap:
 
     def apply(self, X, P):
         """Batched map on raw (m, dim) arrays; positions wrap on output."""
+        if np.shape(X) != np.shape(P) or np.shape(X)[1:] != (self.dim,):
+            raise ValueError("phase points do not form an (m, dim) batch of the generator")
         X, P = _flow_batch(self.generator, X, P, self.time, self.h)
         return wrap_angles(X), P
 
-    def __call__(self, z: PhasePoint) -> PhasePoint:
-        if z.x.size != self.dim:
-            raise ValueError("phase point dimension does not match the generator")
-        X, P = self.apply(z.x.reshape(1, -1), z.p.reshape(1, -1))
-        return PhasePoint(X[0], P[0])
-
-    def inverse(self) -> "SymplecticMap":
-        return SymplecticMap(generator=self.generator, time=-self.time, h=self.h)
-
 
 def time_one_map(b: PhaseSpaceFunction, h: float) -> SymplecticMap:
-    return SymplecticMap(generator=b, time=1.0, h=_step(h))
+    return SymplecticMap(b, 1.0, h)
 
 
 def compose_hamiltonian(H: PhaseSpaceFunction, phi: SymplecticMap) -> PhaseSpaceFunction:
-    """Numeric symbol z -> H(phi(z)).  Every evaluation is a flow, so
-    ``invariance_check`` evaluates it only to build one interpolation table
-    in p for all its momenta: one flow per level of a nested coarse x-grid,
-    resampled onto the solver grid."""
+    """Numeric symbol z -> H(phi(z)), the one symbol after a flow: the
+    Egorov residual quantizes a o Phi_t through it.  Every evaluation is a
+    flow, so ``invariance_check`` evaluates it only to build one
+    interpolation table in p for all its momenta: one flow per level of a
+    nested coarse x-grid, resampled onto the solver grid."""
     if H.dim != phi.dim:
         raise ValueError("symbol and map dimensions differ")
 
@@ -201,9 +154,9 @@ def compose_hamiltonian(H: PhaseSpaceFunction, phi: SymplecticMap) -> PhaseSpace
     return PhaseSpaceFunction(dim=H.dim, fn=fn)
 
 
-def symplectic_defect(phi: SymplecticMap, probes: int = 32, p_box: float = 3.0) -> float:
+def symplectic_defect(phi: SymplecticMap, probes: int = 32) -> float:
     """max over probes of |det(D phi) - 1|, Jacobian by central differences
-    of step 1e-5 at probe points drawn with seed 42."""
+    of step 1e-5 at probe points drawn with seed 42, momenta in [-3, 3]^n."""
     probes = int(probes)
     if probes < 1:
         raise ValueError("need at least one probe point")
@@ -211,7 +164,7 @@ def symplectic_defect(phi: SymplecticMap, probes: int = 32, p_box: float = 3.0) 
     step = 1e-5
     rng = np.random.default_rng(42)
     x0 = rng.uniform(0.0, TWO_PI, size=(probes, n))
-    p0 = rng.uniform(-p_box, p_box, size=(probes, n))
+    p0 = rng.uniform(-3.0, 3.0, size=(probes, n))
 
     # one batched evaluation for all +/- perturbations of all coordinates
     reps = 4 * n

@@ -17,8 +17,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._linalg import operator_norm, unitarity_defect
-from .dynamics import _flow_batch
-from .potentials import FourierPotential, wrap_angles
+from .dynamics import SymplecticMap, compose_hamiltonian
+from .potentials import FourierPotential
 from .spectra import HamiltonianMatrix, PlaneWaveBasis, _from_cos_sin, assemble_hamiltonian
 from .symbols import PhaseSpaceFunction, mechanical_symbol
 from .weylquant import weyl_matrix
@@ -48,24 +48,6 @@ def heisenberg(ham: HamiltonianMatrix, obs: np.ndarray, t: float) -> np.ndarray:
     return U.conj().T @ obs @ U
 
 
-def flowed_symbol(a: PhaseSpaceFunction, generator: PhaseSpaceFunction,
-                  t: float, h: float = 1e-2) -> PhaseSpaceFunction:
-    """The symbol a composed with the forward flow of the generator.
-
-    RK4 is forced even for mechanical generators: the flow here feeds a
-    quantization whose own error we want to resolve, and Verlet's O(h^2)
-    drift would mask it.
-    """
-    if a.dim != generator.dim:
-        raise ValueError("symbol and generator dimensions differ")
-
-    def fn(x, eta):
-        X, P = _flow_batch(generator, x, eta, float(t), h, scheme="rk4")
-        return a.fn(wrap_angles(X), P)
-
-    return PhaseSpaceFunction(dim=a.dim, fn=fn)
-
-
 def interior_indices(dim: int, cutoff: int) -> np.ndarray:
     """Positions of the frequencies with |k|_inf <= cutoff//2 in the basis."""
     return PlaneWaveBasis(dim, cutoff).rows(PlaneWaveBasis(dim, cutoff // 2).frequencies())
@@ -73,12 +55,15 @@ def interior_indices(dim: int, cutoff: int) -> np.ndarray:
 
 def egorov_residual(a: PhaseSpaceFunction, pot: FourierPotential, t: float,
                     hbar: float, cutoff: int, h: float = 1e-2) -> float:
-    """Operator-norm Egorov defect on the interior half-cutoff block."""
+    """Operator-norm Egorov defect on the interior half-cutoff block, between
+    the Heisenberg evolution of Op(a) and Op(a o Phi_t), Phi_t the flow of
+    |eta|^2/2 + V.  The map is built first, so a bad t or h is refused
+    before any assembly."""
+    flowed = compose_hamiltonian(a, SymplecticMap(mechanical_symbol(pot), float(t), h))
     ham = assemble_hamiltonian(pot, hbar, cutoff)
     A = weyl_matrix(a, hbar, cutoff).matrix
     At = heisenberg(ham, A, t)
-    gen = mechanical_symbol(pot)
-    B = weyl_matrix(flowed_symbol(a, gen, t, h=h), hbar, cutoff).matrix
+    B = weyl_matrix(flowed, hbar, cutoff).matrix
     keep = interior_indices(pot.dim, cutoff)
     diff = (At - B)[np.ix_(keep, keep)]
     return operator_norm(diff)

@@ -30,9 +30,9 @@ class PhaseSpaceFunction:
     """b(x, eta), evaluated on batched arrays of shape (m, dim).
 
     vector_field(x, eta) returns (dH/dx, dH/deta), each (m, dim), from one
-    call; the flows call it once per RK4 stage.  A symbol without one is
-    flowed on grad_x and grad_eta when both are set (one call each per
-    stage), and otherwise on central differences of fn.
+    call; the flows call it once per RK4 stage, and a SymplecticMap refuses
+    a generator without one.  grad_x and grad_eta are optional callables
+    that nothing in the library reads.
 
     eta_cutoff is (plateau, support, G) for a product W(x) g(eta) whose g is
     exactly 1 on |eta|_2 < plateau and exactly 0 on |eta|_2 >= support, with

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._linalg import operator_norm
 from .potentials import TWO_PI, FourierPotential, _grid_points, _trig_sum
-from .spectra import PlaneWaveBasis, PlaneWaveMatrix
+from .spectra import PlaneWaveBasis, PlaneWaveMatrix, _physical_memory
 from .symbols import PhaseSpaceFunction, _rows
 
 __all__ = [
@@ -41,6 +41,15 @@ _CHUNK_POINTS = 2 ** 12
 
 class WeylMatrix(PlaneWaveMatrix):
     """Weyl quantization of a symbol on a plane-wave basis."""
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    """Refuse, before it allocates anything, work that holds more than
+    physical memory."""
+    physical = _physical_memory()
+    if nbytes > physical:
+        raise ValueError(f"{what} needs {nbytes} bytes, more than the {physical} "
+                         f"bytes of physical memory")
 
 
 def _symbol_rows(b: PhaseSpaceFunction, xg: np.ndarray, etas: np.ndarray) -> np.ndarray:
@@ -70,7 +79,11 @@ def weyl_matrix(b: PhaseSpaceFunction, hbar: float, K: int) -> WeylMatrix:
     (spectrally accurate for smooth symbols).  That numeric path evaluates
     the symbol on the grid at every lattice momentum (hbar/2) s, |s|_inf <=
     2K, in chunks of whole momentum rows, so a flowed symbol runs a few
-    large flows instead of one small flow per row.
+    large flows instead of one small flow per row.  It holds the S x G^n
+    values, S = (4K+1)^n rows on a grid of G^n points, and their FFT: a
+    tracemalloc peak of 40 bytes per value for a real symbol (K = 8 to 128
+    in 1D, 2 to 16 in 2D), so it is refused beyond physical memory before
+    the symbol is evaluated.
     """
     hbar = float(hbar)
     if not (0.0 < hbar <= 1.0):
@@ -96,8 +109,10 @@ def weyl_matrix(b: PhaseSpaceFunction, hbar: float, K: int) -> WeylMatrix:
     basis.require_dense()
     bw_hint = b.x_bandwidth or 0
     G = max(4 * K + 4, 4 * bw_hint + 4, 64)    # > 4K: frequencies stay apart
-    xg = _grid_points([np.arange(G) * (TWO_PI / G)] * n)
     lattice = PlaneWaveBasis(n, 2 * K)
+    _require_memory(40 * lattice.size * G ** n,
+                    f"the numeric Weyl path at K={K} on a {G}^{n} grid")
+    xg = _grid_points([np.arange(G) * (TWO_PI / G)] * n)
     vals = _symbol_rows(b, xg, 0.5 * hbar * lattice.frequencies().astype(float))
     spec = np.fft.fftn(vals.reshape((-1,) + (G,) * n), axes=tuple(range(1, n + 1))) / (G ** n)
     # entry (k, m) sits on lattice row k + m at x-frequency k - m
@@ -143,7 +158,10 @@ def wigner_transform(psi: np.ndarray, basis: PlaneWaveBasis, hbar: float,
     (2 pi)^(-n) sum_{k+l=kappa} c_k conj(c_l) exp(i (k-l).x).  Each pair
     (k, l) lands on its own row kappa and x-frequency k - l, and one inverse
     FFT per row sums them on the grid; |k - l|_inf <= 2K < res/2 keeps the
-    frequencies apart.
+    frequencies apart.  The spectrum and its transform are two complex
+    (S, res^n) arrays, S = (4K+1)^n; with the index arrays the tracemalloc
+    peak is 48 bytes per entry in 2D (K = 2 to 16; 40 in 1D), so a
+    transform beyond physical memory is refused before anything is built.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (basis.size,):
@@ -157,8 +175,10 @@ def wigner_transform(psi: np.ndarray, basis: PlaneWaveBasis, hbar: float,
     res = int(res or (4 * K + 4))
     if res < 4 * K + 2:
         raise ValueError("resolution too coarse for the 2K spatial band")
-    freqs = basis.frequencies()
     lattice = PlaneWaveBasis(n, 2 * K)
+    _require_memory(48 * lattice.size * res ** n,
+                    f"a Wigner transform at K={K} on a {res}^{n} grid")
+    freqs = basis.frequencies()
     kappas = lattice.frequencies()
 
     k, l = freqs[:, None, :], freqs[None, :, :]

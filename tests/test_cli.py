@@ -368,6 +368,12 @@ _NAN_FLAGS = {
     "inf-pmax": ["--pmax", "inf", "--dp", "0.5"],
     # not a NaN: a cell grid beyond physical memory, refused before allocation
     "huge-grid": ["--p", "1.0", "--grid", "1000000000000"],
+    # not NaNs: a flow step outside (0, 1e-2] or a flow of 10^14 steps,
+    # refused before any assembly
+    "zero-step": ["--hbar", "0.5,0.25", "--K", "8", "--step", "0"],
+    "negative-step": ["--hbar", "0.5,0.25", "--K", "8", "--step", "-0.01"],
+    "coarse-step": ["--hbar", "0.5,0.25", "--K", "8", "--step", "0.5"],
+    "huge-t": ["--hbar", "0.5,0.25", "--K", "8", "--t", "1e12"],
 }
 
 # a potential file that is not a list of {"q": integer vector, "re", "im"}
@@ -397,6 +403,10 @@ _CONFIGS = {
     ("egorov", "nan-plateau"),
     ("egorov", "inf-t"),
     ("egorov", "zero-den-t"),
+    ("egorov", "zero-step"),
+    ("egorov", "negative-step"),
+    ("egorov", "coarse-step"),
+    ("egorov", "huge-t"),
     ("spectrum", "zero-den-hbar"),
     ("spectrum", "inf-energy"),
     ("effective", "inf-pmax"),

@@ -139,3 +139,42 @@ def test_every_exported_name_is_read():
     exported = {name for name in torusspec.__all__
                 if not inspect.ismodule(getattr(torusspec, name))}
     assert sorted(exported - read) == []
+
+
+def _public_members(tree: ast.Module) -> set:
+    """Class.name of each public method or property of the module's classes."""
+    return {f"{cls.name}.{node.name}"
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")}
+
+
+def _attributes_read_outside_own_def(tree: ast.Module) -> set:
+    """Attribute names tree reads, leaving out what a def reads of its own name."""
+    read = set()
+
+    def visit(node, own):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr not in own:
+                read.add(child.attr)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, own | {child.name})
+            else:
+                visit(child, own)
+
+    visit(tree, frozenset())
+    return read
+
+
+def test_every_public_member_is_read():
+    # a method or property that only its own unit tests reach is API nothing uses
+    paths = [*sorted(SRC.glob("*.py")), ROOT / "tests" / "test_acceptance.py",
+             ROOT / "bench" / "workloads.py"]
+    members, read = set(), set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent == SRC:
+            members |= _public_members(tree)
+        read |= _attributes_read_outside_own_def(tree)
+    assert sorted(m for m in members if m.split(".")[1] not in read) == []

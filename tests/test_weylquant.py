@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +98,51 @@ def test_numeric_path_calls_symbol_once_per_chunk_of_rows():
         S, P = (4 * K + 1) ** pot.dim, G ** pot.dim
         assert len(calls) == math.ceil(S / max(1, 2 ** 12 // P)) == expect
         assert sum(calls) == S * P
+
+
+def _physical_memory_of(monkeypatch, nbytes):
+    real_sysconf = os.sysconf
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or real_sysconf(name))
+
+
+@pytest.mark.parametrize("dim, K", [(1, 8), (2, 3)])
+def test_numeric_weyl_path_beyond_physical_memory_is_refused(monkeypatch, dim, K):
+    # 40 bytes per value: the (4K+1)^n rows on the 64^n grid and their FFT
+    calls = []
+
+    def fn(x, eta):
+        calls.append(1)
+        return np.cos(x[:, 0]) * np.exp(-np.sum(eta ** 2, axis=1))
+
+    b = PhaseSpaceFunction(dim=dim, fn=fn)
+    need = 40 * (4 * K + 1) ** dim * 64 ** dim
+    _physical_memory_of(monkeypatch, need - 1)
+    with pytest.raises(ValueError, match="physical memory"):
+        weyl_matrix(b, 0.5, K)
+    assert calls == []
+    _physical_memory_of(monkeypatch, need)
+    weyl_matrix(b, 0.5, K)
+    assert calls
+
+
+@pytest.mark.parametrize("dim, K", [(1, 8), (2, 3)])
+def test_wigner_beyond_physical_memory_is_refused(monkeypatch, dim, K):
+    # 48 bytes per entry of the (4K+1)^n x res^n spectrum, res = 4K + 4
+    basis = PlaneWaveBasis(dim, K)
+    psi = np.full(basis.size, basis.size ** -0.5)
+    entries = (4 * K + 1) ** dim * (4 * K + 4) ** dim
+    _physical_memory_of(monkeypatch, 48 * entries - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="physical memory"):
+            wigner_transform(psi, basis, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * entries                  # not one complex array
+    _physical_memory_of(monkeypatch, 48 * entries)
+    assert wigner_transform(psi, basis, 0.5).values.shape == ((4 * K + 1) ** dim,) + (4 * K + 4,) * dim
 
 
 def test_midpoint_rule_entries_first_principles():
