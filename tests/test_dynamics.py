@@ -273,12 +273,14 @@ def test_builtin_symbols_flow_without_central_differences(monkeypatch):
 # -- empty batches and the three sets of a product generator's RK4 batch --
 
 
-def test_empty_batch_flows_to_empty_arrays():
-    # mechanical: plain RK4; product symbol: RK4 with the split
-    for b in (mechanical_symbol(cosine((1, 0))),
-              product_symbol(cosine((1, 0), 0.2), bump_profile(3.0, 6.0))):
-        X, P = _flow_batch(b, np.empty((0, 2)), np.empty((0, 2)), 1.0, 1e-2)
-        assert X.shape == P.shape == (0, 2)
+# None: no eta cutoff, every row takes RK4; rk4: a product symbol, whose
+# batch is split into the resting sets and the rows that take RK4
+@pytest.mark.parametrize("profile", [None, bump_profile(3.0, 6.0)], ids=["None", "rk4"])
+def test_empty_batch_flows_to_empty_arrays(profile):
+    pot = cosine((1, 0), 0.2)
+    b = mechanical_symbol(pot) if profile is None else product_symbol(pot, profile)
+    X, P = _flow_batch(b, np.empty((0, 2)), np.empty((0, 2)), 1.0, 1e-2)
+    assert X.shape == P.shape == (0, 2)
 
 
 def test_empty_batch_through_a_symplectic_map():
