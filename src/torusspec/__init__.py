@@ -24,7 +24,7 @@ from .dynamics import SymplecticMap, symplectic_defect, time_one_map
 from .effective import (EffectiveTable, action_J, cell_problem_solve,
                         closed_form_table, effective_1d, effective_grid,
                         invariance_check)
-from .propagation import egorov_residual, egorov_scaling, propagate
+from .propagation import egorov_scaling, propagate
 from .isospectral import (IsospectralPair, Theorem2Report, bs_reconstruct,
                           make_pair, spectra_compare, theorem2_check,
                           weyl_first_invariant)

@@ -175,7 +175,7 @@ def _cmd_egorov(args, outdir: Path):
                             cutoff_rule=rule, h=args.step)
     out = outdir / "egorov.json"
     write_report_json(out, report.to_dict())
-    return [out]
+    return [out], {"diagnostics": list(report.groups)}
 
 
 def _parse_pair(args):

@@ -22,6 +22,15 @@ splits each RK4 batch into three sets of finite points:
 - every other point, non-finite ones included, which goes through RK4.
 
 Escape is checked on every set, so what RK4 refuses is still refused.
+
+A symbol H composed with the flow of a mechanical generator |eta|^2/2 + V
+skips the flow of dead rows when H carries an eta_cutoff.  Along that flow
+|d eta/dt| = |grad V|_2 <= G_V = sum_q |w_q| |q|_2, and each RK4 step adds
+dt times a convex combination of field values, so |eta| moves by at most
+|t| G_V (1 + 1e-9).  A finite row with |eta|_2 - |t| G_V (1 + 1e-9) >=
+support ends where H is exactly 0, and one with |eta|_2 + |t| G_V (1 + 1e-9)
+<= 1e3 cannot escape: a row meeting both gets 0.0 without a flow.  Every
+other row is flowed, so escape and non-finite refusals are unchanged.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import TWO_PI, wrap_angles
+from .potentials import TWO_PI, _gradient_bound, wrap_angles
 from .symbols import PhaseSpaceFunction, _rows
 
 _MAX_STEP = 1e-2
@@ -48,6 +57,17 @@ def _check_escape(p):
         raise FlowEscapeError("trajectory left |p| <= 1e3 or is not finite")
 
 
+def _check_batch(X, P, dim: int):
+    if np.shape(X) != np.shape(P) or np.shape(X)[1:] != (dim,):
+        raise ValueError("phase points do not form an (m, dim) batch of the generator")
+
+
+def _finite_radii(X, P):
+    """Rows whose coordinates are all finite, and |eta|_2 of every row."""
+    finite = np.all(np.isfinite(X), axis=1) & np.all(np.isfinite(P), axis=1)
+    return finite, np.sqrt(np.sum(P ** 2, axis=1))
+
+
 def _resting_sets(b: PhaseSpaceFunction, X, P, t: float):
     """Row masks (plateau, outside) of the module docstring; both empty
     unless b carries an eta_cutoff."""
@@ -55,10 +75,20 @@ def _resting_sets(b: PhaseSpaceFunction, X, P, t: float):
     if b.eta_cutoff is None:
         return none, none
     plateau, support, grad_bound = b.eta_cutoff
-    finite = np.all(np.isfinite(X), axis=1) & np.all(np.isfinite(P), axis=1)
-    r = np.sqrt(np.sum(P ** 2, axis=1))
+    finite, r = _finite_radii(X, P)
     return (finite & (r + abs(t) * grad_bound * (1.0 + 1e-9) < plateau),
             finite & (r >= support))
+
+
+def _dead_rows(H: PhaseSpaceFunction, phi: "SymplecticMap", X, P):
+    """Rows where H o phi is exactly 0 without a flow (module docstring);
+    none unless H carries an eta_cutoff and phi's generator is mechanical."""
+    pot = phi.generator.potential
+    if H.eta_cutoff is None or pot is None:
+        return np.zeros(X.shape[0], dtype=bool)
+    drift = abs(phi.time) * _gradient_bound(pot) * (1.0 + 1e-9)
+    finite, r = _finite_radii(X, P)
+    return finite & (r - drift >= H.eta_cutoff[1]) & (r + drift <= _ESCAPE)
 
 
 def _flow_batch(b: PhaseSpaceFunction, X, P, t: float, h: float):
@@ -129,8 +159,7 @@ class SymplecticMap:
 
     def apply(self, X, P):
         """Batched map on raw (m, dim) arrays; positions wrap on output."""
-        if np.shape(X) != np.shape(P) or np.shape(X)[1:] != (self.dim,):
-            raise ValueError("phase points do not form an (m, dim) batch of the generator")
+        _check_batch(X, P, self.dim)
         X, P = _flow_batch(self.generator, X, P, self.time, self.h)
         return wrap_angles(X), P
 
@@ -140,16 +169,26 @@ def time_one_map(b: PhaseSpaceFunction, h: float) -> SymplecticMap:
 
 
 def compose_hamiltonian(H: PhaseSpaceFunction, phi: SymplecticMap) -> PhaseSpaceFunction:
-    """Numeric symbol z -> H(phi(z)), the one symbol after a flow: the
-    Egorov residual quantizes a o Phi_t through it.  Every evaluation is a
-    flow, so ``invariance_check`` evaluates it only to build one
+    """Numeric symbol z -> H(phi(z)), the one symbol after a flow:
+    ``egorov_scaling`` quantizes a o Phi_t through it.  Every evaluation
+    flows its rows but the dead ones of the module docstring, which are 0.0;
+    so the Egorov path evaluates it once on the distinct lattice momenta of
+    all its hbar at one cutoff, and ``invariance_check`` only to build one
     interpolation table in p for all its momenta: one flow per level of a
     nested coarse x-grid, resampled onto the solver grid."""
     if H.dim != phi.dim:
         raise ValueError("symbol and map dimensions differ")
 
     def fn(x, eta):
-        return H.fn(*phi.apply(_rows(x, H.dim), _rows(eta, H.dim)))
+        X, P = _rows(x, H.dim), _rows(eta, H.dim)
+        _check_batch(X, P, H.dim)
+        live = ~_dead_rows(H, phi, X, P)
+        if not live.any():
+            return np.zeros(X.shape[0])
+        vals = np.asarray(H.fn(*phi.apply(X[live], P[live])))
+        out = np.zeros(X.shape[0], dtype=vals.dtype)
+        out[live] = vals
+        return out
 
     return PhaseSpaceFunction(dim=H.dim, fn=fn)
 

@@ -348,6 +348,11 @@ def sup_norm(pot: FourierPotential, remove_mean: bool = False) -> float:
     return max(abs(ext.min_value - mean), abs(ext.max_value - mean))
 
 
+def _gradient_bound(pot: FourierPotential) -> float:
+    """G = sum_q |w_q| |q|_2 over the half spectrum, which bounds sup |grad V|_2."""
+    return float(np.sum(np.abs(pot.half_weights) * np.linalg.norm(pot.half_freqs, axis=1)))
+
+
 # -- serialisation -------------------------------------------------------
 
 

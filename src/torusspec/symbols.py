@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .potentials import FourierPotential
+from .potentials import FourierPotential, _gradient_bound
 
 
 @dataclass
@@ -128,9 +128,7 @@ def product_symbol(pot: FourierPotential, eta_fn: Callable) -> PhaseSpaceFunctio
 
     cutoff = None
     if hasattr(eta_fn, "plateau") and hasattr(eta_fn, "support"):
-        grad_bound = float(np.sum(np.abs(pot.half_weights)
-                                  * np.linalg.norm(pot.half_freqs, axis=1)))
-        cutoff = (eta_fn.plateau, eta_fn.support, grad_bound)
+        cutoff = (eta_fn.plateau, eta_fn.support, _gradient_bound(pot))
     return PhaseSpaceFunction(dim=dim, fn=fn, x_bandwidth=pot.max_frequency,
                               x_fourier=xf, vector_field=vf, eta_cutoff=cutoff)
 

@@ -83,10 +83,23 @@ def weyl_matrix(b: PhaseSpaceFunction, hbar: float, K: int) -> WeylMatrix:
     values, S = (4K+1)^n rows on a grid of G^n points, and their FFT: a
     tracemalloc peak of 40 bytes per value for a real symbol (K = 8 to 128
     in 1D, 2 to 16 in 2D), so it is refused beyond physical memory before
-    the symbol is evaluated.
+    the symbol is evaluated.  This is the one-hbar case of
+    ``_weyl_matrices``, which shares the rows of several hbar.
     """
-    hbar = float(hbar)
-    if not (0.0 < hbar <= 1.0):
+    return _weyl_matrices(b, (hbar,), K)[0]
+
+
+def _weyl_matrices(b: PhaseSpaceFunction, hbars, K: int) -> list:
+    """weyl_matrix(b, hbar, K) for each hbar in hbars, in order.
+
+    The numeric path's grid depends on K alone: the symbol is evaluated and
+    transformed once on the U distinct lattice momenta of all hbar
+    (np.unique, exact float equality), holding 40 bytes per row and grid
+    point, and each hbar reads its own rows of that spectrum, bit for bit
+    its own one-hbar matrix.
+    """
+    hbars = [float(hb) for hb in hbars]
+    if not all(0.0 < hb <= 1.0 for hb in hbars):
         raise ValueError("hbar out of range (0, 1]")
     K = int(K)
     if b.x_bandwidth is not None and K < b.x_bandwidth:
@@ -97,29 +110,36 @@ def weyl_matrix(b: PhaseSpaceFunction, hbar: float, K: int) -> WeylMatrix:
     if b.x_fourier is not None:
         bw = b.x_bandwidth if b.x_bandwidth is not None else 2 * K
         bw = min(bw, 2 * K)
+        mats = []
+        for hbar in hbars:
+            def entry(q, k):
+                eta = hbar * (k.astype(float) + 0.5 * np.array(q, dtype=int)[None, :])
+                return b.x_fourier(q, eta)
 
-        def entry(q, k):
-            eta = hbar * (k.astype(float) + 0.5 * np.array(q, dtype=int)[None, :])
-            return b.x_fourier(q, eta)
+            mat = basis.band_matrix(itertools.product(range(-bw, bw + 1), repeat=n), entry)
+            mats.append(WeylMatrix(hbar=hbar, basis=basis, matrix=mat))
+        return mats
 
-        mat = basis.band_matrix(itertools.product(range(-bw, bw + 1), repeat=n), entry)
-        return WeylMatrix(hbar=hbar, basis=basis, matrix=mat)
-
-    # numeric path: FFT in x at every needed lattice momentum
+    # numeric path: FFT in x at every distinct lattice momentum of the group
     basis.require_dense()
     bw_hint = b.x_bandwidth or 0
     G = max(4 * K + 4, 4 * bw_hint + 4, 64)    # > 4K: frequencies stay apart
     lattice = PlaneWaveBasis(n, 2 * K)
-    _require_memory(40 * lattice.size * G ** n,
+    sums = lattice.frequencies().astype(float)
+    etas, rows = np.unique(np.concatenate([0.5 * hb * sums for hb in hbars]),
+                           axis=0, return_inverse=True)
+    _require_memory(40 * etas.shape[0] * G ** n,
                     f"the numeric Weyl path at K={K} on a {G}^{n} grid")
     xg = _grid_points([np.arange(G) * (TWO_PI / G)] * n)
-    vals = _symbol_rows(b, xg, 0.5 * hbar * lattice.frequencies().astype(float))
+    vals = _symbol_rows(b, xg, etas)
     spec = np.fft.fftn(vals.reshape((-1,) + (G,) * n), axes=tuple(range(1, n + 1))) / (G ** n)
     # entry (k, m) sits on lattice row k + m at x-frequency k - m
     freqs = basis.frequencies()
     k, m = freqs[:, None, :], freqs[None, :, :]
-    mat = spec[(lattice.rows(k + m),) + tuple(np.moveaxis(np.mod(k - m, G), -1, 0))]
-    return WeylMatrix(hbar=hbar, basis=basis, matrix=mat)
+    lat = lattice.rows(k + m)
+    q = tuple(np.moveaxis(np.mod(k - m, G), -1, 0))
+    return [WeylMatrix(hbar=hbar, basis=basis, matrix=spec[(own[lat],) + q])
+            for hbar, own in zip(hbars, rows.reshape(len(hbars), -1))]
 
 
 # -- Wigner transform ------------------------------------------------------

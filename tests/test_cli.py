@@ -470,6 +470,17 @@ def test_egorov_subcommand(pots, tmp_path):
     assert rc == 2
 
 
+def test_egorov_manifest_lists_the_cutoff_groups(pots, tmp_path):
+    # one group at K = 8: 49 distinct rows (hbar/2) s for hbar 0.5 and 0.25
+    # on a 64-point grid, of which the 33 with |eta| <= 2 are flowed
+    out = tmp_path / "run"
+    assert main(["egorov", "--potential", pots["cos"], "--hbar", "0.5,0.25",
+                 "--K", "8", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["diagnostics"] == [{"K": 8, "hbar": [0.5, 0.25],
+                                        "lattice_points": 49 * 64, "flowed_points": 33 * 64}]
+
+
 def test_readme_examples_parse():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = [line for line in readme.read_text(encoding="utf-8").splitlines()

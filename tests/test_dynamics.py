@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from torusspec import potentials, symbols
+from torusspec import dynamics, potentials, symbols
 from torusspec.dynamics import (FlowEscapeError, SymplecticMap, _flow_batch,
                                 compose_hamiltonian, symplectic_defect, time_one_map)
 from torusspec.potentials import FourierPotential, TWO_PI, cosine, sine, zero_potential
@@ -89,6 +89,14 @@ def test_flow_dimension_mismatch():
     for X, P in (([[1.0, 2.0]], [[0.0, 0.0]]), ([1.0], [0.0]), ([[1.0]], [[0.0], [1.0]])):
         with pytest.raises(ValueError):
             phi.apply(X, P)
+
+
+def test_composed_symbol_refuses_a_mismatched_batch():
+    # with and without dead rows, before any flow
+    phi = time_one_map(mechanical_symbol(cosine((1,), 0.5)), 1e-2)
+    for H in (mechanical_symbol(cosine((1,))), product_symbol(cosine((1,)), bump_profile(0.9, 1.2))):
+        with pytest.raises(ValueError, match="batch"):
+            compose_hamiltonian(H, phi).fn(np.zeros(3), np.zeros(2))
 
 
 def test_trajectory_sampling():
@@ -348,3 +356,96 @@ def test_split_flow_is_bit_identical_to_all_rk4(pot, t):
     got = _flow_batch(b, X, P, t, 1e-2)
     want = _flow_batch(reference, X, P, t, 1e-2)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# -- dead rows of a symbol composed with a mechanical flow --
+
+
+_OBSERVABLE = product_symbol(cosine((1,)), bump_profile(0.9, 1.2))
+
+
+def _counted_flows(monkeypatch):
+    """Rows handed to each flow call."""
+    rows = []
+    flow = dynamics._flow_batch
+
+    def counted(b, X, P, t, h):
+        rows.append(np.shape(X)[0])
+        return flow(b, X, P, t, h)
+
+    monkeypatch.setattr(dynamics, "_flow_batch", counted)
+    return rows
+
+
+@pytest.mark.parametrize("t", [1.0, -0.5])
+def test_composed_symbol_flows_only_the_live_rows(monkeypatch, t):
+    # V = 0.5 cos x bounds |grad V| by G_V = 0.5: a row with |eta| - |t| G_V
+    # >= 1.2 never reaches the observable's support
+    phi = SymplecticMap(mechanical_symbol(cosine((1,), 0.5)), t, 1e-2)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, TWO_PI, 241)
+    eta = np.linspace(-3.0, 3.0, 241)
+    live = np.abs(eta) - abs(t) * 0.5 * (1.0 + 1e-9) < 1.2
+    assert 0 < live.sum() < live.size
+    rows = _counted_flows(monkeypatch)
+    got = compose_hamiltonian(_OBSERVABLE, phi).fn(x, eta)
+    assert rows == [live.sum()]
+    assert np.all(got[~live] == 0.0)
+    want = compose_hamiltonian(dataclasses.replace(_OBSERVABLE, eta_cutoff=None), phi).fn(x, eta)
+    assert rows == [live.sum(), live.size]
+    assert np.array_equal(got, want)
+
+
+def test_composed_symbol_with_only_dead_rows_flows_nothing(monkeypatch):
+    phi = time_one_map(mechanical_symbol(cosine((1,), 0.5)), 1e-2)
+    rows = _counted_flows(monkeypatch)
+    got = compose_hamiltonian(_OBSERVABLE, phi).fn(np.zeros(3), np.array([2.0, -5.0, 999.0]))
+    assert rows == [] and np.array_equal(got, np.zeros(3))
+
+
+def test_dead_rows_need_a_mechanical_generator(monkeypatch):
+    # the generator of the invariance check: a product symbol, no potential
+    phi = _shear_map()
+    assert phi.generator.potential is None
+    eta = np.linspace(-8.0, 8.0, 33)
+    rows = _counted_flows(monkeypatch)
+    compose_hamiltonian(_OBSERVABLE, phi).fn(np.zeros(33), eta)
+    assert rows == [33]
+
+
+def test_dead_rows_need_an_observable_with_eta_cutoff(monkeypatch):
+    phi = time_one_map(mechanical_symbol(cosine((1,), 0.5)), 1e-2)
+    eta = np.linspace(-8.0, 8.0, 33)
+    rows = _counted_flows(monkeypatch)
+    for H in (mechanical_symbol(cosine((1,))),
+              product_symbol(cosine((1,)), lambda e: bump_profile(0.9, 1.2)(e))):
+        assert H.eta_cutoff is None
+        compose_hamiltonian(H, phi).fn(np.zeros(33), eta)
+    assert rows == [33, 33]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("x,eta", [
+    (0.5, 1e3 + 0.25),          # beyond 1e3, within |t| G_V of it
+    (0.5, -1e3 - 0.25),
+    (0.5, math.nan),            # non-finite
+    (math.inf, 5.0),
+    (0.5, math.inf),
+])
+def test_dead_rows_keep_the_escape_refusal(monkeypatch, x, eta):
+    phi = time_one_map(mechanical_symbol(cosine((1,), 0.5)), 1e-2)
+    rows = _counted_flows(monkeypatch)
+    for H in (_OBSERVABLE, dataclasses.replace(_OBSERVABLE, eta_cutoff=None)):
+        with pytest.raises(FlowEscapeError):
+            compose_hamiltonian(H, phi).fn(np.array([x, 1.0]), np.array([eta, 5.0]))
+    # the refused row was flowed; the dead row beside it was not
+    assert rows == [1, 2]
+
+
+def test_dead_rows_reach_up_to_the_escape_bound(monkeypatch):
+    # |eta| + |t| G_V (1 + 1e-9) <= 1e3: the flow cannot leave |p| <= 1e3
+    phi = time_one_map(mechanical_symbol(cosine((1,), 0.5)), 1e-2)
+    eta = np.array([1e3 - 0.5 * (1.0 + 2e-9), -(1e3 - 0.5 * (1.0 + 2e-9))])
+    rows = _counted_flows(monkeypatch)
+    assert np.array_equal(compose_hamiltonian(_OBSERVABLE, phi).fn(np.zeros(2), eta), np.zeros(2))
+    assert rows == []

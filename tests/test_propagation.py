@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from torusspec._linalg import unitarity_defect
+from torusspec._linalg import operator_norm, unitarity_defect
+from torusspec.dynamics import SymplecticMap, compose_hamiltonian
 from torusspec.potentials import FourierPotential, cosine, zero_potential
-from torusspec.propagation import (default_cutoff_rule, egorov_residual,
-                                   egorov_scaling, heisenberg, interior_indices,
-                                   propagate)
+from torusspec.propagation import (default_cutoff_rule, egorov_scaling, heisenberg,
+                                   interior_indices, propagate)
 from torusspec.spectra import assemble_hamiltonian
 from torusspec.symbols import bump_profile, mechanical_symbol, product_symbol
 from torusspec.weylquant import weyl_matrix
@@ -69,8 +69,8 @@ def test_interior_indices():
 
 def test_egorov_free_motion_machine_exact():
     a = product_symbol(cosine((1,)), bump_profile(2.0, 4.0))
-    res = egorov_residual(a, zero_potential(1), 1.0, 0.25, 16)
-    assert res < 1e-8
+    rep = egorov_scaling(a, zero_potential(1), 1.0, (0.25, 0.125), cutoff_rule=lambda hb: 16)
+    assert max(rep.residuals) < 1e-8
 
 
 def test_egorov_scaling_free_flags_exact():
@@ -80,6 +80,30 @@ def test_egorov_scaling_free_flags_exact():
     assert rep.exact and rep.slope is None
     d = rep.to_dict()
     assert d["exact"] is True and len(d["residual"]) == 2
+
+
+def test_egorov_scaling_groups_hbar_by_cutoff():
+    # two groups: K = 8 for hbar 0.5, 0.25 and K = 12 for hbar 0.2; each
+    # residual is the one computed for its hbar alone, bit for bit
+    a = product_symbol(cosine((1,)), bump_profile(0.9, 1.2))
+    pot = cosine((1,))
+    hbars = (0.5, 0.25, 0.2)
+    rep = egorov_scaling(a, pot, 1.0, hbars, cutoff_rule=lambda hb: 8 if hb >= 0.25 else 12)
+    assert rep.cutoffs == (8, 8, 12)
+    flowed = compose_hamiltonian(a, SymplecticMap(mechanical_symbol(pot), 1.0, 1e-2))
+    for hb, K, res in zip(hbars, rep.cutoffs, rep.residuals):
+        At = heisenberg(assemble_hamiltonian(pot, hb, K), weyl_matrix(a, hb, K).matrix, 1.0)
+        keep = interior_indices(1, K)
+        assert res == operator_norm((At - weyl_matrix(flowed, hb, K).matrix)[np.ix_(keep, keep)])
+    # a 64-point grid per row; rows with |eta| - t G_V (1 + 1e-9) >= 1.2,
+    # G_V = 1, are dead.  K = 8: 33 rows (hbar/2) s of 0.25 and 16 more of
+    # 0.5, the 33 with |eta| <= 2 live; K = 12: 49 rows 0.1 s, the 45 with
+    # |s| <= 22 live
+    assert rep.groups == ({"K": 8, "hbar": [0.5, 0.25], "lattice_points": 49 * 64,
+                           "flowed_points": 33 * 64},
+                          {"K": 12, "hbar": [0.2], "lattice_points": 49 * 64,
+                           "flowed_points": 45 * 64})
+    assert set(rep.to_dict()) == {"hbar", "residual", "slope", "exact"}
 
 
 def test_egorov_scaling_needs_two_points():

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from test_spectra import _real_form
+from torusspec.dynamics import SymplecticMap, compose_hamiltonian
 from torusspec.potentials import FourierPotential, TWO_PI, cosine
 from torusspec.spectra import PlaneWaveBasis, assemble_hamiltonian
 from torusspec.symbols import (PhaseSpaceFunction, bump_profile,
                                mechanical_symbol, product_symbol)
-from torusspec.weylquant import (cv_bound, cv_derivative_order, operator_norm,
+from torusspec.weylquant import (_weyl_matrices, cv_bound, cv_derivative_order, operator_norm,
                                  projector_check, symbol_from_wigner,
                                  weyl_matrix, wigner_pairing, wigner_transform,
                                  x_derivative_sup_norms)
@@ -124,6 +125,55 @@ def test_numeric_weyl_path_beyond_physical_memory_is_refused(monkeypatch, dim, K
     _physical_memory_of(monkeypatch, need)
     weyl_matrix(b, 0.5, K)
     assert calls
+
+
+def _distinct_momenta(dim, K, hbars):
+    sums = list(itertools.product(range(-2 * K, 2 * K + 1), repeat=dim))
+    return {tuple(0.5 * hb * float(v) for v in s) for hb in hbars for s in sums}
+
+
+@pytest.mark.parametrize("dim, K", [(1, 8), (2, 3)])
+def test_grouped_weyl_path_beyond_physical_memory_is_refused(monkeypatch, dim, K):
+    # 40 bytes per value of the U distinct rows across the group: at hbar
+    # 0.5 and 0.25, U = 49 in 1D (33 + 16) and 289 in 2D (169 + 169 - 49)
+    calls = []
+
+    def fn(x, eta):
+        calls.append(1)
+        return np.cos(x[:, 0]) * np.exp(-np.sum(eta ** 2, axis=1))
+
+    b = PhaseSpaceFunction(dim=dim, fn=fn)
+    U = len(_distinct_momenta(dim, K, (0.5, 0.25)))
+    assert U == (49, 289)[dim - 1]
+    need = 40 * U * 64 ** dim
+    _physical_memory_of(monkeypatch, need - 1)
+    with pytest.raises(ValueError, match="physical memory"):
+        _weyl_matrices(b, (0.5, 0.25), K)
+    assert calls == []
+    _physical_memory_of(monkeypatch, need)
+    assert len(_weyl_matrices(b, (0.5, 0.25), K)) == 2
+    assert sum(calls) >= 1
+
+
+@pytest.mark.parametrize("hbars, distinct", [((0.2, 0.1, 0.05), 193), ((0.2, 0.15), 187)])
+def test_grouped_weyl_path_equals_one_hbar_at_a_time(hbars, distinct):
+    # the flowed observable of the Egorov bench at K = 24, 97 rows per hbar:
+    # hbar 0.2, 0.1, 0.05 (powers of 2 apart) share most rows, while 0.2 and
+    # 0.15 share only 7 (eta = 0, +-1.5, +-2.1, +-3.0)
+    assert len(_distinct_momenta(1, 24, hbars)) == distinct
+    a = product_symbol(cosine((1,)).translate(0.7), bump_profile(0.9, 1.2))
+    phi = SymplecticMap(mechanical_symbol(cosine((1,)).translate(0.7)), 1.0, 1e-2)
+    flowed = compose_hamiltonian(a, phi)
+    grouped = _weyl_matrices(flowed, hbars, 24)
+    assert [m.hbar for m in grouped] == list(hbars)
+    for hb, mat in zip(hbars, grouped):
+        assert np.array_equal(mat.matrix, weyl_matrix(flowed, hb, 24).matrix)
+
+
+def test_grouped_weyl_path_evaluates_each_distinct_row_once():
+    b, calls = _numeric_symbol(cosine((1,)))
+    _weyl_matrices(b, (0.5, 0.25, 0.125), 8)
+    assert sum(calls) == len(_distinct_momenta(1, 8, (0.5, 0.25, 0.125))) * 64 == 65 * 64
 
 
 @pytest.mark.parametrize("dim, K", [(1, 8), (2, 3)])
