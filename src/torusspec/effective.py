@@ -261,17 +261,23 @@ class _GridSymbol:
         self.vgrid = H.potential.evaluate(self.xpts).reshape(-1) if self.mechanical else None
         self.pstar = 0.0
         self.p_range = None
+        self.half = None
 
     def halved(self) -> "_GridSymbol":
         """The same symbol on every other node of each axis (these axes equal
         ``_cell_axes`` of the halved grid bit for bit).  A table is sliced,
-        columns and minimisers, not built again."""
-        half = _GridSymbol(self.H, [a[::2] for a in self.axes], self.band)
-        if not self.mechanical:
-            half.p_range, half.knots = self.p_range, self.knots
-            half.coef, half.dcoef = self.coef[..., ::2], self.dcoef[..., ::2]
-            half.pstar = self.pstar[::2]
-        return half
+        columns and minimisers, not built again.  The halved symbol belongs
+        to this instance, like its table: the solves of several P on one
+        instance build each coarser level, its stencil and its elimination
+        order once."""
+        if self.half is None:
+            half = _GridSymbol(self.H, [a[::2] for a in self.axes], self.band)
+            if not self.mechanical:
+                half.p_range, half.knots = self.p_range, self.knots
+                half.coef, half.dcoef = self.coef[..., ::2], self.dcoef[..., ::2]
+                half.pstar = self.pstar[::2]
+            self.half = half
+        return self.half
 
     def build_table(self, p_lo: float, p_hi: float, res: int):
         """Cubic interpolation in p at every x-node (numeric symbols, 1D).
@@ -346,6 +352,7 @@ class _GridSymbol:
         t = -2.0 * C / (B + np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0)))
         self.pstar = (pg[k] + np.clip(t, 0.0, pg[k + 1] - pg[k]))[:, None]
         self.p_range = (p_lo, p_hi)
+        self.half = None    # it sliced the previous table
 
     def _table(self, coef, pargs):
         """Piecewise polynomial ``coef`` (one column per x-node) at (x_j, p_j),
@@ -638,11 +645,13 @@ def cell_table(pot: FourierPotential, p_max: float, dp: float, grid: int) -> Eff
     nonzero component is positive, and written into the mirrored index too
     (the axis is symmetric: axis[-1 - i] == -axis[i] exactly); the
     certificates then check convexity and bounds honestly.  diagnostics
-    holds each solve's ``CellSolution.diagnostics()``, in solve order.
+    holds each solve's ``CellSolution.diagnostics()``, in solve order.  All
+    the solves share one ``_GridSymbol``, so each grid level is built once.
     """
     H = mechanical_symbol(pot)
     axis = _p_axis(p_max, dp)
     n = pot.dim
+    sym = _GridSymbol(H, _cell_axes(n, grid))
     vmax = potential_extrema(pot).max_value
     shape = (axis.size,) * n
     values = np.full(shape, np.nan)
@@ -653,7 +662,7 @@ def cell_table(pot: FourierPotential, p_max: float, dp: float, grid: int) -> Eff
         lead = P[np.flatnonzero(P)[:1]]
         if lead.size and lead[0] < 0:
             continue    # filled in by the solve of -P
-        sol = cell_problem_solve(H, P, grid)
+        sol = _solve_on(sym, P)
         mirror = tuple(axis.size - 1 - i for i in idx)
         values[idx] = values[mirror] = sol.value
         residuals[idx] = residuals[mirror] = sol.corrector.residual

@@ -7,13 +7,18 @@ associated Schrodinger operator (translations, reflection) act on the
 coefficients exactly, without touching any grid.
 
 Evaluation runs in real arithmetic on the half spectrum fixed at
-construction: one q of each +-q pair and the weight w_q = A_q + i B_q with
+construction: one q of each +-q pair, the weight w_q = A_q + i B_q with
 A_q = Re(c_q + c_{-q}), B_q = Im(c_q - c_{-q}), so that
-V(x) = c_0 + sum_q A_q cos(q.x) - B_q sin(q.x).  Values, gradients and
-x-derivatives of any order are all sums of this form (`_trig_sum`): one
-matmul, one cos and one sin per block of points.  `value_and_gradient`
-takes V and grad V from one such pass, for the flows' vector fields, and
-`potential_extrema` polishes a grid scan to the exact extrema by Newton.
+V(x) = c_0 + sum_q Re(w_q exp(i q.x)), and w_q in amplitude-phase form
+a_q exp(i theta_q), theta_q in (-pi/2, pi/2] and a_q signed, so that
+V(x) = c_0 + sum_q a_q cos(q.x + theta_q) and a real coefficient has
+theta_q = 0 exactly.  Values, gradients and x-derivatives of any order are
+all sums Re sum_q w'_q exp(i(q.x + theta_q)) (`_trig_sum`) with weights
+rotated by exp(-i theta_q): V's are the real a_q and grad V's the
+imaginary i q a_q, so per block of points `evaluate` takes one cos,
+`gradient` one sin, and `value_and_gradient` one of each for the flows'
+vector fields.  `potential_extrema` polishes a grid scan to the exact
+extrema by Newton.
 """
 
 from __future__ import annotations
@@ -46,18 +51,28 @@ def wrap_angles(x):
     return np.mod(np.asarray(x, dtype=float), TWO_PI)
 
 
-def _trig_sum(pts, freqs, w):
-    """Re sum_j w_j exp(i q_j.x) at each row x of pts, q_j = freqs[j].
+def _trig_sum(pts, pot, w):
+    """Re sum_j w_j exp(i(q_j.x + theta_j)) at each row x of pts, over the
+    half spectrum (q_j, theta_j) of pot.
 
-    That is sum_j Re(w_j) cos(q_j.x) - Im(w_j) sin(q_j.x): one matmul, one
-    cos and one sin per block of points.  Weights with a trailing axis give
-    one output column per weight column.
+    That is sum_j Re(w_j) cos(q_j.x + theta_j) - Im(w_j) sin(q_j.x + theta_j),
+    with the cos taken only when some Re(w_j) != 0 and the sin only when
+    some Im(w_j) != 0: per block of points, one phase product and at most
+    one cos and one sin.  Weights with a trailing axis give one output
+    column per weight column.
     """
-    out = np.empty(pts.shape[:1] + w.shape[1:])
-    step = max(1, _TRIG_BLOCK // max(1, freqs.shape[0]))
+    q, theta = pot.half_freqs, pot.half_phases
+    wr, wi = w.real, w.imag
+    take_cos, take_sin = np.count_nonzero(wr) > 0, np.count_nonzero(wi) > 0
+    out = np.zeros(pts.shape[:1] + w.shape[1:])
+    step = max(1, _TRIG_BLOCK // max(1, q.shape[0]))
     for lo in range(0, pts.shape[0], step):
-        t = pts[lo:lo + step] @ freqs.T
-        out[lo:lo + step] = np.cos(t) @ w.real - np.sin(t) @ w.imag
+        t = np.dot(pts[lo:lo + step], q.T)
+        t += theta
+        if take_cos:
+            np.dot(np.cos(t), wr, out=out[lo:lo + step])
+        if take_sin:
+            out[lo:lo + step] -= np.dot(np.sin(t), wi)
     return out
 
 
@@ -88,19 +103,21 @@ class FourierPotential:
 
     The coefficient table is validated at construction, and its half
     spectrum fixed: half_freqs, shape (h, dim), the q of each +-q pair whose
-    first nonzero component is positive, sorted, and the complex
-    half_weights w_q of the module docstring.  Coefficients that pass the
-    Hermitian check without being exact conjugates leave an imaginary part,
-    which evaluate and value_and_gradient refuse past _IMAG_TOL.
+    first nonzero component is positive, sorted, with the half_amplitudes
+    a_q and half_phases theta_q of the module docstring.  Coefficients that
+    pass the Hermitian check without being exact conjugates leave an
+    imaginary part, which evaluate and value_and_gradient refuse past
+    _IMAG_TOL.
     """
 
     dim: int
     coeffs: Mapping[tuple, complex]
     half_freqs: np.ndarray = field(init=False, repr=False, compare=False)
-    half_weights: np.ndarray = field(init=False, repr=False, compare=False)
-    # _trig_sum weights of V and of grad V; V's carry a second column, for
-    # Im V, only when some c_{-q} != conj(c_q).  _fused_w stacks V's columns
-    # before grad V's, for value_and_gradient.
+    half_amplitudes: np.ndarray = field(init=False, repr=False, compare=False)
+    half_phases: np.ndarray = field(init=False, repr=False, compare=False)
+    # _trig_sum weights of V and of grad V, rotated by exp(-i theta_q); V's
+    # carry a second column, for Im V, only when some c_{-q} != conj(c_q).
+    # _fused_w stacks V's columns before grad V's, for value_and_gradient.
     _value_w: np.ndarray = field(init=False, repr=False, compare=False)
     _grad_w: np.ndarray = field(init=False, repr=False, compare=False)
     _fused_w: np.ndarray = field(init=False, repr=False, compare=False)
@@ -130,14 +147,22 @@ class FourierPotential:
         freqs = np.array(half, dtype=float).reshape(-1, self.dim)
         w = (cp + cm).real + 1j * (cp - cm).imag
         wi = (cp + cm).imag - 1j * (cp - cm).real      # Im V - Im c_0 = Re sum wi e^{iq.x}
+        # w = amp e^{i theta}: angle(w) in (-pi, pi], folded by pi into
+        # (-pi/2, pi/2] with the sign moved into amp; a real w has theta = 0
+        theta = np.angle(w)
+        flip = (theta > 0.5 * math.pi) | (theta <= -0.5 * math.pi)
+        theta = np.where(flip, theta - np.copysign(math.pi, theta), theta)
+        amp = np.where(flip, -np.abs(w), np.abs(w))
         c0 = clean.get((0,) * self.dim, 0.0j)
         if c0.imag == 0.0 and not np.any(wi):
-            value_w, c0 = w, c0.real
+            value_w, c0 = amp + 0j, c0.real
         else:
-            value_w, c0 = np.stack([w, wi], axis=1), np.array([c0.real, c0.imag])
-        grad_w = 1j * w[:, None] * freqs               # d/dx e^{iq.x} = iq e^{iq.x}
+            value_w = np.stack([amp + 0j, wi * np.exp(-1j * theta)], axis=1)
+            c0 = np.array([c0.real, c0.imag])
+        grad_w = 1j * amp[:, None] * freqs             # d/dx e^{iq.x} = iq e^{iq.x}
         object.__setattr__(self, "half_freqs", freqs)
-        object.__setattr__(self, "half_weights", w)
+        object.__setattr__(self, "half_amplitudes", amp)
+        object.__setattr__(self, "half_phases", theta)
         object.__setattr__(self, "_value_w", value_w)
         object.__setattr__(self, "_grad_w", grad_w)
         object.__setattr__(self, "_fused_w", np.column_stack([value_w, grad_w]))
@@ -179,7 +204,7 @@ class FourierPotential:
     def evaluate(self, x):
         """V(x), vectorised; real output."""
         pts, shape = self._points(x)
-        vals = _real_part(self._c0 + _trig_sum(pts, self.half_freqs, self._value_w))
+        vals = _real_part(self._c0 + _trig_sum(pts, self, self._value_w))
         out = vals.reshape(shape)
         return out if out.shape else float(out)
 
@@ -190,17 +215,17 @@ class FourierPotential:
         """grad V(x).  Batched input (m, dim) gives (m, dim); for dim 1 a bare
         array gives the elementwise derivative with the same shape."""
         pts, shape = self._points(x)
-        grad = _trig_sum(pts, self.half_freqs, self._grad_w)
+        grad = _trig_sum(pts, self, self._grad_w)
         if self.dim == 1 and shape == np.asarray(x).shape:
             return grad[:, 0].reshape(shape)
         return grad.reshape(shape + (self.dim,))
 
     def value_and_gradient(self, x):
-        """(V(x), grad V(x)) from one _trig_sum: one cos/sin pass serves
+        """(V(x), grad V(x)) from one _trig_sum: one cos and one sin serve
         both.  Values have evaluate's shape, gradients one trailing axis of
         length dim more; a non-real V is refused as in evaluate."""
         pts, shape = self._points(x)
-        both = _trig_sum(pts, self.half_freqs, self._fused_w)
+        both = _trig_sum(pts, self, self._fused_w)
         k = both.shape[1] - self.dim
         vals = _real_part(self._c0 + (both[:, 0] if k == 1 else both[:, :k]))
         return vals.reshape(shape), both[:, k:].reshape(shape + (self.dim,))
@@ -300,30 +325,31 @@ def potential_extrema(pot: FourierPotential) -> ExtremaReport:
     """Min and max of V, exact to rounding.
 
     One scan rule: a uniform grid of at most 4096 points per axis and 2^16 in
-    all.  As |V''| <= L = sum |w_q| |q|^2 in any direction, the scan point
+    all.  As |V''| <= L = sum |a_q| |q|^2 in any direction, the scan point
     nearest an extremum is within L dim h^2 / 8 of it.  Newton on grad V = 0
     starts from every scan point within that bound of the best, with the
-    gradients and Hessians (weights iq w_q, -q q^T w_q) of all starts from one
-    _trig_sum per step, and steps capped at h.  The scan's best compete with
-    the polished points, so the result is never worse than the scan.
+    gradients and Hessians (rotated weights iq a_q, -q q^T a_q) of all
+    starts from one _trig_sum per step, and steps capped at h.  The scan's
+    best compete with the polished points, so the result is never worse
+    than the scan.
     """
     if not pot.half_freqs.size:
         return ExtremaReport(pot.mean, pot.mean, np.zeros(pot.dim), np.zeros(pot.dim))
-    q, w, d = pot.half_freqs, pot.half_weights, pot.dim
+    q, a, d = pot.half_freqs, pot.half_amplitudes, pot.dim
     n = min(4096, 2 ** (16 // d))
     h = TWO_PI / n
     pts = _grid_points([np.arange(n) * h] * d)
     vals = pot.evaluate(pts)
-    bound = float(np.sum(np.abs(w) * np.sum(q * q, axis=1))) * d * h * h / 8.0
+    bound = float(np.sum(np.abs(a) * np.sum(q * q, axis=1))) * d * h * h / 8.0
     starts = []
     for f in (-vals, vals):
         near = np.flatnonzero(f >= np.max(f) - bound)
         starts.append(near[np.argsort(f[near])[-_POLISH_STARTS:]])
     x = pts[np.concatenate(starts)]
-    wts = np.column_stack([pot._grad_w, -(w[:, None, None] * q[:, :, None] * q[:, None, :])
+    wts = np.column_stack([pot._grad_w, -(a[:, None, None] * q[:, :, None] * q[:, None, :])
                            .reshape(-1, d * d)])
     for _ in range(_POLISH_STEPS):
-        gh = _trig_sum(x, q, wts)
+        gh = _trig_sum(x, pot, wts)
         hess = gh[:, d:].reshape(-1, d, d)
         # H^-1 grad V as (H^2 + mu) s = H grad V, no step along a flat direction
         mu = 1e-14 * np.max(np.abs(hess), axis=(1, 2)) ** 2 + 1e-300
@@ -349,8 +375,8 @@ def sup_norm(pot: FourierPotential, remove_mean: bool = False) -> float:
 
 
 def _gradient_bound(pot: FourierPotential) -> float:
-    """G = sum_q |w_q| |q|_2 over the half spectrum, which bounds sup |grad V|_2."""
-    return float(np.sum(np.abs(pot.half_weights) * np.linalg.norm(pot.half_freqs, axis=1)))
+    """G = sum_q |a_q| |q|_2 over the half spectrum, which bounds sup |grad V|_2."""
+    return float(np.sum(np.abs(pot.half_amplitudes) * np.linalg.norm(pot.half_freqs, axis=1)))
 
 
 # -- serialisation -------------------------------------------------------

@@ -7,7 +7,8 @@ when the symbol is mechanical, |eta|^2/2 + V(x), or the radii of the
 momentum cutoff of a product W(x) g(eta), which lets the flows step only
 the points that can reach the cutoff's band.  The built-in symbols give
 the vector field (dH/dx, dH/deta) in one call, analytic throughout: one
-cos/sin pass of the potential for W and grad W, and one exp pair of
+kernel pass of the potential for W and grad W (one cos and one sin; a
+mechanical symbol's grad V alone takes the sin only), and one exp pair of
 bump_profile for the cutoff and its derivative.  A numeric symbol carries
 its evaluator only; one composed with a flow costs a flow per evaluation,
 so ``invariance_check`` evaluates it only to build one interpolation table

@@ -332,7 +332,7 @@ def x_derivative_sup_norms(pot: FourierPotential, order: int) -> dict:
 
     Valid for product symbols with sup|g| = 1; derivatives act on the
     trigonometric factor only: on W's half spectrum, d^alpha W carries the
-    weights w_q i^|alpha| q^alpha (plus W's mean when alpha = 0).  All
+    rotated weights a_q i^|alpha| q^alpha (plus W's mean when alpha = 0).  All
     orders are scanned on one grid (2048 points in 1D, 128 per axis
     otherwise) by one trig sum.
     """
@@ -341,8 +341,8 @@ def x_derivative_sup_norms(pot: FourierPotential, order: int) -> dict:
     grid_res = 2048 if pot.dim == 1 else 128
     pts = _grid_points([np.arange(grid_res) * (TWO_PI / grid_res)] * pot.dim)
     q = pot.half_freqs
-    w = pot.half_weights[:, None] * np.stack(
+    w = pot.half_amplitudes[:, None] * np.stack(
         [(1, 1j, -1, -1j)[sum(a) % 4] * np.prod(q ** np.array(a), axis=1) for a in alphas], axis=1)
-    vals = _trig_sum(pts, q, w)
+    vals = _trig_sum(pts, pot, w)
     vals[:, 0] += pot.mean                     # alphas[0] is alpha = 0
     return {a: float(np.max(np.abs(vals[:, j]))) for j, a in enumerate(alphas)}

@@ -243,6 +243,24 @@ def test_cell_table_mirrors_only_under_p_to_minus_p():
     assert table.diagnostics[2] == direct.diagnostics()
 
 
+def test_cell_table_builds_each_grid_level_once(monkeypatch):
+    # the five solves of a 2D table share one _GridSymbol and its halved
+    # level, so the 64 and 32 grids are each dissected once, not once per P;
+    # the last solve, after four on the shared levels, is still bit for bit
+    # its own cell_problem_solve
+    shapes = []
+    dissect = effective.nested_dissection
+    monkeypatch.setattr(effective, "nested_dissection",
+                        lambda shape: shapes.append(tuple(shape)) or dissect(shape))
+    pot = cosine((1, 0)) + cosine((0, 1))
+    table = cell_table(pot, 1.0, 1.0, 64)
+    assert len(table.diagnostics) == 5 and shapes == [(64, 64), (32, 32)]
+    direct = cell_problem_solve(mechanical_symbol(pot), (1.0, 1.0), 64)
+    assert table.diagnostics[-1] == direct.diagnostics()
+    assert table.values[2, 2] == direct.value
+    assert table.residuals[2, 2] == direct.corrector.residual
+
+
 @pytest.mark.parametrize("P", [0.0, 1.2, 1.35, 2.0])
 def test_cell_1d_ergodic_solve_matches_the_closed_form(P):
     # the upwind slopes solve p^2/2 + V = c node by node, so mean p = P is
@@ -343,6 +361,12 @@ def test_halved_table_matches_the_fine_table_on_even_nodes():
     assert np.array_equal(half.pstar, sym.pstar[::2])
     # p* is the root of the table's dH/dp
     assert np.max(np.abs(sym.slope(sym.pstar))) <= 1e-12
+    # the halved symbol is kept until a new table replaces the one it sliced
+    assert sym.halved() is half
+    sym.build_table(-5.0, 5.0, effective._TABLE_P_RES)
+    half = sym.halved()
+    assert half.p_range == (-5.0, 5.0)
+    assert np.array_equal(half.value(p), sym.value(np.repeat(p, 2, axis=0))[::2])
 
 
 def test_table_not_convex_in_p_is_refused():

@@ -304,6 +304,75 @@ def test_value_and_gradient_matches_evaluate_and_gradient(monkeypatch):
             assert np.max(np.abs(grad - pot.gradient(pts).reshape(grad.shape))) <= 1e-15
 
 
+def _real_cosine_sum_2d():
+    # real coefficients on 40 half-spectrum frequencies, |q|_inf <= 4
+    rng = np.random.default_rng(41)
+    coeffs = {(0, 0): 0.2}
+    for q in itertools.product(range(-4, 5), repeat=2):
+        if q > (0, 0):
+            coeffs[q] = coeffs[(-q[0], -q[1])] = float(rng.normal())
+    return FourierPotential(2, coeffs)
+
+
+@pytest.mark.parametrize("pot, m", [
+    (cosine((1,)), 257),
+    (cosine((2,), -0.25), 257),
+    (_real_cosine_sum_2d(), 2 ** 16),     # 2^16 x 40 phases: three blocks
+], ids=["cos", "-0.25cos2x", "2d-blocks"])
+def test_real_coefficients_take_phase_zero_and_one_transcendental(pot, m):
+    # a real coefficient has theta = 0 exactly and its signed amplitude a_q
+    # is A_q, so V = c_0 + sum a_q cos(q.x) and grad V = -sum a_q q sin(q.x)
+    # bit for bit.  The kernel takes the rows in blocks of _TRIG_BLOCK // k
+    # and BLAS rounds the last rows of a product apart, so the reference
+    # takes the same blocks
+    pts = np.random.default_rng(43).uniform(-20.0, 20.0, size=(m, pot.dim))
+    q, a = pot.half_freqs, pot.half_amplitudes
+    assert not np.any(pot.half_phases)
+    step = potentials._TRIG_BLOCK // q.shape[0]
+    blocks = [np.dot(pts[lo:lo + step], q.T) for lo in range(0, m, step)]
+    assert len(blocks) == (3 if m > 257 else 1)
+    vals = np.concatenate([pot.mean + np.dot(np.cos(t), a) for t in blocks])
+    grad = np.concatenate([-np.dot(np.sin(t), a[:, None] * q) for t in blocks])
+    assert np.array_equal(pot.evaluate(pts), vals)
+    assert np.array_equal(pot.gradient(pts).reshape(m, pot.dim), grad)
+
+
+def test_each_pass_takes_only_the_transcendentals_it_needs(monkeypatch):
+    # evaluate takes the cos of every (point, frequency) pair and no sin,
+    # gradient the sin and no cos, value_and_gradient one of each; a
+    # potential whose coefficients are not exact conjugates takes both for
+    # its Im V column, and is still refused past _IMAG_TOL
+    coeffs = {}
+    for q in range(1, 51):
+        coeffs[(q,)] = 1e-3
+        coeffs[(-q,)] = 1e-3 + 9e-13j
+    non_real = FourierPotential(1, coeffs)
+    pot1 = cosine((1,)) + sine((2,), 0.5).translate(0.3)
+    counts = {}
+
+    def counted(name, fn):
+        def wrapped(t):
+            counts[name] += np.size(t)
+            return fn(t)
+        return wrapped
+
+    monkeypatch.setattr(np, "cos", counted("cos", np.cos))
+    monkeypatch.setattr(np, "sin", counted("sin", np.sin))
+    m = 257
+    for pot in (pot1, _complex_2d(), _real_cosine_sum_2d()):
+        pts = np.linspace(-3.0, 3.0, m * pot.dim).reshape(m, pot.dim)
+        mk = m * pot.half_freqs.shape[0]
+        for call, expected in ((pot.evaluate, (mk, 0)), (pot.gradient, (0, mk)),
+                               (pot.value_and_gradient, (mk, mk))):
+            counts.update(cos=0, sin=0)
+            call(pts)
+            assert (counts["cos"], counts["sin"]) == expected
+    counts.update(cos=0, sin=0)
+    with pytest.raises(ArithmeticError):
+        non_real.evaluate(np.zeros((m, 1)))
+    assert counts == {"cos": 50 * m, "sin": 50 * m}
+
+
 def test_many_frequencies_evaluate_in_blocks():
     # 840 half-spectrum frequencies on a 128^2 grid: unblocked, the phase,
     # cos and sin arrays would take 110 MB each

@@ -106,6 +106,21 @@ def test_egorov_scaling_groups_hbar_by_cutoff():
     assert set(rep.to_dict()) == {"hbar", "residual", "slope", "exact"}
 
 
+def test_criterion_8_residuals_and_slope_are_pinned():
+    # criterion 8's numbers, free and under cos x, pinned so that a change
+    # to the potential kernel or the flows cannot move them unseen
+    a = product_symbol(cosine((1,)), bump_profile(0.9, 1.2))
+    free = egorov_scaling(a, zero_potential(1), 1.0, (0.2, 0.1))
+    rep = egorov_scaling(a, cosine((1,)), 1.0, (0.2, 0.1, 0.05, 0.025))
+    assert free.residuals == pytest.approx((1.6871165515363804e-14, 2.0040289887369564e-14),
+                                           rel=1e-12, abs=0.0)
+    assert free.slope is None
+    assert rep.residuals == pytest.approx((0.16475815462290305, 0.11886139958877705,
+                                           0.04146424814860889, 0.014699341667832218),
+                                          rel=1e-12, abs=0.0)
+    assert rep.slope == pytest.approx(1.1978919708232307, rel=1e-12, abs=0.0)
+
+
 def test_egorov_scaling_needs_two_points():
     a = product_symbol(cosine((1,)), bump_profile(2.0, 4.0))
     with pytest.raises(ValueError):

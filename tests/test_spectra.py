@@ -327,8 +327,10 @@ def test_weyl_volume_at_a_scan_value_where_a_point_value_rounds_apart():
     xs = potential_extrema(pot).argmax[0] + np.arange(4097) * (TWO_PI / 4096)
     vals = pot.evaluate(xs)
     grad = pot.gradient(xs)
-    j = next(j for j in np.flatnonzero(np.abs(grad) > 0.5)
-             if pot.evaluate(xs[j:j + 1])[0] > vals[j])
+    j = next((j for j in np.flatnonzero(np.abs(grad) > 0.5)
+              if pot.evaluate(xs[j:j + 1])[0] > vals[j]), None)
+    assert j is not None, ("no steep scan point where a one-point evaluate rounds above "
+                           "the batched value: this test's premise needs another potential")
     side = slice(j, j + 2) if grad[j] > 0 else slice(j - 1, j + 1)
     lo, hi = xs[side][:1], xs[side][1:]
     level = vals[j:j + 1]
