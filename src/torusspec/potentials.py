@@ -67,12 +67,13 @@ def _trig_sum(pts, pot, w):
     out = np.zeros(pts.shape[:1] + w.shape[1:])
     step = max(1, _TRIG_BLOCK // max(1, q.shape[0]))
     for lo in range(0, pts.shape[0], step):
+        block = out[lo:lo + step]
         t = np.dot(pts[lo:lo + step], q.T)
         t += theta
         if take_cos:
-            np.dot(np.cos(t), wr, out=out[lo:lo + step])
+            np.dot(np.cos(t), wr, out=block)
         if take_sin:
-            out[lo:lo + step] -= np.dot(np.sin(t), wi)
+            block -= np.dot(np.sin(t), wi)
     return out
 
 
