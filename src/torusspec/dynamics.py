@@ -21,7 +21,10 @@ splits each RK4 batch into three sets of finite points:
   these points stay where they are.
 - every other point, non-finite ones included, which goes through RK4.
 
-Escape is checked on every set, so what RK4 refuses is still refused.
+Escape is checked on every set, so what RK4 refuses is still refused.  A
+batch with no row left for RK4, such as ``symplectic_defect``'s probes when
+they all rest on the plateau, makes no RK4 stage.  The step factors dt/2
+and dt/6 are formed once per flow.
 
 A symbol H composed with the flow of a mechanical generator |eta|^2/2 + V
 skips the flow of dead rows when H carries an eta_cutoff.  Along that flow
@@ -93,13 +96,15 @@ def _dead_rows(H: PhaseSpaceFunction, phi: "SymplecticMap", X, P):
 
 def _flow_batch(b: PhaseSpaceFunction, X, P, t: float, h: float):
     """Advance a batch of phase points by time t (t may be negative) in
-    round(|t|/h) RK4 steps, at least one."""
+    round(|t|/h) RK4 steps, at least one.  A batch without rows for RK4
+    makes no RK4 stage."""
     X = np.array(X, dtype=float, copy=True)
     P = np.array(P, dtype=float, copy=True)
     if t == 0.0:
         return X, P
     steps = max(1, int(round(abs(t) / h)))
     dt = t / steps
+    half, sixth = 0.5 * dt, dt / 6.0
 
     def rhs(x, p):
         dx, dp = b.vector_field(x, p)
@@ -110,20 +115,22 @@ def _flow_batch(b: PhaseSpaceFunction, X, P, t: float, h: float):
     if plateau.any():
         Pf = P[plateau]
         _, k = rhs(X[plateau], Pf)
-        shift = (dt / 6.0) * (k + 2 * k + 2 * k + k)
+        shift = sixth * (k + 2 * k + 2 * k + k)
         for _ in range(steps):
             Pf += shift
             _check_escape(Pf)
         P[plateau] = Pf
     moving = ~(plateau | outside)
+    if not moving.any():
+        return X, P
     Xm, Pm = X[moving], P[moving]
     for _ in range(steps):
         k1x, k1p = rhs(Xm, Pm)
-        k2x, k2p = rhs(Xm + 0.5 * dt * k1x, Pm + 0.5 * dt * k1p)
-        k3x, k3p = rhs(Xm + 0.5 * dt * k2x, Pm + 0.5 * dt * k2p)
+        k2x, k2p = rhs(Xm + half * k1x, Pm + half * k1p)
+        k3x, k3p = rhs(Xm + half * k2x, Pm + half * k2p)
         k4x, k4p = rhs(Xm + dt * k3x, Pm + dt * k3p)
-        Xm += (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        Pm += (dt / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        Xm += sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
+        Pm += sixth * (k1p + 2 * k2p + 2 * k3p + k4p)
         _check_escape(Pm)
     X[moving], P[moving] = Xm, Pm
     return X, P

@@ -40,7 +40,10 @@ nested-dissection order of the grid (George, SIAM J. Numer. Anal. 10, 1973):
 the periodic seam last, the open box before it bisected recursively.  On
 48^2 to 128^2 grids this cuts the L+U fill of SuperLU's COLAMD order by 5-40%.
 Rows pivot only when the diagonal falls below 0.01 of its column's largest
-entry.
+entry.  The grid symbol holds the Jacobian's canonical CSC structure (the
+permutation of the stencil's entries into column order, the row indices and
+the column pointers), so a step only permutes its values: the matrix that a
+COO assembly converted to CSC would give, as no two entries share a place.
 
 The scheme constants are fixed: start discount delta = 0.1; Jacobian shift
 1e-3 (smaller ones stall H o phi table solves on the plateau); Newton
@@ -252,11 +255,16 @@ class _GridSymbol:
         idx = np.arange(self.size).reshape(self.shape)
         self.ip = [np.roll(idx, -1, axis=i).reshape(-1) for i in range(self.dim)]
         self.im = [np.roll(idx, 1, axis=i).reshape(-1) for i in range(self.dim)]
-        # COO pattern of the Jacobian (diagonal, then +/- neighbours per axis)
-        # in elimination-order numbering
+        # the Jacobian's entries (diagonal, then +/- neighbours per axis) at
+        # rows and columns in elimination-order numbering, as canonical CSC:
+        # perm takes the entries into column-major order, rows ascending in
+        # each column (no two entries share a place); each column holds
+        # 2 dim + 1 of them
         nbrs = [self.rank[nb[i]] for i in range(self.dim) for nb in (self.ip, self.im)]
-        self.pattern = (np.tile(self.rank, 2 * self.dim + 1),
-                        np.concatenate([self.rank] + nbrs))
+        rows = np.tile(self.rank, 2 * self.dim + 1)
+        self.perm = np.lexsort((rows, np.concatenate([self.rank] + nbrs)))
+        self.indices = rows[self.perm].astype(np.intc)
+        self.indptr = np.arange(0, self.perm.size + 1, 2 * self.dim + 1, dtype=np.intc)
         self.mechanical = H.potential is not None
         self.vgrid = H.potential.evaluate(self.xpts).reshape(-1) if self.mechanical else None
         self.pstar = 0.0
@@ -419,8 +427,8 @@ class _CellWorkspace:
         data = [self.delta + np.sum(wa - wb, axis=1)]
         for i in range(sym.dim):
             data += [wb[:, i], -wa[:, i]]
-        return sparse.coo_matrix((np.concatenate(data), sym.pattern),
-                                 shape=(sym.size, sym.size)).tocsc()
+        return sparse.csc_matrix((np.concatenate(data)[sym.perm], sym.indices, sym.indptr),
+                                 shape=(sym.size, sym.size))
 
     def newton_step(self, F, q, back):
         """J^{-1} F, F one right-hand side or columns of them, from one LU
@@ -499,13 +507,15 @@ def _nested_start(sym: _GridSymbol, P):
 
 def _cell_axes(dim: int, grid) -> list:
     """Uniform torus grid axes, ``grid`` points per axis (or one per axis).
-    A grid whose ``_GridSymbol`` arrays (7 dim + 5 words of 8 bytes per
-    cell, and the axes) exceed physical memory is refused before anything
-    is allocated."""
+    A grid whose ``_GridSymbol`` arrays exceed physical memory is refused
+    before anything is allocated: per cell 3 dim + 3 words of 8 bytes, the
+    CSC permutation's 2 dim + 1 more, and 2 dim + 2 four-byte row indices and
+    column pointers, so 48 dim + 40 bytes; plus one column pointer and the
+    axes."""
     shape = (int(grid),) * dim if np.isscalar(grid) else tuple(int(g) for g in grid)
     if min(shape) < _MIN_GRID:
         raise ValueError(f"grid below {_MIN_GRID} per axis is rejected")
-    nbytes = 8 * ((7 * len(shape) + 5) * math.prod(shape) + sum(shape))
+    nbytes = (48 * len(shape) + 40) * math.prod(shape) + 4 + 8 * sum(shape)
     physical = _physical_memory()
     if nbytes > physical:
         raise ValueError(f"a cell grid of shape {shape} needs {nbytes} bytes, more than "

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .effective import action_J, cell_problem_solve, effective_1d
+from .effective import _cell_axes, _GridSymbol, _solve_on, action_J, effective_1d
 from .potentials import TWO_PI, FourierPotential, potential_extrema
 from .spectra import SpectrumResult, assemble_hamiltonian, eigen_spectrum, write_csv
 from .symbols import mechanical_symbol
@@ -117,7 +117,9 @@ def theorem2_check(pair: IsospectralPair, hbars: Sequence[float], cutoff: int,
     Both distances must be small for the verdict "consistent": eigenvalues
     elementwise to 1e-8 (1+|E|), Hbar columns to 5e-3.  The
     check samples finitely many hbar and P, which is all a numerical
-    verification can do; the note says so.
+    verification can do; the note says so.  The cell method solves each
+    side's P on one grid symbol, as ``cell_table`` does, so each grid level
+    is built once per side.
     """
     spec_dists = []
     for hb in hbars:
@@ -133,11 +135,9 @@ def theorem2_check(pair: IsospectralPair, hbars: Sequence[float], cutoff: int,
         ea = effective_1d(pair.left, np.asarray(p_values, dtype=float))
         eb = effective_1d(pair.right, np.asarray(p_values, dtype=float))
     elif method == "cell-problem":
-        Ha, Hb = mechanical_symbol(pair.left), mechanical_symbol(pair.right)
-        ea = np.array([cell_problem_solve(Ha, np.atleast_1d(p), grid).value
-                       for p in p_values])
-        eb = np.array([cell_problem_solve(Hb, np.atleast_1d(p), grid).value
-                       for p in p_values])
+        ea, eb = (np.array([_solve_on(sym, p).value for p in p_values])
+                  for sym in (_GridSymbol(mechanical_symbol(pot), _cell_axes(pot.dim, grid))
+                              for pot in (pair.left, pair.right)))
     else:
         raise ValueError(f"unknown method {method!r}")
     eff_dist = float(np.max(np.abs(ea - eb)))

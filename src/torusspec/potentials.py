@@ -51,40 +51,66 @@ def wrap_angles(x):
     return np.mod(np.asarray(x, dtype=float), TWO_PI)
 
 
+def _split(w):
+    """The complex weights w, (h,) or (h, k), as a _trig_sum weight set
+    (k, cos part, sin part): Re w for the cos and Im w for the sin, each an
+    (offset, contiguous (h, k) float array) pair, or None where it is all
+    zero.  Weight sets are split once, where they are built."""
+    w = np.asarray(w, dtype=complex)
+    w = w[:, None] if w.ndim == 1 else w
+    parts = [(0, np.ascontiguousarray(part)) if np.any(part) else None
+             for part in (w.real, w.imag)]
+    return (w.shape[1], *parts)
+
+
 def _trig_sum(pts, pot, w):
     """Re sum_j w_j exp(i(q_j.x + theta_j)) at each row x of pts, over the
-    half spectrum (q_j, theta_j) of pot.
+    half spectrum (q_j, theta_j) of pot, one output column per weight column.
 
-    That is sum_j Re(w_j) cos(q_j.x + theta_j) - Im(w_j) sin(q_j.x + theta_j),
-    with the cos taken only when some Re(w_j) != 0 and the sin only when
-    some Im(w_j) != 0: per block of points, one phase product and at most
-    one cos and one sin.  Weights with a trailing axis give one output
-    column per weight column.
+    w is a weight set of ``_split``: its cos part (offset a, weights C)
+    gives the columns a, a+1, ... of sum_j C_j cos(q_j.x + theta_j), and
+    its sin part (b, S) subtracts sum_j S_j sin(q_j.x + theta_j) from the
+    columns b, b+1, ...; columns that neither part reaches are 0.  Per block
+    of points, one phase product, and a cos and a sin only for the parts
+    that are not None.
     """
     q, theta = pot.half_freqs, pot.half_phases
-    wr, wi = w.real, w.imag
-    take_cos, take_sin = np.count_nonzero(wr) > 0, np.count_nonzero(wi) > 0
-    out = np.zeros(pts.shape[:1] + w.shape[1:])
-    step = max(1, _TRIG_BLOCK // max(1, q.shape[0]))
+    k, cos_part, sin_part = w
+    first = cos_part or sin_part
+    # the part written first fills a block whole, or the block starts at 0,
+    # column-major so that each part writes whole columns
+    whole = first is not None and first[1].shape[1] == k
+    out = np.empty((pts.shape[0], k)) if whole else np.zeros((k, pts.shape[0])).T
+    if first is None:
+        return out
+    step = max(1, _TRIG_BLOCK // q.shape[0])
     for lo in range(0, pts.shape[0], step):
         block = out[lo:lo + step]
         t = np.dot(pts[lo:lo + step], q.T)
         t += theta
-        if take_cos:
-            np.dot(np.cos(t), wr, out=block)
-        if take_sin:
-            block -= np.dot(np.sin(t), wi)
+        if cos_part is not None:
+            a, c = cos_part
+            if whole:
+                np.dot(np.cos(t), c, out=block)
+            else:
+                block[:, a:a + c.shape[1]] = np.dot(np.cos(t), c)
+        if sin_part is not None:
+            b, c = sin_part
+            if cos_part is None and whole:
+                np.subtract(0.0, np.dot(np.sin(t), c, out=block), out=block)
+            else:
+                block[:, b:b + c.shape[1]] -= np.dot(np.sin(t), c)
     return out
 
 
 def _real_part(vals):
-    """V from _trig_sum values: a bare column, or (Re V, Im V) columns that
-    are refused when Im V exceeds _IMAG_TOL relative to max |Re V|."""
-    if vals.ndim == 2:
-        vals, imag = vals[:, 0], vals[:, 1]
-        if vals.size and np.max(np.abs(imag)) > _IMAG_TOL * max(1.0, np.max(np.abs(vals))):
+    """V from _trig_sum values: the V column, with an Im V column beside it
+    that is refused when it exceeds _IMAG_TOL relative to max |Re V|."""
+    if vals.shape[1] == 2:
+        imag = vals[:, 1]
+        if vals.size and np.max(np.abs(imag)) > _IMAG_TOL * max(1.0, np.max(np.abs(vals[:, 0]))):
             raise ArithmeticError("potential evaluation produced a non-real value")
-    return vals
+    return vals[:, 0]
 
 
 def _as_freq(q, dim: int) -> tuple:
@@ -116,12 +142,14 @@ class FourierPotential:
     half_freqs: np.ndarray = field(init=False, repr=False, compare=False)
     half_amplitudes: np.ndarray = field(init=False, repr=False, compare=False)
     half_phases: np.ndarray = field(init=False, repr=False, compare=False)
-    # _trig_sum weights of V and of grad V, rotated by exp(-i theta_q); V's
-    # carry a second column, for Im V, only when some c_{-q} != conj(c_q).
-    # _fused_w stacks V's columns before grad V's, for value_and_gradient.
-    _value_w: np.ndarray = field(init=False, repr=False, compare=False)
-    _grad_w: np.ndarray = field(init=False, repr=False, compare=False)
-    _fused_w: np.ndarray = field(init=False, repr=False, compare=False)
+    # _trig_sum weight sets (``_split``) of V and of grad V, rotated by
+    # exp(-i theta_q); V's carry a second column, for Im V, only when some
+    # c_{-q} != conj(c_q).  _fused_w puts V's columns before grad V's, for
+    # value_and_gradient: for a real V the cos serves V's column alone and
+    # the sin grad V's alone.
+    _value_w: tuple = field(init=False, repr=False, compare=False)
+    _grad_w: tuple = field(init=False, repr=False, compare=False)
+    _fused_w: tuple = field(init=False, repr=False, compare=False)
     _c0: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -161,12 +189,16 @@ class FourierPotential:
             value_w = np.stack([amp + 0j, wi * np.exp(-1j * theta)], axis=1)
             c0 = np.array([c0.real, c0.imag])
         grad_w = 1j * amp[:, None] * freqs             # d/dx e^{iq.x} = iq e^{iq.x}
+        v, g = _split(value_w), _split(grad_w)
+        # V's columns without a sin part: its cos and grad V's sin side by side
+        fused = ((v[0] + self.dim, v[1], g[2] and (v[0], g[2][1])) if v[2] is None
+                 else _split(np.column_stack([value_w, grad_w])))
         object.__setattr__(self, "half_freqs", freqs)
         object.__setattr__(self, "half_amplitudes", amp)
         object.__setattr__(self, "half_phases", theta)
-        object.__setattr__(self, "_value_w", value_w)
-        object.__setattr__(self, "_grad_w", grad_w)
-        object.__setattr__(self, "_fused_w", np.column_stack([value_w, grad_w]))
+        object.__setattr__(self, "_value_w", v)
+        object.__setattr__(self, "_grad_w", g)
+        object.__setattr__(self, "_fused_w", fused)
         object.__setattr__(self, "_c0", c0)
 
     # -- basic queries ---------------------------------------------------
@@ -228,7 +260,7 @@ class FourierPotential:
         pts, shape = self._points(x)
         both = _trig_sum(pts, self, self._fused_w)
         k = both.shape[1] - self.dim
-        vals = _real_part(self._c0 + (both[:, 0] if k == 1 else both[:, :k]))
+        vals = _real_part(self._c0 + both[:, :k])
         return vals.reshape(shape), both[:, k:].reshape(shape + (self.dim,))
 
     # -- exact isospectral transforms ------------------------------------
@@ -347,8 +379,9 @@ def potential_extrema(pot: FourierPotential) -> ExtremaReport:
         near = np.flatnonzero(f >= np.max(f) - bound)
         starts.append(near[np.argsort(f[near])[-_POLISH_STARTS:]])
     x = pts[np.concatenate(starts)]
-    wts = np.column_stack([pot._grad_w, -(a[:, None, None] * q[:, :, None] * q[:, None, :])
-                           .reshape(-1, d * d)])
+    wts = _split(np.column_stack([1j * a[:, None] * q,
+                                  -(a[:, None, None] * q[:, :, None] * q[:, None, :])
+                                  .reshape(-1, d * d)]))
     for _ in range(_POLISH_STEPS):
         gh = _trig_sum(x, pot, wts)
         hess = gh[:, d:].reshape(-1, d, d)

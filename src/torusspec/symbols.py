@@ -7,9 +7,11 @@ when the symbol is mechanical, |eta|^2/2 + V(x), or the radii of the
 momentum cutoff of a product W(x) g(eta), which lets the flows step only
 the points that can reach the cutoff's band.  The built-in symbols give
 the vector field (dH/dx, dH/deta) in one call, analytic throughout: one
-kernel pass of the potential for W and grad W (one cos and one sin; a
-mechanical symbol's grad V alone takes the sin only), and one exp pair of
-bump_profile for the cutoff and its derivative.  A numeric symbol carries
+kernel pass of the potential for W and grad W (a cos for W's column and a
+sin for grad W's; a mechanical symbol's grad V alone takes the sin only),
+and one exp pair of bump_profile for the cutoff and its derivative, masked
+rather than gathered.  Nothing is differenced: a product whose profile has
+no value_and_gradient has no vector field.  A numeric symbol carries
 its evaluator only; one composed with a flow costs a flow per evaluation,
 so ``invariance_check`` evaluates it only to build one interpolation table
 in p for all its momenta, flowing a nested coarse x-grid that it resamples
@@ -55,18 +57,6 @@ class PhaseSpaceFunction:
         return self.fn(np.asarray(x, dtype=float), np.asarray(eta, dtype=float))
 
 
-def _central_difference(f, z):
-    """Gradient of the batched scalar function f at the rows of z (m, dim),
-    by central differences of step 1e-6."""
-    step = 1e-6
-    cols = []
-    for i in range(z.shape[1]):
-        e = np.zeros(z.shape[1])
-        e[i] = step
-        cols.append((np.asarray(f(z + e)) - f(z - e)).reshape(-1) / (2 * step))
-    return np.stack(cols, axis=-1)
-
-
 def _rows(a, dim: int) -> np.ndarray:
     """a as a float batch of rows; in 1D a bare array becomes one column."""
     a = np.asarray(a, dtype=float)
@@ -103,8 +93,9 @@ def product_symbol(pot: FourierPotential, eta_fn: Callable) -> PhaseSpaceFunctio
     The x-Fourier transform stays exact: b_hat(q, eta) = c_q g(eta).
     eta_fn maps an (m, dim) batch to (m,) values.  The vector field
     (grad W g, W grad g) takes W and grad W from one potential call and g
-    and grad g from eta_fn.value_and_gradient when the profile has one, as
-    bump_profile's does; a plain callable is differenced instead.
+    and grad g from eta_fn.value_and_gradient, as bump_profile's has; a
+    profile without one gives a symbol without a vector_field, which a
+    SymplecticMap refuses.
 
     A profile with plateau and support attributes, as bump_profile's has,
     sets eta_cutoff to (plateau, support, G), G = sum_q |w_q| |q|_2 over the
@@ -112,9 +103,6 @@ def product_symbol(pot: FourierPotential, eta_fn: Callable) -> PhaseSpaceFunctio
     """
     dim = pot.dim
     profile_vg = getattr(eta_fn, "value_and_gradient", None)
-    if profile_vg is None:
-        def profile_vg(eta):
-            return eta_fn(eta), _central_difference(eta_fn, eta)
 
     def fn(x, eta):
         return pot.evaluate(_rows(x, dim)) * eta_fn(_rows(eta, dim))
@@ -130,8 +118,9 @@ def product_symbol(pot: FourierPotential, eta_fn: Callable) -> PhaseSpaceFunctio
     cutoff = None
     if hasattr(eta_fn, "plateau") and hasattr(eta_fn, "support"):
         cutoff = (eta_fn.plateau, eta_fn.support, _gradient_bound(pot))
-    return PhaseSpaceFunction(dim=dim, fn=fn, x_bandwidth=pot.max_frequency,
-                              x_fourier=xf, vector_field=vf, eta_cutoff=cutoff)
+    return PhaseSpaceFunction(dim=dim, fn=fn, x_bandwidth=pot.max_frequency, x_fourier=xf,
+                              vector_field=None if profile_vg is None else vf,
+                              eta_cutoff=cutoff)
 
 
 def bump_profile(plateau: float, support: float) -> Callable:
@@ -139,43 +128,65 @@ def bump_profile(plateau: float, support: float) -> Callable:
 
     Standard C-infinity transition s(t) = g / (f + g), f = exp(-1/t),
     g = exp(-1/(1-t)), glued on [plateau, support] by
-    t = (|eta| - plateau) / (support - plateau); only points of the
-    transition band 0 < t < 1 need the exps.  The returned profile maps eta
-    to s.  Its attribute value_and_gradient maps an (m, dim) batch to
+    t = (|eta| - plateau) / (support - plateau).  Every row is computed
+    alike, without gathering the transition band 0 < t < 1: off the band the
+    exps take t = 1/2 in its place, and masks pick s = 1 (t <= 0) or 0 (t >= 1
+    or NaN) and a gradient of exactly +0.0, so no division by zero or
+    overflow occurs.  The returned profile maps eta to s.  Its attribute
+    value_and_gradient maps an (m, dim) batch (or a bare 1D array) to
     (s, grad_eta s), the gradient from the same exp pair: the analytic
     s'(t) = -f g (1/t^2 + 1/(1-t)^2) / (f + g)^2 times
-    eta / (|eta| (support - plateau)).  Its attributes plateau and support
-    give the radii: for |eta|_2 < plateau the profile is exactly 1.0 with
-    gradient exactly 0, for |eta|_2 >= support both are exactly 0.
+    eta / (|eta| (support - plateau)).  |eta| of one column is its absolute
+    value, equal to sqrt(eta^2) bit for bit below overflow.  Its attributes
+    plateau and support give the radii: for |eta|_2 < plateau the profile is
+    exactly 1.0 with gradient exactly 0, for |eta|_2 >= support both are
+    exactly 0.
     """
     r0 = float(plateau)
     r1 = float(support)
     if not (0.0 < r0 < r1):
         raise ValueError("need 0 < plateau < support")
+    width = r1 - r0
 
     def smooth_step(eta):
-        # s, plus what its derivative needs: |eta|, the transition band
-        # 0 < t < 1, and on it t, f = exp(-1/t) and g = exp(-1/(1-t))
-        r = np.abs(eta) if eta.ndim == 1 else np.sqrt(np.sum(eta ** 2, axis=-1))
-        t = (r - r0) / (r1 - r0)
-        band = np.nonzero((t > 0.0) & (t < 1.0))
-        tb = t[band]
-        f, g = np.exp(-1.0 / tb), np.exp(-1.0 / (1.0 - tb))
-        s = (t <= 0.0).astype(float)
-        s[band] = g / (f + g)
-        return s, r, band, tb, f, g
+        # s, plus what its derivative needs: |eta|, the band mask, and t,
+        # 1 - t, f, g and f + g with the stand-in t = 1/2 off the band
+        if eta.ndim == 1 or eta.shape[-1] == 1:
+            r = np.abs(eta if eta.ndim == 1 else eta[..., 0])
+        else:
+            r = np.sqrt(np.sum(eta ** 2, axis=-1))
+        t = (r - r0) / width
+        band = (t > 0.0) & (t < 1.0)
+        tb = np.where(band, t, 0.5)
+        u = 1.0 - tb
+        f = np.exp(-1.0 / tb)
+        g = np.exp(-1.0 / u)
+        fg = f + g
+        s = np.where(band, g / fg, t <= 0.0)
+        return s, r, band, tb, u, f, g, fg
 
     def profile(eta):
         return smooth_step(np.asarray(eta, dtype=float))[0]
 
     def value_and_gradient(eta):
         eta = np.asarray(eta, dtype=float)
-        s, r, band, t, f, g = smooth_step(eta)
-        u = 1.0 - t
+        s, r, band, t, u, f, g, fg = smooth_step(eta)
+        # -(f / t / t + f / u / u) g / (f + g)^2 / (width r), in place, the
+        # sign moved into the last divisor (exact) and r floored at the
+        # plateau, which changes no band row and keeps r = 0 out of it;
         # f / t / t rather than f / t**2: f is 0 wherever t**2 underflows
-        ds = -(f / t / t + f / u / u) * g / (f + g) ** 2
+        ds = f / t
+        ds /= t
+        f /= u
+        f /= u
+        ds += f
+        ds *= g
+        ds /= np.square(fg, out=fg)
+        ds /= -width * np.maximum(r, r0)
+        if eta.ndim > 1:
+            ds, band = ds[..., None], band[..., None]
         grad = np.zeros(eta.shape)
-        grad[band] = (ds / ((r1 - r0) * r[band]))[:, None] * eta[band]
+        np.multiply(ds, eta, out=grad, where=band)
         return s, grad
 
     profile.value_and_gradient = value_and_gradient

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import operator_norm
-from .potentials import TWO_PI, FourierPotential, _grid_points, _trig_sum
+from .potentials import TWO_PI, FourierPotential, _grid_points, _split, _trig_sum
 from .spectra import PlaneWaveBasis, PlaneWaveMatrix, _physical_memory
 from .symbols import PhaseSpaceFunction, _rows
 
@@ -343,6 +343,6 @@ def x_derivative_sup_norms(pot: FourierPotential, order: int) -> dict:
     q = pot.half_freqs
     w = pot.half_amplitudes[:, None] * np.stack(
         [(1, 1j, -1, -1j)[sum(a) % 4] * np.prod(q ** np.array(a), axis=1) for a in alphas], axis=1)
-    vals = _trig_sum(pts, pot, w)
+    vals = _trig_sum(pts, pot, _split(w))
     vals[:, 0] += pot.mean                     # alphas[0] is alpha = 0
     return {a: float(np.max(np.abs(vals[:, j]))) for j, a in enumerate(alphas)}

@@ -10,8 +10,7 @@ from torusspec import dynamics, potentials, symbols
 from torusspec.dynamics import (FlowEscapeError, SymplecticMap, _flow_batch,
                                 compose_hamiltonian, symplectic_defect, time_one_map)
 from torusspec.potentials import FourierPotential, TWO_PI, cosine, sine, zero_potential
-from torusspec.symbols import (PhaseSpaceFunction, _central_difference, bump_profile,
-                               mechanical_symbol, product_symbol)
+from torusspec.symbols import PhaseSpaceFunction, bump_profile, mechanical_symbol, product_symbol
 
 # generator 0.1 sin(x) cut off in momentum; on the plateau the time-1 flow is
 # the exact shear (x, p) -> (x, p - 0.1 cos x)
@@ -24,6 +23,18 @@ def _shear_map():
 
 def _free(dim=1):
     return mechanical_symbol(zero_potential(dim))
+
+
+def _central_difference(f, z):
+    """Gradient of the batched scalar function f at the rows of z (m, dim),
+    by central differences of step 1e-6: the oracle of the analytic fields."""
+    step = 1e-6
+    cols = []
+    for i in range(z.shape[1]):
+        e = np.zeros(z.shape[1])
+        e[i] = step
+        cols.append((np.asarray(f(z + e)) - f(z - e)).reshape(-1) / (2 * step))
+    return np.stack(cols, axis=-1)
 
 
 def _energies(b, x0, p0, t, h):
@@ -117,6 +128,17 @@ def test_composed_hamiltonian_matches_shear_closed_form():
 
 def test_symplectic_defect_of_shear():
     assert symplectic_defect(_shear_map(), probes=8) < 1e-8
+
+
+def test_defect_with_every_probe_on_the_plateau_makes_no_empty_rk4_stage():
+    # the probes' momenta lie in [-3, 3] and 0.1 sin x moves them by at most
+    # 0.1, so under bump(5, 8) every row rests on the plateau: one field call
+    # gives the shear, and RK4 makes no stage on the empty rest of the batch
+    b = product_symbol(_SHEAR_POT, bump_profile(5.0, 8.0))
+    field, rows = b.vector_field, []
+    b.vector_field = lambda x, eta: rows.append(len(x)) or field(x, eta)
+    assert symplectic_defect(time_one_map(b, 1e-2), probes=16) < 1e-8
+    assert rows == [16 * 4]
 
 
 def test_symplectic_defect_matches_per_probe_loop():
@@ -265,17 +287,83 @@ def test_one_rk4_step_makes_one_trig_pass_and_one_profile_call_per_stage(monkeyp
     assert counts == {"trig": 4, "profile": 4}
 
 
-def test_builtin_symbols_flow_without_central_differences(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("central difference in a flow of a built-in symbol")
-
-    monkeypatch.setattr(symbols, "_central_difference", refuse)
+def test_builtin_symbols_flow_without_central_differences():
+    # the built-in symbols carry analytic fields and symbols differences
+    # nothing: a profile without value_and_gradient gives a symbol without a
+    # vector_field, which a map refuses before any step
+    assert not hasattr(symbols, "_central_difference")
     for dim in (1, 2):
         X, P = _band_batch(dim)
         pot = cosine((1,) * dim, 0.2)
         for b in (mechanical_symbol(pot), _free(dim),
                   product_symbol(pot, bump_profile(3.0, 6.0))):
             _flow_batch(b, X, P, 0.1, 1e-2)
+    prof = bump_profile(3.0, 6.0)
+    plain = product_symbol(cosine((1,), 0.2), lambda eta: prof(eta))
+    assert plain.vector_field is None
+    with pytest.raises(ValueError, match="vector_field"):
+        time_one_map(plain, 1e-2)
+
+
+def _gathered_bump(eta, r0, r1):
+    # bump_profile's value_and_gradient as it was when it gathered the
+    # transition band and scattered s and grad s back (2D batches only: a
+    # bare 1D array broadcast its band rows against each other)
+    r = np.abs(eta) if eta.ndim == 1 else np.sqrt(np.sum(eta ** 2, axis=-1))
+    t = (r - r0) / (r1 - r0)
+    band = np.nonzero((t > 0.0) & (t < 1.0))
+    tb = t[band]
+    f, g = np.exp(-1.0 / tb), np.exp(-1.0 / (1.0 - tb))
+    s = (t <= 0.0).astype(float)
+    s[band] = g / (f + g)
+    u = 1.0 - tb
+    ds = -(f / tb / tb + f / u / u) * g / (f + g) ** 2
+    grad = np.zeros(eta.shape)
+    grad[band] = (ds / ((r1 - r0) * r[band]))[:, None] * eta[band]
+    return s, grad
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("cols", [0, 1, 2], ids=["1d", "one-column", "two-column"])
+def test_bump_profile_bits_match_the_gathered_formula(cols):
+    # every row takes the masked path: the band, both closed ends t = 0 and
+    # t = 1, the plateau, beyond the support, r = 0 (and -0), |eta| = 1e200,
+    # NaN and inf; the gradient is +0.0 exactly off the band, and no row
+    # divides by zero or makes an invalid operation
+    r0, r1 = 3.0, 6.0
+    prof = bump_profile(r0, r1)
+    rng = np.random.default_rng(37)
+    radii = np.concatenate([rng.uniform(0.0, 8.0, 500),
+                            [0.0, -0.0, r0, r1, np.nextafter(r0, r1), np.nextafter(r1, r0),
+                             1e-200, 1e200, np.nan, np.inf]])
+    signs = rng.choice([-1.0, 1.0], radii.size)
+    if cols == 2:
+        angles = rng.uniform(0.0, TWO_PI, radii.size)
+        eta = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        eta[-10:] = [[0.0, 0.0], [-0.0, 0.0], [r0, 0.0], [0.0, -r1], [0.0, np.nextafter(r0, r1)],
+                     [np.nextafter(r1, r0), 0.0], [1e-200, 0.0], [1e200, -1e200],
+                     [np.nan, 1.0], [-np.inf, 1.0]]
+    else:
+        eta = (signs * radii)[:, None]
+    with np.errstate(divide="raise", invalid="raise", over="ignore"):
+        if cols == 0:
+            s, grad = prof.value_and_gradient(eta[:, 0])
+            ref_s, ref_grad = _gathered_bump(eta, r0, r1)
+            assert _same_bits(s, ref_s) and _same_bits(grad, ref_grad[:, 0])
+            assert _same_bits(prof(eta[:, 0]), ref_s)
+            return
+        s, grad = prof.value_and_gradient(eta)
+        values = prof(eta)
+    with np.errstate(all="ignore"):
+        ref_s, ref_grad = _gathered_bump(eta, r0, r1)
+        r = np.sqrt(np.sum(eta ** 2, axis=1)) if cols == 2 else np.abs(eta[:, 0])
+    assert _same_bits(s, ref_s) and _same_bits(values, ref_s)
+    assert _same_bits(grad, ref_grad)
+    off = ~((r > r0) & (r < r1))
+    assert np.all(grad[off].view(np.uint64) == 0)      # +0.0, never -0.0 or NaN
 
 
 # -- empty batches and the three sets of a product generator's RK4 batch --

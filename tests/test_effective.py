@@ -688,6 +688,33 @@ def test_cell_counts_one_lu_per_iteration(monkeypatch, pot, P, grid):
     assert sol.iterations == len(lus) > 0
 
 
+@pytest.mark.parametrize("shape", [(64,), (33,), (32, 32), (33, 35)])
+def test_jacobian_is_the_coo_assembly_converted_to_csc(shape):
+    # the grid symbol's CSC permutation, indices and indptr give the matrix
+    # that coo_matrix(...).tocsc() gives from the stencil's COO pattern
+    # (diagonal, then the +/- neighbours per axis, in elimination order), bit
+    # for bit, on even and odd grids
+    dim = len(shape)
+    pot = cosine((1,) * dim) + (sine((1, 2), 0.3) if dim == 2 else sine((2,), 0.3))
+    sym = effective._GridSymbol(mechanical_symbol(pot), effective._cell_axes(dim, shape))
+    ws = effective._CellWorkspace(sym, np.full(dim, 0.7), 0.1)
+    q, back = ws._upwind(np.random.default_rng(17).normal(size=sym.size))
+    assert 0 < np.count_nonzero(back) < back.size
+    J = ws.jacobian(q, back)
+    w = sym.slope(q) / sym.hs
+    wa = np.where(back, w, 0.0)
+    wb = w - wa
+    data = [0.1 + np.sum(wa - wb, axis=1)]
+    for i in range(dim):
+        data += [wb[:, i], -wa[:, i]]
+    nbrs = [sym.rank[nb[i]] for i in range(dim) for nb in (sym.ip, sym.im)]
+    pattern = (np.tile(sym.rank, 2 * dim + 1), np.concatenate([sym.rank] + nbrs))
+    ref = sparse.coo_matrix((np.concatenate(data), pattern), shape=(sym.size, sym.size)).tocsc()
+    assert J.format == "csc" and J.shape == ref.shape
+    assert np.array_equal(J.data.view(np.uint64), ref.data.view(np.uint64))
+    assert np.array_equal(J.indices, ref.indices) and np.array_equal(J.indptr, ref.indptr)
+
+
 def test_workspace_holds_only_the_problem_parameters():
     # the stencil (neighbours, spacings, Jacobian pattern) is the grid
     # symbol's, built once per grid, not once per discounted problem

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from torusspec import effective, isospectral
+from torusspec.effective import cell_problem_solve
 from torusspec.isospectral import (BSReconstruction, IsospectralPair, bs_reconstruct,
                                    make_pair, spectra_compare, theorem2_check,
                                    weyl_first_invariant, write_bs_csv)
 from torusspec.potentials import FourierPotential, TWO_PI, cosine, zero_potential
 from torusspec.spectra import assemble_hamiltonian, eigen_spectrum
+from torusspec.symbols import mechanical_symbol
 
 # asymmetric enough that reflection and translation act differently
 ASYM = cosine((1,)) + FourierPotential(1, {(2,): -0.25j, (-2,): 0.25j})
@@ -65,6 +68,30 @@ def test_theorem2_cell_method_consistent():
                          method="cell-problem", grid=64)
     assert rep.verdict == "consistent"
     assert rep.eff_dist < 1e-12
+
+
+def test_theorem2_cell_method_builds_each_grid_level_once_per_side(monkeypatch):
+    # each side's P share one grid symbol and its halved level, so the 64 and
+    # 32 grids are dissected once per side, not once per P; every solve is
+    # still bit for bit its own cell_problem_solve: value, residual and
+    # diagnostics
+    shapes, solved = [], []
+    dissect, solve_on = effective.nested_dissection, isospectral._solve_on
+    monkeypatch.setattr(effective, "nested_dissection",
+                        lambda shape: shapes.append(tuple(shape)) or dissect(shape))
+    monkeypatch.setattr(isospectral, "_solve_on",
+                        lambda sym, P: solved.append(solve_on(sym, P)) or solved[-1])
+    pair = make_pair(cosine((1, 0)) + cosine((0, 1)), "translate", (math.pi, math.pi))
+    p_values = [(0.0, 0.0), (1.0, 1.0)]
+    rep = theorem2_check(pair, hbars=(1.0,), cutoff=4, p_values=p_values,
+                         method="cell-problem", grid=64)
+    assert shapes == [(64, 64), (32, 32)] * 2
+    direct = [cell_problem_solve(mechanical_symbol(pot), P, 64)
+              for pot in (pair.left, pair.right) for P in p_values]
+    assert [(s.value, s.corrector.residual, s.diagnostics()) for s in solved] == \
+        [(s.value, s.corrector.residual, s.diagnostics()) for s in direct]
+    values = np.array([s.value for s in direct]).reshape(2, -1)
+    assert rep.eff_dist == float(np.max(np.abs(values[0] - values[1])))
 
 
 def test_theorem2_flags_violation():

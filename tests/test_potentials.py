@@ -304,6 +304,21 @@ def test_value_and_gradient_matches_evaluate_and_gradient(monkeypatch):
             assert np.max(np.abs(grad - pot.gradient(pts).reshape(grad.shape))) <= 1e-15
 
 
+@pytest.mark.parametrize("m", [257, 3584, 2 ** 16 // 5 + 3], ids=["257", "3584", "blocks"])
+def test_fused_pass_is_evaluate_and_gradient_bit_for_bit(m):
+    # a real V's fused pass takes the cos product over V's column alone and
+    # the sin product over grad V's columns alone: the same products as
+    # evaluate and gradient, in the same blocks of _TRIG_BLOCK // h rows
+    rng = np.random.default_rng(19)
+    for pot in (cosine((1,)) + cosine((3,), -0.4).translate(0.3), _complex_2d(),
+                _real_cosine_sum_2d()):
+        pts = rng.uniform(-7.0, 7.0, size=(m, pot.dim))
+        vals, grad = pot.value_and_gradient(pts)
+        assert np.array_equal(vals.view(np.uint64), pot.evaluate(pts).view(np.uint64))
+        assert np.array_equal(grad.view(np.uint64),
+                              pot.gradient(pts).reshape(grad.shape).view(np.uint64))
+
+
 def _real_cosine_sum_2d():
     # real coefficients on 40 half-spectrum frequencies, |q|_inf <= 4
     rng = np.random.default_rng(41)
