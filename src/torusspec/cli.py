@@ -201,8 +201,7 @@ def _parse_pair(args):
 def _cmd_isospectral(args, outdir: Path):
     pair, inputs = _parse_pair(args)
     hbars = _float_list(args.hbar)
-    K = int(args.K) if args.K not in (None, "auto") else \
-        _resolve_cutoff("auto", pair.left, min(hbars), args.energy)
+    K = _resolve_cutoff(args.K, pair.left, min(hbars), args.energy)
     pvals = list(np.arange(-args.pmax, args.pmax + args.dp / 2, args.dp)) \
         if pair.left.dim == 1 else \
         [(p1, p2) for p1 in (-1.0, 0.0, 1.0) for p2 in (-1.0, 0.0, 1.0)]

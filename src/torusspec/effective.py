@@ -21,10 +21,13 @@ for (u, c), and Hbar(P) is c (Gomes & Oberman, SIAM J. Control Optim. 43,
 2004; Cacace & Camilli, SIAM J. Sci. Comput. 38, 2016).  Newton factors the
 upwind Jacobian, an M-matrix with zero row sums, with a small diagonal
 shift; one LU gives J^-1 F and J^-1 1 > 0, and the mean condition fixes the
-step in c.  Nested iteration (Brandt, Math. Comp. 31, 1977) starts it: on
-the grid halved down to 32 nodes per axis one discounted problem
-delta u + H_G = 0, convex, gives u less its mean and c = -delta mean u; each
-level's solve is prolonged by periodic linear interpolation to the next.
+step in c.  One Newton function runs the discounted and the ergodic solves;
+it forms the Godunov arguments and their slopes dH/dp once per iterate.
+Nested iteration (Brandt, Math. Comp. 31, 1977) starts it, one recursion
+that halves the grid down to 32 nodes per axis; on that coarsest grid one
+discounted problem delta u + H_G = 0, convex, gives u less its mean and
+c = -delta mean u; each level's solve is prolonged by periodic linear
+interpolation to the next.
 In 1D the upwind slopes solve p_i^2/2 + V(x_i) = c, so P = mean p_i is the
 trapezoid rule for J(c); on the plateau c is the largest nodal V.  A solve
 left above its tolerance is refused with CellConvergenceError; there is no
@@ -383,7 +386,7 @@ class _GridSymbol:
     def slope(self, pargs):
         """dH/dp_i at (x_j, p_j), shape (cells, dim)."""
         if self.mechanical:
-            return pargs.copy()
+            return pargs
         return self._table(self.dcoef, pargs)[:, None]
 
     def backward(self, a, b):
@@ -393,91 +396,74 @@ class _GridSymbol:
         return (self.value(a) >= self.value(b))[:, None]
 
 
-class _CellWorkspace:
-    """One problem (P, delta) on the grid of ``sym``: the discounted residual
-    delta u + H_G, its Jacobian, and the Newton solves that use them."""
+def _upwind(sym: _GridSymbol, P, u):
+    """Godunov arguments q, shape (cells, dim), and where q is backward: per
+    axis the larger-H one of max(P_i + D-u, p*), min(P_i + D+u, p*)."""
+    du = [(u - u[sym.im[i]], u[sym.ip[i]] - u) for i in range(sym.dim)]
+    a = np.maximum(np.stack([d for d, _ in du], axis=-1) / sym.hs + P, sym.pstar)
+    b = np.minimum(np.stack([d for _, d in du], axis=-1) / sym.hs + P, sym.pstar)
+    back = sym.backward(a, b)
+    return np.where(back, a, b), back
 
-    def __init__(self, sym: _GridSymbol, P, delta):
-        self.sym = sym
-        self.P = np.asarray(P, dtype=float)
-        self.delta = float(delta)
 
-    def _upwind(self, u):
-        """Godunov arguments q, shape (cells, dim), and where q is backward:
-        per axis the larger-H one of max(P_i + D-u, p*), min(P_i + D+u, p*)."""
-        sym = self.sym
-        du = [(u - u[sym.im[i]], u[sym.ip[i]] - u) for i in range(sym.dim)]
-        a = np.maximum(np.stack([d for d, _ in du], axis=-1) / sym.hs + self.P, sym.pstar)
-        b = np.minimum(np.stack([d for _, d in du], axis=-1) / sym.hs + self.P, sym.pstar)
-        back = sym.backward(a, b)
-        return np.where(back, a, b), back
+def _jacobian(sym: _GridSymbol, delta: float, slope, back):
+    """d/du of delta u + H_G(x, P + Du) as CSC, from the slopes dH/dp_i at
+    the Godunov arguments and where they are backward, rows and columns in
+    the grid's elimination order: an M-matrix whose row sums are delta."""
+    w = slope / sym.hs
+    wa = np.where(back, w, 0.0)     # >= 0: H rises with the backward difference
+    wb = w - wa                     # <= 0: H falls with the forward difference
+    data = [delta + np.sum(wa - wb, axis=1)]
+    for i in range(sym.dim):
+        data += [wb[:, i], -wa[:, i]]
+    return sparse.csc_matrix((np.concatenate(data)[sym.perm], sym.indices, sym.indptr),
+                             shape=(sym.size, sym.size))
 
-    def residual(self, u, q):
-        """F(u) = delta u + H_G(x, P + Du), q the Godunov arguments of u."""
-        return self.delta * u + self.sym.value(q)
 
-    def jacobian(self, q, back):
-        """dF/du at the Godunov arguments (q, back) as CSC, rows and columns
-        in the grid's elimination order: an M-matrix whose row sums are
-        delta."""
-        sym = self.sym
-        w = sym.slope(q) / sym.hs
-        wa = np.where(back, w, 0.0)     # >= 0: H rises with the backward difference
-        wb = w - wa                     # <= 0: H falls with the forward difference
-        data = [self.delta + np.sum(wa - wb, axis=1)]
-        for i in range(sym.dim):
-            data += [wb[:, i], -wa[:, i]]
-        return sparse.csc_matrix((np.concatenate(data)[sym.perm], sym.indices, sym.indptr),
-                                 shape=(sym.size, sym.size))
-
-    def newton_step(self, F, q, back):
-        """J^{-1} F, F one right-hand side or columns of them, from one LU
-        factorization in elimination order; a Jacobian that SuperLU finds
-        singular raises CellConvergenceError with F's (first column's) norm."""
+def _newton(sym: _GridSymbol, P, delta: float, u, c=None):
+    """Newton steps, at most 900, until the sup-norm residual is within
+    _NEWTON_TOL or 100 times its rounding floor.  Without c, on the
+    discounted problem F = delta u + H_G(x, P + Du) = 0: u <- u - J^{-1} F.
+    With c, on the ergodic problem H_G(x, P + Du) = c, mean u = 0, where
+    delta only shifts J's diagonal: x = J^{-1} F and y = J^{-1} 1 from one
+    LU, dc = (mean u - mean x) / mean y, u <- u - x - dc y and c <- c - dc.
+    Each LU factors J in elimination order through ``splu``; a Jacobian that
+    SuperLU finds singular raises CellConvergenceError with the residual norm.
+    The rounding floor is eps (1 + max|u|) (delta + sum_i max|H_p_i| / h_i)
+    for the discounted residual, whose mean is O(1/delta), and
+    eps ((1 + max|u|) sum_i max|H_p_i| / h_i + |c|) for the ergodic one.
+    Residual, floor and Jacobian share one upwind pass and one slope per
+    iterate.  Returns the iterate (u, or (u, c)), its residual norm and
+    floor, and the steps taken, each one LU.  A NaN residual ends the loop
+    at once and is returned for the caller to refuse."""
+    steps = 0
+    while True:
+        q, back = _upwind(sym, P, u)
+        slope = sym.slope(q)
+        F = delta * u + sym.value(q) if c is None else sym.value(q) - c
+        nrm = float(np.max(np.abs(F)))
+        hp = np.max(np.abs(slope), axis=0)
+        scale, slopes = 1.0 + float(np.max(np.abs(u))), float(np.sum(hp / sym.hs))
+        eps = np.finfo(float).eps
+        floor = eps * scale * (delta + slopes) if c is None else eps * (scale * slopes + abs(c))
+        if steps == 900 or not nrm > max(_NEWTON_TOL, 100.0 * floor):
+            return (u if c is None else (u, c)), nrm, floor, steps
         try:
-            lu = splu(self.jacobian(q, back), permc_spec="NATURAL", diag_pivot_thresh=0.01)
+            lu = splu(_jacobian(sym, delta, slope, back), permc_spec="NATURAL",
+                      diag_pivot_thresh=0.01)
         except RuntimeError as exc:     # "Factor is exactly singular"
-            res = float(np.max(np.abs(F if F.ndim == 1 else F[:, 0])))
             raise CellConvergenceError(f"Newton Jacobian on the grid of shape "
-                                       f"{self.sym.shape}: {exc}", res) from exc
-        return lu.solve(F[self.sym.order])[self.sym.rank]
-
-    def floor(self, u, q, c=None):
-        """Rounding floor of the residual at u (Godunov arguments q): for the
-        discounted residual, whose mean is O(1/delta),
-        eps (1 + max|u|) (delta + sum_i max|H_p_i| / h_i); for the ergodic
-        residual H_G - c, eps ((1 + max|u|) sum_i max|H_p_i| / h_i + |c|)."""
-        hp = np.max(np.abs(self.sym.slope(q)), axis=0)
-        scale, slopes = 1.0 + float(np.max(np.abs(u))), float(np.sum(hp / self.sym.hs))
+                                       f"{sym.shape}: {exc}", nrm) from exc
+        rhs = F if c is None else np.stack([F, np.ones_like(F)], axis=1)
+        step = lu.solve(rhs[sym.order])[sym.rank]
+        del lu      # before the next factorization: two live LUs raise the peak RSS
         if c is None:
-            return np.finfo(float).eps * scale * (self.delta + slopes)
-        return np.finfo(float).eps * (scale * slopes + abs(c))
-
-    def newton(self, u, c=None):
-        """Newton steps, at most 900, until the sup-norm residual is within
-        _NEWTON_TOL or 100 times its rounding floor.  Without c, on the
-        discounted problem: u <- u - J^{-1} F.  With c, on the ergodic
-        problem H_G(x, P + Du) = c, mean u = 0, where delta only shifts J's
-        diagonal: x = J^{-1} F and y = J^{-1} 1 from one LU,
-        dc = (mean u - mean x) / mean y, u <- u - x - dc y and c <- c - dc.
-        The Godunov arguments are formed once per iterate.  Returns the
-        iterate (u, or (u, c)), its residual norm and rounding floor, and
-        the steps taken, each one LU factorization.  A NaN residual ends the
-        loop at once and is returned for the caller to refuse."""
-        steps = 0
-        while True:
-            q, back = self._upwind(u)
-            F = self.residual(u, q) if c is None else self.sym.value(q) - c
-            nrm, floor = float(np.max(np.abs(F))), self.floor(u, q, c)
-            if steps == 900 or not nrm > max(_NEWTON_TOL, 100.0 * floor):
-                return (u if c is None else (u, c)), nrm, floor, steps
-            if c is None:
-                u = u - self.newton_step(F, q, back)
-            else:
-                x, y = self.newton_step(np.stack([F, np.ones_like(F)], axis=1), q, back).T
-                dc = (float(np.mean(u)) - float(np.mean(x))) / float(np.mean(y))
-                u, c = u - x - dc * y, c - dc
-            steps += 1
+            u = u - step
+        else:
+            x, y = step.T
+            dc = (float(np.mean(u)) - float(np.mean(x))) / float(np.mean(y))
+            u, c = u - x - dc * y, c - dc
+        steps += 1
 
 
 def _prolong(u):
@@ -489,20 +475,22 @@ def _prolong(u):
     return u.reshape(-1)
 
 
-def _nested_start(sym: _GridSymbol, P):
-    """Start (u, c) of the ergodic solve on the grid of ``sym``, the c of each
-    coarser level and the Newton steps taken: the ergodic solve on the
-    halved grid from its own nested start, prolonged; where the grid halves
-    no further, the _START_DELTA discounted solve from u = 0, whose mean
-    moves out of u into c = -delta mean u."""
-    if not all(m % 2 == 0 and m // 2 >= _MIN_GRID for m in sym.shape):
-        u, _, _, steps = _CellWorkspace(sym, P, _START_DELTA).newton(np.zeros(sym.size))
+def _ergodic(sym: _GridSymbol, P):
+    """The ergodic solve on the grid of ``sym`` from its nested start: the
+    halved grid's ``_ergodic``, prolonged, or where the grid halves no
+    further the _START_DELTA discounted solve from u = 0, its mean moved into
+    c = -delta mean u.  Returns u, the c of each level (coarse to fine), this
+    grid's residual norm and rounding floor, and every level's Newton steps."""
+    if all(m % 2 == 0 and m // 2 >= _MIN_GRID for m in sym.shape):
+        half = sym.halved()
+        u, levels, _, _, steps = _ergodic(half, P)
+        u, c = _prolong(u.reshape(half.shape)), levels[-1]
+    else:
+        u, _, _, steps = _newton(sym, P, _START_DELTA, np.zeros(sym.size))
         mean = float(np.mean(u))
-        return u - mean, -_START_DELTA * mean, (), steps
-    half = sym.halved()
-    u, c, levels, steps = _nested_start(half, P)
-    (u, c), _, _, n = _CellWorkspace(half, P, _SHIFT).newton(u, c)
-    return _prolong(u.reshape(half.shape)), c, levels + (c,), steps + n
+        u, c, levels = u - mean, -_START_DELTA * mean, ()
+    (u, c), res, floor, n = _newton(sym, P, _SHIFT, u, c)
+    return u, levels + (c,), res, floor, steps + n
 
 
 def _cell_axes(dim: int, grid) -> list:
@@ -550,17 +538,15 @@ def _solve_on(sym: _GridSymbol, P, p_range=None) -> CellSolution:
         raise ValueError(f"P = {P.tolist()} is not finite")
     if not sym.mechanical:
         sym.build_table(*p_range, _TABLE_P_RES)
-
-    u, c, levels, total = _nested_start(sym, P)
-    (u, c), res, floor, steps = _CellWorkspace(sym, P, _SHIFT).newton(u, c)
+    u, levels, res, floor, steps = _ergodic(sym, P)
     tol = max(_TOL, 100.0 * floor)
     # a NaN residual fails too, and so does an overflowed rounding floor
     if not res <= tol < math.inf:
         raise CellConvergenceError(f"cell residual {res:.3e} not within the finite "
                                    f"tolerance {tol:.3e} on the grid of shape {sym.shape}", res)
     corr = Corrector(P=P.copy(), axes=sym.axes, values=u.reshape(sym.shape), residual=res)
-    return CellSolution(value=float(c), corrector=corr, level_values=levels + (float(c),),
-                        iterations=total + steps)
+    return CellSolution(value=float(levels[-1]), corrector=corr, level_values=levels,
+                        iterations=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +674,6 @@ def effective_grid(pot: FourierPotential, p_max: float, dp: float, method: str,
     if method == "closed-form":
         return closed_form_table(pot, p_max, dp)
     if method == "cell-problem":
-        if grid < _MIN_GRID:
-            raise ValueError("cell-problem tables need a grid size")
         return cell_table(pot, p_max, dp, grid)
     raise ValueError(f"unknown method {method!r}")
 

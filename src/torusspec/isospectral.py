@@ -31,37 +31,23 @@ class IsospectralPair:
     relation: str
 
 
-def _probe_defect(left: FourierPotential, right: FourierPotential,
-                  relation: str, shift=None) -> float:
-    rng = np.random.default_rng(7)
-    x = rng.uniform(0.0, TWO_PI, size=(64, left.dim))
-    if shift is not None:
-        shift = np.atleast_1d(np.asarray(shift, dtype=float))
-    if relation == "translate":
-        ref = left.evaluate(x + shift[None, :])
-    elif relation == "reflect":
-        ref = left.evaluate(-x)
-    elif relation == "compose":
-        ref = left.evaluate(-(x + shift[None, :]))
-    else:
-        raise ValueError(f"unknown relation {relation!r}")
-    return float(np.max(np.abs(right.evaluate(x) - ref)))
-
-
 def make_pair(pot: FourierPotential, relation: str, shift=None) -> IsospectralPair:
-    """Exactly isospectral partner by translation, reflection, or both."""
+    """Exactly isospectral partner by translation, reflection, or both.  The
+    partner is probed against V at the mapped point on 64 random points."""
     if relation in ("translate", "compose") and shift is None:
         raise ValueError(f"{relation} needs a shift")
+    a = None if shift is None else np.atleast_1d(np.asarray(shift, dtype=float))
     if relation == "translate":
-        right = pot.translate(shift)
+        right, image = pot.translate(shift), lambda x: x + a
     elif relation == "reflect":
-        right = pot.reflect()
+        right, image = pot.reflect(), lambda x: -x
     elif relation == "compose":
         # right(x) = V(-(x + a)): reflect, then shift the reflected profile
-        right = pot.reflect().translate(shift)
+        right, image = pot.reflect().translate(shift), lambda x: -(x + a)
     else:
         raise ValueError(f"unknown relation {relation!r}")
-    defect = _probe_defect(pot, right, relation, shift)
+    x = np.random.default_rng(7).uniform(0.0, TWO_PI, size=(64, pot.dim))
+    defect = float(np.max(np.abs(right.evaluate(x) - pot.evaluate(image(x)))))
     if defect > _PROBE_TOL:
         raise ArithmeticError(f"pair construction probe defect {defect:.3e}")
     return IsospectralPair(left=pot, right=right, relation=relation)

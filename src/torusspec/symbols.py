@@ -154,7 +154,8 @@ def bump_profile(plateau: float, support: float) -> Callable:
         if eta.ndim == 1 or eta.shape[-1] == 1:
             r = np.abs(eta if eta.ndim == 1 else eta[..., 0])
         else:
-            r = np.sqrt(np.sum(eta ** 2, axis=-1))
+            with np.errstate(over="ignore"):    # |eta| overflows to inf, off the band
+                r = np.sqrt(np.sum(eta ** 2, axis=-1))
         t = (r - r0) / width
         band = (t > 0.0) & (t < 1.0)
         tb = np.where(band, t, 0.5)

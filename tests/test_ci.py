@@ -21,3 +21,11 @@ def test_workflow_runs_the_documented_checks_on_one_blas_thread():
     assert 'OPENBLAS_NUM_THREADS: "1"' in lines
     assert f"run: {documented.group(1)}" in lines
     assert "run: python3 bench/selftest.py" in lines
+
+
+def test_tier1_job_has_a_time_limit():
+    # a hung criterion stops within 30 minutes, not at the 6-hour default
+    lines = _workflow_lines()
+    job = lines.index("tier1:")
+    steps = lines.index("steps:", job)
+    assert "timeout-minutes: 30" in lines[job:steps]

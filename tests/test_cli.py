@@ -310,13 +310,16 @@ def test_effective_cell_problem_manifest_diagnostics(pots, tmp_path):
 
 
 def test_cell_solve_grid_below_minimum_exits_2(pots, tmp_path):
-    # --grid 0 is an input like --grid 16, not a request for the default
-    for grid in ("0", "16"):
-        out = tmp_path / f"grid{grid}"
-        rc = main(["cell-solve", "--potential", pots["cos"], "--p", "1.0",
-                   "--grid", grid, "--out", str(out)])
+    # --grid 0 is an input like --grid 16, not a request for the default; a
+    # cell-problem table without --grid takes effective's default 0
+    runs = {f"grid{grid}": ["cell-solve", "--p", "1.0", "--grid", grid] for grid in ("0", "16")}
+    runs["table"] = ["effective", "--method", "cell-problem", "--pmax", "2", "--dp", "0.5"]
+    for name, args in runs.items():
+        out = tmp_path / name
+        rc = main([*args, "--potential", pots["cos"], "--out", str(out)])
         assert rc == 2
-        assert json.loads((out / "error.json").read_text())["error"] == "ValueError"
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ValueError" and "grid below 32" in err["message"]
 
 
 def test_flags_a_subcommand_ignores_are_refused(pots, tmp_path):
