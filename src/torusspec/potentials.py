@@ -72,7 +72,7 @@ def _trig_sum(pts, pot, w):
     its sin part (b, S) subtracts sum_j S_j sin(q_j.x + theta_j) from the
     columns b, b+1, ...; columns that neither part reaches are 0.  Per block
     of points, one phase product, and a cos and a sin only for the parts
-    that are not None.
+    that are not None, the last of them taken in place.
     """
     q, theta = pot.half_freqs, pot.half_phases
     k, cos_part, sin_part = w
@@ -90,16 +90,18 @@ def _trig_sum(pts, pot, w):
         t += theta
         if cos_part is not None:
             a, c = cos_part
+            # the last of the cos and the sin overwrites the phases
+            into = t if sin_part is None else None
             if whole:
-                np.dot(np.cos(t), c, out=block)
+                np.dot(np.cos(t, out=into), c, out=block)
             else:
-                block[:, a:a + c.shape[1]] = np.dot(np.cos(t), c)
+                block[:, a:a + c.shape[1]] = np.dot(np.cos(t, out=into), c)
         if sin_part is not None:
             b, c = sin_part
             if cos_part is None and whole:
-                np.subtract(0.0, np.dot(np.sin(t), c, out=block), out=block)
+                np.subtract(0.0, np.dot(np.sin(t, out=t), c, out=block), out=block)
             else:
-                block[:, b:b + c.shape[1]] -= np.dot(np.sin(t), c)
+                block[:, b:b + c.shape[1]] -= np.dot(np.sin(t, out=t), c)
     return out
 
 

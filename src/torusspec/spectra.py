@@ -15,7 +15,9 @@ skew-centrohermitian matrices, Linear Algebra Appl. 29, 1980), and a real
 solve does about a quarter of a complex one's flops.  ``FourierPotential``
 refuses coefficients with c_{-q} != conj(c_q), so ``assemble_hamiltonian``
 writes that real matrix straight from the coefficients and the complex one
-is never formed.
+is never formed.  It builds R column-major, a strip of rows at a time, and
+``eigen_spectrum`` hands it to LAPACK to be solved in place, so a spectrum
+holds one real N x N matrix and overwrites the ``matrix`` it is given.
 
 Eigenvalue counts are compared with the phase-space volume
 Vol{a < |p|^2/2 + V < b}, a deterministic integral of the momentum-ball
@@ -35,7 +37,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, linalg
 from scipy.optimize.elementwise import find_root
 
 from .potentials import TWO_PI, FourierPotential, _grid_points, potential_extrema, sup_norm
@@ -44,6 +46,11 @@ from .potentials import TWO_PI, FourierPotential, _grid_points, potential_extrem
 def _physical_memory() -> int:
     """Bytes of physical memory, the budget of every refusal before allocation."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+# Rows of the cos/sin blocks per strip of assemble_hamiltonian: a strip's
+# complex A and B rows take 3.3 MiB at N = 1681, whole blocks 21.5 MiB
+_STRIP = 128
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,8 @@ class PlaneWaveBasis:
         """Refuse dense work that does not fit in physical memory: two
         size x size complex matrices (16 N^2 bytes each), as ``propagate``
         holds its eigenvectors and U at once.  A Weyl matrix takes one, and
-        the real form of eigen_spectrum with LAPACK's copy of it as much."""
+        eigen_spectrum half of one: the real form, built column-major and
+        solved in place."""
         nbytes, physical = 16 * self.size ** 2, _physical_memory()
         if 2 * nbytes > physical:
             raise ValueError(
@@ -119,7 +127,8 @@ class HamiltonianMatrix(PlaneWaveMatrix):
 
     Unlike a WeylMatrix, whose matrix is on the basis e_k itself, matrix is
     the real symmetric R = Q^H H Q of ``assemble_hamiltonian``: on the
-    cos/sin basis, whose columns Q are listed there.
+    cos/sin basis, whose columns Q are listed there, and column-major.
+    ``eigen_spectrum`` overwrites it, so each spectrum takes a fresh one.
     """
 
     potential: FourierPotential
@@ -172,15 +181,20 @@ def assemble_hamiltonian(pot: FourierPotential, hbar: float, K: int) -> Hamilton
     kin = 0.5 * hbar * hbar * np.sum(half.astype(float) ** 2, axis=1)
     # a row of the doubled box is linear in k: row(k -+ l) = u_k -+ u_l +- u_0
     u = doubled.rows(half)
-    a = table[np.subtract.outer(u[:m] + u[m], u[:m])]
-    a[np.diag_indices(m)] += kin[:m]
-    b = table[np.add.outer(u[:m] - u[m], u[:m])]
+    # column-major, the order LAPACK solves in place; A and B are gathered a
+    # strip of rows j at a time and written to rows j and m+1+j
+    r = np.empty((N, N), order="F")
+    for lo in range(0, m, _STRIP):
+        hi = min(lo + _STRIP, m)
+        a = table[np.subtract.outer(u[lo:hi] + u[m], u[:m])]
+        a[:, lo:hi][np.diag_indices(hi - lo)] += kin[lo:hi]
+        b = table[np.add.outer(u[lo:hi] - u[m], u[:m])]
+        cos, sin = slice(lo, hi), slice(m + 1 + lo, m + 1 + hi)
+        np.add(a.real, b.real, out=r[cos, :m])
+        np.subtract(a.real, b.real, out=r[sin, m + 1:])
+        np.add(a.imag, b.imag, out=r[sin, :m])
+        np.subtract(b.imag, a.imag, out=r[cos, m + 1:])
     v = table[u[:m]]
-    r = np.empty((N, N))
-    np.add(a.real, b.real, out=r[:m, :m])
-    np.subtract(a.real, b.real, out=r[m + 1:, m + 1:])
-    np.add(a.imag, b.imag, out=r[m + 1:, :m])
-    np.subtract(b.imag, a.imag, out=r[:m, m + 1:])
     r[:m, m] = r[m, :m] = math.sqrt(2.0) * v.real
     r[m + 1:, m] = r[m, m + 1:] = math.sqrt(2.0) * v.imag
     r[m, m] = (table[u[m]] + kin[m]).real
@@ -209,8 +223,12 @@ def _trusted_energy(hbar: float, K: int) -> float:
 def eigen_spectrum(mat: HamiltonianMatrix) -> SpectrumResult:
     """All eigenvalues, ascending, from one real symmetric eigensolve of the
     cos/sin form that assemble_hamiltonian builds, which has the eigenvalues
-    of H (Lee 1980), with the trusted energy and the tail bound there."""
-    eigenvalues = np.linalg.eigvalsh(mat.matrix)
+    of H (Lee 1980), with the trusted energy and the tail bound there.
+
+    LAPACK's dsyevd reads the lower triangle of mat.matrix and overwrites
+    it in place, with no copy: mat.matrix holds no R afterwards."""
+    eigenvalues = linalg.eigvalsh(mat.matrix, overwrite_a=True, check_finite=False,
+                                  driver="evd")
     e_trust = _trusted_energy(mat.hbar, mat.basis.cutoff)
     try:
         tail = truncation_tail_bound(mat.potential, mat.hbar, mat.basis.cutoff, e_trust)
@@ -251,10 +269,16 @@ def truncation_tail_bound(pot: FourierPotential, hbar: float, K: int, energy: fl
         total += 2.0 * (norm / (a * (1.0 - theta))) ** 2 / (3.0 * cap ** 3)
         return total
     cap = max(512, 4 * K)
-    axis = np.arange(-cap, cap + 1)
-    ax2 = axis.astype(float) ** 2
-    far = np.abs(axis) > K
-    x = np.add.outer(ax2, ax2)[far[:, None] | far[None, :]]
+    ax2 = np.arange(-cap, cap + 1).astype(float) ** 2
+    # the points with |k|_inf > K in row-major order: with f = cap - K, the
+    # first and last f rows whole, the 2K+1 rows between at their first and
+    # last f columns
+    f, n = cap - K, ax2.size
+    x = np.empty(n * n - (2 * K + 1) ** 2)
+    np.add.outer(ax2[:f], ax2, out=x[:f * n].reshape(f, n))
+    np.add.outer(ax2[f:n - f], np.concatenate([ax2[:f], ax2[n - f:]]),
+                 out=x[f * n:-f * n].reshape(n - 2 * f, 2 * f))
+    np.add.outer(ax2[n - f:], ax2, out=x[-f * n:].reshape(f, n))
     x *= a
     x -= energy
     np.divide(norm, x, out=x)

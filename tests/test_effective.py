@@ -290,6 +290,43 @@ def test_cell_2d_separable_potential():
     assert abs(sol.value - 2.0 * HBAR_COS[1.5]) < 1.5e-2
 
 
+def _ridge_hbar(k, P):
+    """Exact Hbar of V = cos(k.x): u = w(k.x), with w the corrector of cos
+    at momentum P.k/|k|, solves the cell problem, so Hbar(P) =
+    |P - (P.k/|k|^2) k|^2/2 + Hbar_cos(P.k/|k|)."""
+    k, P = np.asarray(k, dtype=float), np.asarray(P, dtype=float)
+    perp = P - (P @ k) / (k @ k) * k
+    return 0.5 * float(perp @ perp) + effective_1d(COS, float(P @ k) / math.sqrt(k @ k))
+
+
+# Off the grid axes the upwind scheme is not exact.  Errors against the
+# ridge's exact Hbar at 32^2, 64^2 and 128^2:
+#   k = (1, 1), P = (0.3, 0.1), plateau: -9.99e-3, -5.74e-3, -3.17e-3 (first order)
+#   k = (1, 1), P = (1.5, 0.5):          -1.04e-4, -1.76e-5, -4.69e-6 (second order)
+#   k = (1, 2), P = (0.3, 0.1), plateau: -2.19e-2, -1.19e-2, -6.19e-3 (first order)
+#   k = (1, 2), P = (1.0, 1.5):          +1.09e-4, +2.72e-5, +6.79e-6 (second order)
+# The bound is about 1.25 times the 64^2 error, and going from 32^2 to 64^2
+# must divide the error by at least 0.8 * 2^order.
+@pytest.mark.parametrize("k, P, bound, order", [
+    ((1, 1), (0.3, 0.1), 7.2e-3, 1), ((1, 1), (1.5, 0.5), 2.2e-5, 2),
+    ((1, 2), (0.3, 0.1), 1.5e-2, 1), ((1, 2), (1.0, 1.5), 3.4e-5, 2),
+], ids=["k11-plateau", "k11-off", "k12-plateau", "k12-off"])
+def test_cell_2d_off_axis_error_against_the_exact_ridge(k, P, bound, order):
+    sym, exact = mechanical_symbol(cosine(k)), _ridge_hbar(k, P)
+    coarse, fine = (abs(cell_problem_solve(sym, P, g).value - exact) for g in (32, 64))
+    assert fine <= bound
+    assert coarse >= 0.8 * 2 ** order * fine
+
+
+def test_cell_2d_diagonal_ridge_off_its_plateau_is_exact():
+    # at P = (2, 1) both components of P + grad u keep their sign, so both
+    # upwind differences of u = w(x1 + x2) are one difference of w and the
+    # scheme is the 1D one, exact to rounding (errors -5.8e-14 at 32^2,
+    # 4.4e-16 at 64^2, -9.6e-14 at 128^2)
+    sol = cell_problem_solve(mechanical_symbol(cosine((1, 1))), (2.0, 1.0), 64)
+    assert abs(sol.value - _ridge_hbar((1, 1), (2.0, 1.0))) <= 1e-12
+
+
 @pytest.mark.parametrize("P", [0.0, 1.0])
 def test_cell_cosine_on_the_plateau_at_the_default_grid(P):
     # the upwind flux adds no dissipation, so the flat piece is not biased

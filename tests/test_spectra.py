@@ -12,7 +12,7 @@ from scipy.special import ellipe, ellipk, mathieu_a, mathieu_b
 
 from torusspec import spectra
 from torusspec.potentials import (FourierPotential, TWO_PI, cosine, potential_extrema,
-                                  zero_potential)
+                                  sup_norm, zero_potential)
 from torusspec.spectra import (FLOAT_FMT, PlaneWaveBasis, assemble_hamiltonian,
                                auto_cutoff, count_eigenvalues, eigen_spectrum,
                                truncation_tail_bound, weyl_count_report, weyl_volume,
@@ -193,9 +193,26 @@ def test_real_form_matches_the_complex_eigensolve(pot, hbar, K):
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
+# the 1D cos box of the CLI runs, the 2D box of the spectral benchmark, a
+# 3D box, and coefficients that are not exact conjugates, whose R is not
+# exactly symmetric: solved in place, R gives the eigenvalues numpy's
+# eigvalsh gives for a C-ordered copy of it, from the same lower triangle
+@pytest.mark.parametrize("pot,hbar,K", [
+    (cosine((1,)), 0.1, 57), (_seeded_potential(2, 2, 13), 0.5, 20),
+    (_seeded_potential(3, 1, 14), 0.7, 3),
+    (FourierPotential(1, {(16,): 1e-3, (-16,): 1e-3 + 9e-13j, (1,): 0.5, (-1,): 0.5}), 0.5, 40)],
+    ids=["cos-1d", "seeded-2d", "seeded-3d", "not-conjugate"])
+def test_in_place_eigensolve_matches_numpy_bit_for_bit(pot, hbar, K):
+    mat = assemble_hamiltonian(pot, hbar, K)
+    assert mat.matrix.flags.f_contiguous
+    ref = np.linalg.eigvalsh(np.ascontiguousarray(mat.matrix))
+    assert eigen_spectrum(mat).eigenvalues.tobytes() == ref.tobytes()
+
+
 def test_spectrum_holds_no_complex_matrix():
-    # the real form and the eigensolve's copy of it peak near 16 N^2 traced
-    # bytes; a complex N x N matrix (16 N^2) beside the real form would not fit
+    # the real form (8 N^2 bytes), solved in place, and the tail bound's
+    # 1025^2-point vector peak at 11.0 N^2 traced bytes at N = 1681; a second
+    # real N x N matrix, such as a copy for the eigensolve, would not fit
     pot = _seeded_potential(2, 2, 13)
     eigen_spectrum(assemble_hamiltonian(pot, 0.5, 20))
     tracemalloc.start()
@@ -204,7 +221,7 @@ def test_spectrum_holds_no_complex_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * N * N
+    assert peak < 12 * N * N
 
 
 def test_require_dense_counts_the_eigensolve_working_set(monkeypatch):
@@ -241,6 +258,23 @@ def test_tail_bound_decreases_with_cutoff():
     assert bounds[0] > bounds[1] > bounds[2]
     # integral comparison: sum_{|k|>K} (a k^2 - E)^-2 ~ 2/(3 a^2 K^3)
     assert bounds[2] < 2.0 / (3.0 * 0.125 ** 2 * 32 ** 3) * 1.5
+
+
+@pytest.mark.parametrize("K", [1, 6, 20, 130])
+def test_2d_tail_bound_is_the_masked_sum_bit_for_bit(K):
+    # reference: the points |k|_inf > K masked out of the whole outer table,
+    # in row-major order, through the same elementwise steps and one sum
+    pot, hbar = _seeded_potential(2, 2, 13), 0.5
+    a = 0.5 * hbar * hbar
+    energy = 0.4 * a * K * K
+    cap = max(512, 4 * K)
+    axis = np.arange(-cap, cap + 1)
+    far = np.abs(axis) > K
+    x = np.add.outer(axis ** 2.0, axis ** 2.0)[far[:, None] | far[None, :]]
+    norm = sup_norm(pot, remove_mean=True)
+    ref = float(np.sum((norm / (a * x - energy)) ** 2))
+    ref += 4.0 * norm * norm / (a * (a * cap * cap - energy))
+    assert truncation_tail_bound(pot, hbar, K, energy).hex() == ref.hex()
 
 
 def test_tail_bound_precondition():
