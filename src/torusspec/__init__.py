@@ -22,8 +22,7 @@ from .weylquant import (WeylMatrix, cv_bound, projector_check, weyl_matrix,
                         wigner_pairing, wigner_transform)
 from .dynamics import SymplecticMap, symplectic_defect, time_one_map
 from .effective import (EffectiveTable, action_J, cell_problem_solve,
-                        closed_form_table, effective_1d, effective_grid,
-                        invariance_check)
+                        closed_form_table, effective_1d, invariance_check)
 from .propagation import egorov_scaling, propagate
 from .isospectral import (IsospectralPair, Theorem2Report, bs_reconstruct,
                           make_pair, spectra_compare, theorem2_check,

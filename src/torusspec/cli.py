@@ -21,8 +21,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .effective import (CellConvergenceError, cell_problem_solve,
-                        effective_grid, write_effective_csv, write_hbar_csv)
+from .effective import (CellConvergenceError, cell_problem_solve, cell_table,
+                        closed_form_table, write_effective_csv, write_hbar_csv)
 from .isospectral import (bs_reconstruct, make_pair, theorem2_check, write_bs_csv)
 from .potentials import cosine, load_potential, potential_extrema
 from .propagation import egorov_scaling
@@ -130,12 +130,13 @@ def _cmd_weyl_count(args, outdir: Path):
     report = weyl_count_report(pot, hbars, tuple(window), rule)
     out = outdir / "weyl_count.json"
     write_report_json(out, report.to_dict())
-    return [out]
+    return [out], {}
 
 
 def _cmd_effective(args, outdir: Path):
     pot = _load_potential(args)
-    table = effective_grid(pot, args.pmax, args.dp, args.method, grid=args.grid)
+    table = (closed_form_table(pot, args.pmax, args.dp) if args.method == "closed-form"
+             else cell_table(pot, args.pmax, args.dp, args.grid))
     out_csv = outdir / "effective.csv"
     write_effective_csv(out_csv, table)
     out_json = outdir / "certificates.json"
@@ -155,7 +156,7 @@ def _cmd_cell_solve(args, outdir: Path):
         if len(P) != pot.dim:
             raise ValueError(f"P {ptxt!r} does not match dimension {pot.dim}")
         sol = cell_problem_solve(H, P, args.grid)
-        rows.append((P, sol.value, sol.corrector.residual))
+        rows.append((P, sol.value, sol.residual))
         diagnostics.append(sol.diagnostics())
     out = outdir / "cell.csv"
     write_hbar_csv(out, pot.dim, "cell-problem", rows)
@@ -222,7 +223,7 @@ def _cmd_bs(args, outdir: Path):
     rec = bs_reconstruct(spec, pot)
     out = outdir / "bs.csv"
     write_bs_csv(out, rec)
-    return [out]
+    return [out], {}
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +364,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(full)
         outdir.mkdir(parents=True, exist_ok=True)
         t0 = time.monotonic()
-        # a subcommand returns its outputs, optionally with extra manifest
-        # fields; "inputs" overrides the default --potential input
-        produced = _DISPATCH[args.command](args, outdir)
-        produced, extra = produced if isinstance(produced, tuple) else (produced, {})
+        # a subcommand returns its outputs and extra manifest fields;
+        # "inputs" overrides the default --potential input
+        produced, extra = _DISPATCH[args.command](args, outdir)
         inputs = extra.pop("inputs", [args.potential] if getattr(args, "potential", None) else [])
         _write_manifest(outdir, argv, inputs, produced, t0, extra)
         return 0

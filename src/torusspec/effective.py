@@ -167,25 +167,16 @@ def effective_1d(pot: FourierPotential, P):
 
 
 @dataclass(frozen=True)
-class Corrector:
-    """Mean-zero corrector of one cell problem on its solver grid."""
-
-    P: np.ndarray
-    axes: tuple
-    values: np.ndarray
-    residual: float       # sup |H_G(x, P + Du) - Hbar|, H_G the upwind flux
-
-
-@dataclass(frozen=True)
 class CellSolution:
+    P: np.ndarray
     value: float
-    corrector: Corrector
+    residual: float       # sup |H_G(x, P + Du) - Hbar|, H_G the upwind flux
     level_values: tuple   # c on each nested level, coarse to fine; the last is value
     iterations: int       # Newton steps, each one sparse LU factorization
 
     def diagnostics(self) -> dict:
         """P, Newton steps and level values, as the CLI manifests hold them."""
-        return {"P": self.corrector.P.tolist(), "iterations": self.iterations,
+        return {"P": self.P.tolist(), "iterations": self.iterations,
                 "level_values": list(self.level_values)}
 
 
@@ -514,8 +505,8 @@ def _cell_axes(dim: int, grid) -> list:
 def cell_problem_solve(H: PhaseSpaceFunction, P, grid: int) -> CellSolution:
     """Solve the mechanical cell problem for one P on a uniform torus grid.
 
-    Returns Hbar(P) = c of the ergodic solve together with its mean-zero
-    corrector and the sup-norm residual of the discrete cell equation.
+    Returns Hbar(P) = c of the ergodic solve together with the sup-norm
+    residual of the discrete cell equation at its mean-zero corrector.
     Raises CellConvergenceError if a Newton Jacobian is singular or the
     finest solve misses the residual tolerance within its Newton steps.  A
     symbol without a potential is refused (``invariance_check`` solves
@@ -538,15 +529,14 @@ def _solve_on(sym: _GridSymbol, P, p_range=None) -> CellSolution:
         raise ValueError(f"P = {P.tolist()} is not finite")
     if not sym.mechanical:
         sym.build_table(*p_range, _TABLE_P_RES)
-    u, levels, res, floor, steps = _ergodic(sym, P)
+    _, levels, res, floor, steps = _ergodic(sym, P)
     tol = max(_TOL, 100.0 * floor)
     # a NaN residual fails too, and so does an overflowed rounding floor
     if not res <= tol < math.inf:
         raise CellConvergenceError(f"cell residual {res:.3e} not within the finite "
                                    f"tolerance {tol:.3e} on the grid of shape {sym.shape}", res)
-    corr = Corrector(P=P.copy(), axes=sym.axes, values=u.reshape(sym.shape), residual=res)
-    return CellSolution(value=float(levels[-1]), corrector=corr, level_values=levels,
-                        iterations=steps)
+    return CellSolution(P=P.copy(), value=float(levels[-1]), residual=res,
+                        level_values=levels, iterations=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -661,21 +651,12 @@ def cell_table(pot: FourierPotential, p_max: float, dp: float, grid: int) -> Eff
         sol = _solve_on(sym, P)
         mirror = tuple(axis.size - 1 - i for i in idx)
         values[idx] = values[mirror] = sol.value
-        residuals[idx] = residuals[mirror] = sol.corrector.residual
+        residuals[idx] = residuals[mirror] = sol.residual
         diagnostics.append(sol.diagnostics())
     certs = compute_certificates((axis,) * n, values, vmax)
     return EffectiveTable(dim=n, axes=(axis,) * n, values=values, method="cell-problem",
                           residuals=residuals, certificates=certs, v_max=vmax,
                           diagnostics=tuple(diagnostics))
-
-
-def effective_grid(pot: FourierPotential, p_max: float, dp: float, method: str,
-                   grid: int = 0) -> EffectiveTable:
-    if method == "closed-form":
-        return closed_form_table(pot, p_max, dp)
-    if method == "cell-problem":
-        return cell_table(pot, p_max, dp, grid)
-    raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -53,18 +53,9 @@ def make_pair(pot: FourierPotential, relation: str, shift=None) -> IsospectralPa
     return IsospectralPair(left=pot, right=right, relation=relation)
 
 
-def spectra_compare(a: SpectrumResult, b: SpectrumResult,
-                    window: Optional[tuple] = None) -> float:
-    """Max elementwise eigenvalue distance, inf on a count mismatch.
-
-    With a window (lo, hi), only eigenvalues inside the open interval are
-    compared; both lists must put the same number of them there.
-    """
+def spectra_compare(a: SpectrumResult, b: SpectrumResult) -> float:
+    """Max elementwise eigenvalue distance, inf on a count mismatch."""
     la, lb = np.asarray(a.eigenvalues), np.asarray(b.eigenvalues)
-    if window is not None:
-        lo, hi = window
-        la = la[(la > lo) & (la < hi)]
-        lb = lb[(lb > lo) & (lb < hi)]
     if la.size != lb.size:
         return math.inf
     if la.size == 0:

@@ -2,9 +2,10 @@
 
 A potential is stored by its Fourier coefficients on integer frequency
 vectors q, V(x) = sum_q c_q exp(i q.x), with the reality constraint
-c_{-q} = conj(c_q).  All transforms that preserve the spectrum of the
-associated Schrodinger operator (translations, reflection) act on the
-coefficients exactly, without touching any grid.
+c_{-q} = conj(c_q) held exactly, so V is real by construction.  All
+transforms that preserve the spectrum of the associated Schrodinger
+operator (translations, reflection) act on the coefficients exactly,
+without touching any grid.
 
 Evaluation runs in real arithmetic on the half spectrum fixed at
 construction: one q of each +-q pair, the weight w_q = A_q + i B_q with
@@ -37,7 +38,6 @@ TWO_PI = 2.0 * math.pi
 MAX_FILE_FREQUENCY = 64
 
 _HERMITIAN_TOL = 1e-12
-_IMAG_TOL = 1e-12
 
 # Entries of the (points, frequencies) phase array per block of _trig_sum.
 # A 2D file potential may carry ~8000 half-spectrum frequencies, so one
@@ -105,16 +105,6 @@ def _trig_sum(pts, pot, w):
     return out
 
 
-def _real_part(vals):
-    """V from _trig_sum values: the V column, with an Im V column beside it
-    that is refused when it exceeds _IMAG_TOL relative to max |Re V|."""
-    if vals.shape[1] == 2:
-        imag = vals[:, 1]
-        if vals.size and np.max(np.abs(imag)) > _IMAG_TOL * max(1.0, np.max(np.abs(vals[:, 0]))):
-            raise ArithmeticError("potential evaluation produced a non-real value")
-    return vals[:, 0]
-
-
 def _as_freq(q, dim: int) -> tuple:
     """q as a tuple of dim ints; a component that is not an integer is refused."""
     comps = (q,) if np.isscalar(q) else tuple(q)
@@ -130,13 +120,11 @@ def _as_freq(q, dim: int) -> tuple:
 class FourierPotential:
     """V(x) = sum_q c_q exp(i q.x) with c_{-q} = conj(c_q).
 
-    The coefficient table is validated at construction, and its half
-    spectrum fixed: half_freqs, shape (h, dim), the q of each +-q pair whose
-    first nonzero component is positive, sorted, with the half_amplitudes
-    a_q and half_phases theta_q of the module docstring.  Coefficients that
-    pass the Hermitian check without being exact conjugates leave an
-    imaginary part, which evaluate and value_and_gradient refuse past
-    _IMAG_TOL.
+    The coefficient table is validated at construction, stored as exact
+    conjugate pairs, and its half spectrum fixed: half_freqs, shape (h, dim),
+    the q of each +-q pair whose first nonzero component is positive,
+    sorted, with the half_amplitudes a_q and half_phases theta_q of the
+    module docstring.
     """
 
     dim: int
@@ -145,14 +133,13 @@ class FourierPotential:
     half_amplitudes: np.ndarray = field(init=False, repr=False, compare=False)
     half_phases: np.ndarray = field(init=False, repr=False, compare=False)
     # _trig_sum weight sets (``_split``) of V and of grad V, rotated by
-    # exp(-i theta_q); V's carry a second column, for Im V, only when some
-    # c_{-q} != conj(c_q).  _fused_w puts V's columns before grad V's, for
-    # value_and_gradient: for a real V the cos serves V's column alone and
-    # the sin grad V's alone.
+    # exp(-i theta_q).  _fused_w puts V's column before grad V's, for
+    # value_and_gradient: the cos serves V's column alone and the sin
+    # grad V's alone.
     _value_w: tuple = field(init=False, repr=False, compare=False)
     _grad_w: tuple = field(init=False, repr=False, compare=False)
     _fused_w: tuple = field(init=False, repr=False, compare=False)
-    _c0: float | np.ndarray = field(init=False, repr=False, compare=False)
+    _c0: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.dim) < 1:
@@ -170,38 +157,42 @@ class FourierPotential:
             mq = tuple(-v for v in q)
             if abs(clean.get(mq, 0.0j) - c.conjugate()) > _HERMITIAN_TOL * max(1.0, abs(c)):
                 raise ValueError(f"coefficients violate Hermitian symmetry at q={q}")
-        object.__setattr__(self, "coeffs", clean)
+        # each +-q pair keeps the coefficient of its half-spectrum member
+        # max(q, -q), or the conjugate of its partner's where that is absent,
+        # and c_0 its real part; an entry equal to its target keeps its bits
+        # (signed zeros too), and one that becomes 0 is dropped
+        exact = {}
+        for q, c in clean.items():
+            mq = tuple(-v for v in q)
+            ch = clean.get(max(q, mq), c.conjugate())
+            t = complex(ch.real) if q == mq else ch if q > mq else ch.conjugate()
+            if t != 0:
+                exact[q] = c if c == t else t
+            if mq not in clean:
+                exact[mq] = t.conjugate()
+        object.__setattr__(self, "coeffs", exact)
 
-        half = sorted({max(q, tuple(-v for v in q)) for q in clean if any(q)})
-        cp = np.array([clean.get(q, 0.0j) for q in half], dtype=complex)
-        cm = np.array([clean.get(tuple(-v for v in q), 0.0j) for q in half], dtype=complex)
+        half = sorted({max(q, tuple(-v for v in q)) for q in exact if any(q)})
+        cp = np.array([exact[q] for q in half], dtype=complex)
+        cm = np.array([exact[tuple(-v for v in q)] for q in half], dtype=complex)
         freqs = np.array(half, dtype=float).reshape(-1, self.dim)
         w = (cp + cm).real + 1j * (cp - cm).imag
-        wi = (cp + cm).imag - 1j * (cp - cm).real      # Im V - Im c_0 = Re sum wi e^{iq.x}
         # w = amp e^{i theta}: angle(w) in (-pi, pi], folded by pi into
         # (-pi/2, pi/2] with the sign moved into amp; a real w has theta = 0
         theta = np.angle(w)
         flip = (theta > 0.5 * math.pi) | (theta <= -0.5 * math.pi)
         theta = np.where(flip, theta - np.copysign(math.pi, theta), theta)
         amp = np.where(flip, -np.abs(w), np.abs(w))
-        c0 = clean.get((0,) * self.dim, 0.0j)
-        if c0.imag == 0.0 and not np.any(wi):
-            value_w, c0 = amp + 0j, c0.real
-        else:
-            value_w = np.stack([amp + 0j, wi * np.exp(-1j * theta)], axis=1)
-            c0 = np.array([c0.real, c0.imag])
-        grad_w = 1j * amp[:, None] * freqs             # d/dx e^{iq.x} = iq e^{iq.x}
-        v, g = _split(value_w), _split(grad_w)
-        # V's columns without a sin part: its cos and grad V's sin side by side
-        fused = ((v[0] + self.dim, v[1], g[2] and (v[0], g[2][1])) if v[2] is None
-                 else _split(np.column_stack([value_w, grad_w])))
+        v = _split(amp)
+        g = _split(1j * amp[:, None] * freqs)          # d/dx e^{iq.x} = iq e^{iq.x}
+        fused = (1 + self.dim, v[1], g[2] and (1, g[2][1]))
         object.__setattr__(self, "half_freqs", freqs)
         object.__setattr__(self, "half_amplitudes", amp)
         object.__setattr__(self, "half_phases", theta)
         object.__setattr__(self, "_value_w", v)
         object.__setattr__(self, "_grad_w", g)
         object.__setattr__(self, "_fused_w", fused)
-        object.__setattr__(self, "_c0", c0)
+        object.__setattr__(self, "_c0", exact.get((0,) * self.dim, 0.0j).real)
 
     # -- basic queries ---------------------------------------------------
 
@@ -239,8 +230,7 @@ class FourierPotential:
     def evaluate(self, x):
         """V(x), vectorised; real output."""
         pts, shape = self._points(x)
-        vals = _real_part(self._c0 + _trig_sum(pts, self, self._value_w))
-        out = vals.reshape(shape)
+        out = (self._c0 + _trig_sum(pts, self, self._value_w)[:, 0]).reshape(shape)
         return out if out.shape else float(out)
 
     def __call__(self, x):
@@ -258,12 +248,10 @@ class FourierPotential:
     def value_and_gradient(self, x):
         """(V(x), grad V(x)) from one _trig_sum: one cos and one sin serve
         both.  Values have evaluate's shape, gradients one trailing axis of
-        length dim more; a non-real V is refused as in evaluate."""
+        length dim more."""
         pts, shape = self._points(x)
         both = _trig_sum(pts, self, self._fused_w)
-        k = both.shape[1] - self.dim
-        vals = _real_part(self._c0 + both[:, :k])
-        return vals.reshape(shape), both[:, k:].reshape(shape + (self.dim,))
+        return (self._c0 + both[:, 0]).reshape(shape), both[:, 1:].reshape(shape + (self.dim,))
 
     # -- exact isospectral transforms ------------------------------------
 

@@ -13,9 +13,10 @@ reads J H J = conj(H): H is centrohermitian.  In the unitary basis e_0,
 box, such a matrix is real symmetric (A. Lee, Centrohermitian and
 skew-centrohermitian matrices, Linear Algebra Appl. 29, 1980), and a real
 solve does about a quarter of a complex one's flops.  ``FourierPotential``
-refuses coefficients with c_{-q} != conj(c_q), so ``assemble_hamiltonian``
-writes that real matrix straight from the coefficients and the complex one
-is never formed.  It builds R column-major, a strip of rows at a time, and
+stores pairs within its Hermitian tolerance as exact conjugates and refuses
+the rest, so c_{-q} = conj(c_q) holds exactly, and ``assemble_hamiltonian``
+writes that real matrix straight from the coefficients; the complex one is
+never formed.  It builds R column-major, a strip of rows at a time, and
 ``eigen_spectrum`` hands it to LAPACK to be solved in place, so a spectrum
 holds one real N x N matrix and overwrites the ``matrix`` it is given.
 
@@ -437,18 +438,15 @@ class WeylCountReport:
 
 
 def weyl_count_report(pot: FourierPotential, hbars, window, K) -> WeylCountReport:
-    """Counts over an hbar list with the matching volume estimate.
-
-    K may be an integer (shared cutoff) or a callable hbar -> K.
-    """
+    """Counts over an hbar list with the matching volume estimate; K is a
+    callable hbar -> cutoff."""
     a, b = float(window[0]), float(window[1])
     counts = []
     trusted = []
     scaled = []
     n = pot.dim
     for hb in hbars:
-        cut = K(hb) if callable(K) else int(K)
-        spec = eigen_spectrum(assemble_hamiltonian(pot, hb, cut))
+        spec = eigen_spectrum(assemble_hamiltonian(pot, hb, K(hb)))
         trusted.append(bool(b <= spec.trusted_energy))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

@@ -170,18 +170,18 @@ class WignerTable:
         return 0.5 * self.hbar * self.kappas.astype(float)
 
 
-def wigner_transform(psi: np.ndarray, basis: PlaneWaveBasis, hbar: float,
-                     res: int | None = None) -> WignerTable:
+def wigner_transform(psi: np.ndarray, basis: PlaneWaveBasis, hbar: float) -> WignerTable:
     """Wigner transform of a plane-wave state, exact in Fourier space.
 
     With psi = sum_k c_k e_k the transform at kappa = k + l is
     (2 pi)^(-n) sum_{k+l=kappa} c_k conj(c_l) exp(i (k-l).x).  Each pair
     (k, l) lands on its own row kappa and x-frequency k - l, and one inverse
-    FFT per row sums them on the grid; |k - l|_inf <= 2K < res/2 keeps the
-    frequencies apart.  The spectrum and its transform are two complex
-    (S, res^n) arrays, S = (4K+1)^n; with the index arrays the tracemalloc
-    peak is 48 bytes per entry in 2D (K = 2 to 16; 40 in 1D), so a
-    transform beyond physical memory is refused before anything is built.
+    FFT per row sums them on the grid of res = 4K + 4 points per axis, where
+    |k - l|_inf <= 2K < res/2 keeps the frequencies apart.  The spectrum
+    and its transform are two complex (S, res^n) arrays, S = (4K+1)^n; with
+    the index arrays the tracemalloc peak is 48 bytes per entry in 2D (K = 2
+    to 16; 40 in 1D), so a transform beyond physical memory is refused
+    before anything is built.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (basis.size,):
@@ -192,9 +192,7 @@ def wigner_transform(psi: np.ndarray, basis: PlaneWaveBasis, hbar: float,
     hbar = float(hbar)
     K = basis.cutoff
     n = basis.dim
-    res = int(res or (4 * K + 4))
-    if res < 4 * K + 2:
-        raise ValueError("resolution too coarse for the 2K spatial band")
+    res = 4 * K + 4
     lattice = PlaneWaveBasis(n, 2 * K)
     _require_memory(48 * lattice.size * res ** n,
                     f"a Wigner transform at K={K} on a {res}^{n} grid")

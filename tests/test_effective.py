@@ -16,7 +16,7 @@ from torusspec.dynamics import SymplecticMap, compose_hamiltonian, time_one_map
 from torusspec.effective import (CellConvergenceError, EffectiveTable,
                                  action_J, action_threshold, cell_problem_solve,
                                  cell_table, closed_form_table, compute_certificates,
-                                 effective_1d, effective_grid, invariance_check,
+                                 effective_1d, invariance_check,
                                  nested_dissection, write_effective_csv)
 from torusspec.potentials import (FourierPotential, TWO_PI, cosine, potential_extrema,
                                   sine, zero_potential)
@@ -69,13 +69,13 @@ def test_effective_plateau_and_evenness():
 def test_cell_free_is_exact():
     sol = cell_problem_solve(mechanical_symbol(zero_potential(1)), 1.3, 64)
     assert sol.value == pytest.approx(0.845, abs=1e-10)
-    assert sol.corrector.residual < 1e-10
+    assert sol.residual < 1e-10
 
 
 def test_cell_cosine_above_plateau():
     sol = cell_problem_solve(mechanical_symbol(COS), 2.0, 256)
     assert abs(sol.value - HBAR_COS[2.0]) < 1e-4
-    assert sol.corrector.residual < 1e-2
+    assert sol.residual < 1e-2
 
 
 def test_cell_cosine_plateau_dip():
@@ -184,15 +184,6 @@ def test_table_axis_must_divide():
         closed_form_table(COS, 1.0, 0.3)
 
 
-def test_effective_grid_dispatch():
-    table = effective_grid(zero_potential(1), 1.0, 0.5, "closed-form")
-    assert table.method == "closed-form"
-    with pytest.raises(ValueError):
-        effective_grid(COS, 1.0, 0.5, "nope")
-    with pytest.raises(ValueError):
-        effective_grid(COS, 1.0, 0.5, "cell-problem", grid=0)
-
-
 def test_invariance_under_momentum_shear():
     H = mechanical_symbol(COS)
     gen = FourierPotential(1, {(1,): -0.05j, (-1,): 0.05j})
@@ -260,7 +251,7 @@ def test_cell_table_builds_each_grid_level_once(monkeypatch):
     direct = cell_problem_solve(mechanical_symbol(pot), (1.0, 1.0), 64)
     assert table.diagnostics[-1] == direct.diagnostics()
     assert table.values[2, 2] == direct.value
-    assert table.residuals[2, 2] == direct.corrector.residual
+    assert table.residuals[2, 2] == direct.residual
 
 
 @pytest.mark.parametrize("P", [0.0, 1.2, 1.35, 2.0])

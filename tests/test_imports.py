@@ -1,10 +1,12 @@
 """Lint of the library sources: imports sit at module level and are used by
 their module, every parameter of a def is read by its body, every private
 module-level name is read by some module of the package, and every exported
-name is read by the package, an acceptance criterion or a bench workload."""
+name, public member and defaulted parameter is read or passed by the
+package, an acceptance criterion or a bench workload."""
 
 import ast
 import inspect
+import math
 from pathlib import Path
 
 import torusspec
@@ -178,3 +180,64 @@ def test_every_public_member_is_read():
             members |= _public_members(tree)
         read |= _attributes_read_outside_own_def(tree)
     assert sorted(m for m in members if m.split(".")[1] not in read) == []
+
+
+def _defaulted_parameters(tree: ast.Module) -> list:
+    """(callee, name, position) of each defaulted parameter of a def: the
+    callee is the def's name, or its class's for an __init__; the position
+    counts past self or cls, and is None for a keyword-only parameter."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = [*args.posonlyargs, *args.args]
+                skip = 1 if cls and positional and positional[0].arg in ("self", "cls") else 0
+                callee = cls if cls and child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                found.extend((callee, a.arg, i - skip)
+                             for i, a in enumerate(positional) if i >= first)
+                found.extend((callee, a.arg, None)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+                visit(child, None)
+            else:
+                visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    visit(tree, None)
+    return found
+
+
+def _calls(tree: ast.Module) -> dict:
+    """callee -> [(positional count, keyword names)] of each call in tree; a
+    *args counts as every position and a **kwargs as every keyword (None)."""
+    calls = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append(
+                (math.inf if starred else len(node.args),
+                 None if None in keywords else keywords))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default no real caller overrides is an option that only its own unit
+    # tests reach
+    paths = [*sorted(SRC.glob("*.py")), ROOT / "tests" / "test_acceptance.py",
+             ROOT / "bench" / "workloads.py"]
+    params, calls = [], {}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent == SRC:
+            params += _defaulted_parameters(tree)
+        for name, found in _calls(tree).items():
+            calls.setdefault(name, []).extend(found)
+    unpassed = [f"{callee}({name})" for callee, name, pos in params
+                if not any(keywords is None or name in keywords
+                           or (pos is not None and count > pos)
+                           for count, keywords in calls.get(callee, []))]
+    assert unpassed == []

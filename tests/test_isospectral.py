@@ -47,9 +47,6 @@ def test_spectra_compare_windows():
     b = _free_spec(1.0, 5)
     assert spectra_compare(a, a) == 0.0
     assert spectra_compare(a, b) == math.inf          # 9 vs 11 eigenvalues
-    assert spectra_compare(a, b, window=(0.4, 0.6)) == 0.0
-    assert spectra_compare(a, b, window=(10.0, 11.0)) == 0.0
-    assert spectra_compare(a, b, window=(12.0, 13.0)) == math.inf
 
 
 def test_theorem2_translated_cosine_consistent():
@@ -88,8 +85,8 @@ def test_theorem2_cell_method_builds_each_grid_level_once_per_side(monkeypatch):
     assert shapes == [(64, 64), (32, 32)] * 2
     direct = [cell_problem_solve(mechanical_symbol(pot), P, 64)
               for pot in (pair.left, pair.right) for P in p_values]
-    assert [(s.value, s.corrector.residual, s.diagnostics()) for s in solved] == \
-        [(s.value, s.corrector.residual, s.diagnostics()) for s in direct]
+    assert [(s.value, s.residual, s.diagnostics()) for s in solved] == \
+        [(s.value, s.residual, s.diagnostics()) for s in direct]
     values = np.array([s.value for s in direct]).reshape(2, -1)
     assert rep.eff_dist == float(np.max(np.abs(values[0] - values[1])))
 

@@ -355,13 +355,13 @@ def test_real_coefficients_take_phase_zero_and_one_transcendental(pot, m):
 def test_each_pass_takes_only_the_transcendentals_it_needs(monkeypatch):
     # evaluate takes the cos of every (point, frequency) pair and no sin,
     # gradient the sin and no cos, value_and_gradient one of each; a
-    # potential whose coefficients are not exact conjugates takes both for
-    # its Im V column, and is still refused past _IMAG_TOL
+    # potential whose coefficients are not exact conjugates is stored as
+    # exact pairs, so its evaluate takes the cos alone too
     coeffs = {}
     for q in range(1, 51):
         coeffs[(q,)] = 1e-3
         coeffs[(-q,)] = 1e-3 + 9e-13j
-    non_real = FourierPotential(1, coeffs)
+    near = FourierPotential(1, coeffs)
     pot1 = cosine((1,)) + sine((2,), 0.5).translate(0.3)
     counts = {}
 
@@ -383,9 +383,8 @@ def test_each_pass_takes_only_the_transcendentals_it_needs(monkeypatch):
             call(pts)
             assert (counts["cos"], counts["sin"]) == expected
     counts.update(cos=0, sin=0)
-    with pytest.raises(ArithmeticError):
-        non_real.evaluate(np.zeros((m, 1)))
-    assert counts == {"cos": 50 * m, "sin": 50 * m}
+    near.evaluate(np.zeros((m, 1)))
+    assert counts == {"cos": 50 * m, "sin": 0}
 
 
 def test_many_frequencies_evaluate_in_blocks():
@@ -429,15 +428,50 @@ def test_evaluation_shape_contracts():
     assert pot2.gradient(pts).shape == (3, 2)
 
 
-def test_non_real_evaluation_refused():
-    # each pair passes the construction check (9e-13 <= 1e-12), but the 50
-    # antisymmetric parts add up to Im V(0) = 4.5e-11
+def test_near_conjugate_pairs_are_stored_exactly():
+    # each pair passes the construction check (9e-13 <= 1e-12) and keeps its
+    # half-spectrum member's coefficient, so V is real: V(0) = 50 * 2e-3
     coeffs = {}
     for q in range(1, 51):
         coeffs[(q,)] = 1e-3
         coeffs[(-q,)] = 1e-3 + 9e-13j
     pot = FourierPotential(1, coeffs)
-    with pytest.raises(ArithmeticError):
-        pot.evaluate(0.0)
-    with pytest.raises(ArithmeticError):
-        pot.value_and_gradient(np.zeros((1, 1)))
+    assert pot.coeffs == {q: 1e-3 + 0j for q in coeffs}
+    assert all(pot.coefficient((-q,)) == pot.coefficient((q,)).conjugate()
+               for q in range(1, 51))
+    assert pot.evaluate(0.0) == 0.1
+    vals, grad = pot.value_and_gradient(np.zeros((1, 1)))
+    assert vals[0] == 0.1 and grad[0, 0] == 0.0
+    # an absent half-spectrum member is the conjugate of its partner, and an
+    # imaginary c_0 within the tolerance is dropped with its real part kept
+    tiny = FourierPotential(1, {(-2,): 1e-13 + 2e-13j, (0,): 1.5 - 1e-13j, (3,): 0.0})
+    assert tiny.coeffs == {(-2,): 1e-13 + 2e-13j, (2,): 1e-13 - 2e-13j, (0,): 1.5}
+    assert FourierPotential(1, {(0,): 1e-13j}).coeffs == {}
+
+
+@pytest.mark.parametrize("pot", [
+    -cosine((1,)),
+    cosine((1,)) + 0.5 * sine((2,)).translate(0.3),
+    (-FourierPotential(1, {(0,): 1.0})) + sine((3,)),
+    (cosine((1, 1)).reflect() * -2.5).translate((0.2, -0.7)),
+], ids=["neg-cos", "cos-sin", "neg-const-sin", "2d-reflect-scale"])
+def test_exact_pairs_keep_every_bit(pot, tmp_path):
+    # an exactly Hermitian table is stored as given, signed zeros included
+    again = FourierPotential(pot.dim, dict(pot.coeffs))
+    assert [(q, c.real.hex(), c.imag.hex()) for q, c in again.items()] == \
+        [(q, c.real.hex(), c.imag.hex()) for q, c in pot.items()]
+    save_potential(pot, tmp_path / "a.json")
+    save_potential(again, tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_signed_zero_imaginary_parts_are_kept(tmp_path):
+    # -0.0 == 0.0, so each entry already equals its partner's conjugate
+    pot = FourierPotential(1, {(1,): complex(-0.5, -0.0), (-1,): complex(-0.5, -0.0),
+                               (0,): complex(0.25, -0.0)})
+    assert [math.copysign(1.0, c.imag) for _, c in pot.items()] == [-1.0, -1.0, -1.0]
+    save_potential(pot, tmp_path / "neg.json")
+    assert (tmp_path / "neg.json").read_text() == json.dumps(
+        {"dim": 1, "coeffs": [{"q": [-1], "re": -0.5, "im": -0.0},
+                              {"q": [0], "re": 0.25, "im": -0.0},
+                              {"q": [1], "re": -0.5, "im": -0.0}]}, indent=2) + "\n"

@@ -174,9 +174,9 @@ def _seeded_potential(dim, band, seed):
     return FourierPotential(dim, coeffs)
 
 
-# K at the band and past it, the free Hamiltonian, coefficients that pass
-# the Hermitian check without being exact conjugates (c_{-16} = conj(c_16)
-# + 9e-13 i), and a 2D box of the size the spectral benchmark solves
+# K at the band and past it, the free Hamiltonian, coefficients given as
+# near conjugates (c_{-16} = conj(c_16) + 9e-13 i, stored as exact pairs),
+# and a 2D box of the size the spectral benchmark solves
 @pytest.mark.parametrize("pot,hbar,K", [
     (_seeded_potential(1, 3, 12), 0.3, 3), (_seeded_potential(1, 3, 12), 0.3, 9),
     (_seeded_potential(2, 2, 13), 0.5, 2), (_seeded_potential(2, 2, 13), 0.5, 6),
@@ -194,9 +194,8 @@ def test_real_form_matches_the_complex_eigensolve(pot, hbar, K):
 
 
 # the 1D cos box of the CLI runs, the 2D box of the spectral benchmark, a
-# 3D box, and coefficients that are not exact conjugates, whose R is not
-# exactly symmetric: solved in place, R gives the eigenvalues numpy's
-# eigvalsh gives for a C-ordered copy of it, from the same lower triangle
+# 3D box, and coefficients given as near conjugates: solved in place, R
+# gives the eigenvalues numpy's eigvalsh gives for a C-ordered copy of it
 @pytest.mark.parametrize("pot,hbar,K", [
     (cosine((1,)), 0.1, 57), (_seeded_potential(2, 2, 13), 0.5, 20),
     (_seeded_potential(3, 1, 14), 0.7, 3),
@@ -207,6 +206,14 @@ def test_in_place_eigensolve_matches_numpy_bit_for_bit(pot, hbar, K):
     assert mat.matrix.flags.f_contiguous
     ref = np.linalg.eigvalsh(np.ascontiguousarray(mat.matrix))
     assert eigen_spectrum(mat).eigenvalues.tobytes() == ref.tobytes()
+
+
+def test_near_conjugate_coefficients_give_an_exactly_symmetric_form():
+    # the pair within the Hermitian tolerance is stored as exact conjugates,
+    # so the triangle LAPACK reads is all of R
+    pot = FourierPotential(1, {(16,): 1e-3, (-16,): 1e-3 + 9e-13j, (1,): 0.5, (-1,): 0.5})
+    R = assemble_hamiltonian(pot, 0.5, 40).matrix
+    assert np.array_equal(R, R.T)
 
 
 def test_spectrum_holds_no_complex_matrix():
@@ -386,7 +393,7 @@ def test_weyl_volume_empty_window():
 
 
 def test_weyl_count_report_scaling():
-    rep = weyl_count_report(zero_potential(1), (0.5, 0.25), (0.0, 2.0), 32)
+    rep = weyl_count_report(zero_potential(1), (0.5, 0.25), (0.0, 2.0), lambda hb: 32)
     assert rep.counts[1] > rep.counts[0]
     # boundary lattice defect is O(hbar): at most two shells plus the origin
     for hb, s in zip(rep.hbars, rep.scaled):
